@@ -61,10 +61,38 @@ def _load_config(args):
     config.setdefault("z_order", 3)
     config.setdefault("codim", 2)
     config.setdefault("out", ".")
+    _validate(config)
     return config
 
 
-def _make_expansion(config):
+def _validate(config):
+    """Reject grids, codimensions and truncations no command can use."""
+    for pair in config.get("gn") or []:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ParseError("--gn entry %s is not a pair g,n" % (pair,))
+        g, n = (int(x) for x in pair)
+        if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+            raise ParseError("(g, n) = (%d, %d) is not a stable type" % (g, n))
+    if int(config["codim"]) < 1:
+        raise ParseError("codim must be at least 1, got %s" % config["codim"])
+    if Fraction(config["trunc"]) <= 0:
+        raise ParseError("trunc must be positive, got %s" % config["trunc"])
+
+
+def _check_insertions(flat, dim):
+    for mu in flat:
+        if not 0 <= mu < dim:
+            raise ParseError("insertion index %d is out of range for a "
+                             "%d-dimensional chart" % (mu, dim))
+
+
+def _make_expansion(config, default_param=None):
+    """The chart expansion of ``config``.
+
+    Without an explicit parameter (``--param`` or the expansion point),
+    ``default_param`` is used when the chart has it as a variable, and the
+    last chart coordinate otherwise.
+    """
     name = config.get("chart")
     if not name:
         raise ParseError("no chart given (config 'chart' or --chart)")
@@ -77,11 +105,18 @@ def _make_expansion(config):
             file_exp = json.load(fh).get("expansion_point")
         if file_exp and not exp_cfg:
             exp_cfg = dict(file_exp)
-    param = config.get("param") or exp_cfg.get("param") or chart.coords[-1]
     subs_cfg = exp_cfg.get("subs") or {}
     subs = {}
     for c in chart.coords:
         subs[c] = parse_poly(subs_cfg.get(c, c))
+    variables = set().union(*(p.variables() for p in subs.values()))
+    param = config.get("param") or exp_cfg.get("param")
+    if not param:
+        param = default_param if default_param in variables else chart.coords[-1]
+    if param not in variables:
+        raise ParseError("local parameter %r is not a variable of chart %s "
+                         "(variables: %s)" % (param, chart.name,
+                                              ", ".join(sorted(variables))))
     cover = int(config.get("cover_degree", exp_cfg.get("cover_degree", 1)))
     return ChartExpansion(chart, param, subs, cover_degree=cover,
                           trunc=Fraction(config["trunc"]))
@@ -163,14 +198,15 @@ def cmd_rmatrix(config):
 
 def cmd_reconstruct(config):
     exp = _make_expansion(config)
-    frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
-    spec = CohFTSpec(frame, R)
     gn = config.get("gn") or [[1, 1]]
     g, n = gn[0]
     flat = config.get("insertion") or [0] * n
     if len(flat) != n:
         raise ParseError("need %d insertion indices" % n)
+    _check_insertions(flat, exp.chart.dim)
+    frame = idempotent_frame(exp)
+    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
+    spec = CohFTSpec(frame, R)
     insertions = []
     for mu in flat:
         vec = [Fraction(1) if k == mu else Fraction(0) for k in range(frame.dim)]
@@ -194,23 +230,19 @@ def _default_cells(config):
     return cells
 
 
-def _relations_for(config, chart_name=None):
-    cfg = dict(config)
-    if chart_name:
-        cfg["chart"] = chart_name
-    exp = _make_expansion(cfg)
+def _relations_for(config, exp):
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(cfg["z_order"]), _constants(cfg))
+    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
     spec = CohFTSpec(frame, R)
-    jobs = cfg.get("jobs")
+    jobs = config.get("jobs")
     if jobs is None:
         jobs = os.cpu_count() or 1
-    rs = extract_relations(spec, _default_cells(cfg), jobs=jobs)
+    rs = extract_relations(spec, _default_cells(config), jobs=jobs)
     return close_relations(rs)
 
 
 def cmd_relations(config):
-    rs = _relations_for(config)
+    rs = _relations_for(config, _make_expansion(config))
     payload = relations_to_json(rs)
     path = _write(config, "relations.json", payload)
     print("relations: %s" % path)
@@ -223,8 +255,11 @@ def cmd_compare(config):
     other = config.get("chart2")
     if not other:
         raise ParseError("compare needs 'chart2'")
-    rs1 = _relations_for(config)
-    rs2 = _relations_for(config, chart_name=other)
+    exp1 = _make_expansion(config)
+    # without --param both charts are expanded along the same coordinate
+    exp2 = _make_expansion(dict(config, chart=other), default_param=exp1.param)
+    rs1 = _relations_for(config, exp1)
+    rs2 = _relations_for(config, exp2)
     verdicts = compare_spans(rs1, rs2)
     payload = {"verdicts": {"%d,%d,%d" % cell: v for cell, (v, _) in
                             sorted(verdicts.items())}}
@@ -254,10 +289,11 @@ def cmd_verify(config):
 
 def cmd_genus1(config):
     exp = _make_expansion(config)
+    flat_idx = (config.get("insertion") or [exp.chart.dim - 1])[0]
+    _check_insertions([flat_idx], exp.chart.dim)
     frame = idempotent_frame(exp)
     R = solve_flatness(frame, max(2, int(config["z_order"])), _constants(config))
     spec = CohFTSpec(frame, R)
-    flat_idx = (config.get("insertion") or [frame.dim - 1])[0]
     X = [Fraction(1) if k == flat_idx else Fraction(0) for k in range(frame.dim)]
     value = genus_one_correlator(spec, X)
     cls = reconstruct_class(spec, 1, 1, [to_normalized_insertion(frame, X)], 1)

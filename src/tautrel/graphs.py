@@ -10,6 +10,7 @@ The kappa convention is kappa_a = pi_*(psi^(a+1)) at a forgotten point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -155,11 +156,15 @@ def _apply_edges(edges, p):
     return tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
 
 
+@functools.lru_cache(maxsize=4096)
 def _canonical_labeling(genera, legs, edges):
     """Canonical vertex labeling; returns (genera, legs, edges, coset).
 
-    The coset lists every permutation old->new that achieves the canonical
-    form; it is used to canonicalize decorations.
+    The coset is the tuple of every permutation old->new that achieves the
+    canonical form; it is used to canonicalize decorations.  Arguments are
+    tuples and results are memoized: the closure relabels the same few
+    hundred shapes tens of thousands of times.  The memo is bounded because
+    brute-force graph enumeration feeds it many keys that never recur.
     """
     nv = len(genera)
     order = sorted(range(nv), key=lambda v: (genera[v], legs[v]))
@@ -183,7 +188,7 @@ def _canonical_labeling(genera, legs, edges):
     for v in range(nv):
         new_genera[p0[v]] = genera[v]
         new_legs[p0[v]] = tuple(sorted(legs[v]))
-    return tuple(new_genera), tuple(new_legs), best, coset
+    return tuple(new_genera), tuple(new_legs), best, tuple(coset)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +467,15 @@ def _partitions(total, minpart=1):
 def multiply_psi(vector, leg_label, power=1):
     """Multiply by psi_i^power: adds to the exponent of the leg."""
     dim = 3 * vector.g - 3 + vector.n
-    out = StrataVector(vector.g, vector.n)
+    pairs = []
     for dg, c in vector.terms.items():
         if dg.codim() + power > dim:
             continue
         leg_psi = dict(dg.leg_psi)
         leg_psi[leg_label] = leg_psi.get(leg_label, 0) + power
-        new = DecoratedGraph(dg.graph, leg_psi, dg.edge_psi, dg.kappa)
-        out = out + StrataVector.single(new, c)
-    return out
+        pairs.append((DecoratedGraph(dg.graph, leg_psi, dg.edge_psi, dg.kappa),
+                      c))
+    return StrataVector(vector.g, vector.n, pairs)
 
 
 def multiply_kappa(vector, a):
@@ -478,16 +483,16 @@ def multiply_kappa(vector, a):
     if a == 0:
         return vector.scale(2 * vector.g - 2 + vector.n)
     dim = 3 * vector.g - 3 + vector.n
-    out = StrataVector(vector.g, vector.n)
+    pairs = []
     for dg, c in vector.terms.items():
         if dg.codim() + a > dim:
             continue
         for v in range(dg.graph.num_vertices):
             kappa = [list(k) for k in dg.kappa]
             kappa[v].append(a)
-            new = DecoratedGraph(dg.graph, dict(dg.leg_psi), dg.edge_psi, kappa)
-            out = out + StrataVector.single(new, c)
-    return out
+            pairs.append((DecoratedGraph(dg.graph, dict(dg.leg_psi),
+                                         dg.edge_psi, kappa), c))
+    return StrataVector(vector.g, vector.n, pairs)
 
 
 def multiply_psi_vertex(dg, coeff, vertex, marking, power):
@@ -516,18 +521,15 @@ def gluing_pushforward(graph, vertex_vectors):
     ``vertex_vectors[v]`` is a StrataVector on (g_v, n_v) whose markings
     1..n_v correspond, in order, to ``graph.vertex_markings(v)``.
     """
-    g, n = graph.genus(), graph.num_legs()
-    out = StrataVector(g, n)
     nv = graph.num_vertices
+    pairs = []
     for combo in itertools.product(*[list(vertex_vectors[v].terms.items())
                                      for v in range(nv)]):
         coeff = None
         for _, c in combo:
             coeff = c if coeff is None else coeff * c
-        inner = [dg for dg, _ in combo]
-        flat = _flatten(graph, inner)
-        out = out + StrataVector.single(flat, coeff)
-    return out
+        pairs.append((_flatten(graph, [dg for dg, _ in combo]), coeff))
+    return StrataVector(graph.genus(), graph.num_legs(), pairs)
 
 
 def _flatten(graph, inner):
@@ -595,27 +597,27 @@ def forgetful_pushforward(vector, leg_label=None):
     """Push forward along the map forgetting one leg (default: the last)."""
     if leg_label is None:
         leg_label = vector.n
-    out = StrataVector(vector.g, vector.n - 1)
-    for dg, c in vector.terms.items():
-        out = out + _forget_one(dg, c, leg_label, vector.g, vector.n)
-    return out
+    return StrataVector(vector.g, vector.n - 1,
+                        (pair for dg, c in vector.terms.items()
+                         for pair in _forget_one(dg, c, leg_label)))
 
 
-def _forget_one(dg, coeff, leg_label, g, n):
+def _forget_one(dg, coeff, leg_label):
+    """(decorated graph, coefficient) pairs of one forgotten-leg image."""
     graph = dg.graph
     v = next(i for i in range(graph.num_vertices) if leg_label in graph.legs[i])
     b = dg.leg_exponent(leg_label)
     gv = graph.genera[v]
     val = graph.valence(v)
-    out = StrataVector(g, n - 1)
     if 2 * gv - 2 + (val - 1) <= 0:
-        # the vertex contracts; any decoration on its point-moduli kills it
+        # the vertex contracts; psi at the forgotten point lives on a
+        # 0-dimensional fiber and is zero
         if b > 0:
-            return out
+            return
         term = _drop_leg(dg, v, leg_label, [list(k) for k in dg.kappa])
         if term is not None:
-            out = out + term.scale(coeff)
-        return out
+            yield term, coeff
+        return
     # stable vertex: expand each kappa over kappa^up = pi^* kappa + psi^b
     kappas = list(dg.kappa[v])
     for subset in itertools.product([0, 1], repeat=len(kappas)):
@@ -624,8 +626,8 @@ def _forget_one(dg, coeff, leg_label, g, n):
         B = b + sum(taken)
         if B == 0:
             # string case: lower one other psi at this vertex
-            for st in _string_terms(dg, coeff, v, leg_label, kept):
-                out = out + st
+            for term in _string_terms(dg, v, leg_label, kept):
+                yield term, coeff
         else:
             # kappa_{B-1} at the vertex; kappa_0 is the scalar 2g-2+(val-1)
             new_kappa = [list(k) for k in dg.kappa]
@@ -635,13 +637,11 @@ def _forget_one(dg, coeff, leg_label, g, n):
                 factor = factor * (2 * gv - 2 + (val - 1))
             else:
                 new_kappa[v] = kept + [B - 1]
-            term = _drop_leg(dg, v, leg_label, new_kappa)
-            if term is not None:
-                out = out + term.scale(factor)
-    return out
+            yield _drop_leg(dg, v, leg_label, new_kappa), factor
 
 
-def _string_terms(dg, coeff, v, leg_label, kept_kappa):
+def _string_terms(dg, v, leg_label, kept_kappa):
+    """Decorated graphs with one other psi at vertex v lowered by one."""
     graph = dg.graph
     new_kappa = [list(k) for k in dg.kappa]
     new_kappa[v] = list(kept_kappa)
@@ -655,9 +655,7 @@ def _string_terms(dg, coeff, v, leg_label, kept_kappa):
                 leg_psi[mk[1]] = e - 1
                 lowered = DecoratedGraph(graph, leg_psi, dg.edge_psi,
                                          [tuple(k) for k in new_kappa])
-                term = _drop_leg(lowered, v, leg_label, new_kappa)
-                if term is not None:
-                    yield term.scale(coeff)
+                yield _drop_leg(lowered, v, leg_label, new_kappa)
         else:
             _, idx, side = mk
             e = dg.edge_psi[idx][side]
@@ -666,13 +664,14 @@ def _string_terms(dg, coeff, v, leg_label, kept_kappa):
                 edge_psi[idx][side] = e - 1
                 lowered = DecoratedGraph(graph, dict(dg.leg_psi), edge_psi,
                                          [tuple(k) for k in new_kappa])
-                term = _drop_leg(lowered, v, leg_label, new_kappa)
-                if term is not None:
-                    yield term.scale(coeff)
+                yield _drop_leg(lowered, v, leg_label, new_kappa)
 
 
 def _drop_leg(dg, v, leg_label, kappa_override=None):
-    """Remove the leg; stabilize if the vertex becomes unstable."""
+    """Remove the leg; stabilize if the vertex becomes unstable.
+
+    Returns the decorated graph, or None when the class is zero.
+    """
     graph = dg.graph
     kappa = kappa_override if kappa_override is not None else [list(k) for k in dg.kappa]
     legs = [list(l) for l in graph.legs]
@@ -684,11 +683,15 @@ def _drop_leg(dg, v, leg_label, kappa_override=None):
     gv = graph.genera[v]
     val = len(legs[v]) + sum((a == v) + (b == v) for a, b in graph.edges)
     if 2 * gv - 2 + val > 0:
-        return StrataVector.single(
-            _rebuild(graph.genera, legs, graph.edges, leg_psi, dg.edge_psi, kappa))
-    # unstable: only the (0, {x, y}) configuration can occur after one removal
-    if gv != 0 or val != 2 or kappa[v]:
-        return None
+        return _rebuild(graph.genera, legs, graph.edges, leg_psi, dg.edge_psi,
+                        kappa)
+    # one removal from a stable vertex leaves (0, 2), or (1, 0) when the
+    # whole graph was (1, 1), whose forgetful map has no stable target
+    if gv != 0 or val != 2:
+        raise ValueError("forgetting leg %d leaves an unstable (%d, %d) vertex"
+                         % (leg_label, gv, val))
+    if kappa[v]:
+        return None  # a kappa class on the contracting M_{0,3} is zero
     return _contract_vertex(graph, legs, leg_psi, dg.edge_psi, kappa, v)
 
 
@@ -716,42 +719,46 @@ def _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa):
 
 
 def _contract_vertex(graph, legs, leg_psi, edge_psi, kappa, v):
-    """Contract an unstable genus-0 valence-2 vertex with no decorations."""
-    attach = []  # ('leg', label, psi) or ('vertex', w, psi)
+    """Contract an unstable genus-0 valence-2 vertex with no decorations.
+
+    Returns the decorated graph, or None when the class is zero.
+    """
+    attach = []  # (neighbour vertex, psi on its half-edge)
     new_edges = []
     new_edge_psi = []
     for (a, b), (xa, xb) in zip(graph.edges, edge_psi):
         if a == v and b == v:
-            return None  # would need a genus bump; cannot occur after 1 removal
+            # only a (1, 1) graph has a loop at a valence-3 genus-0 vertex
+            raise ValueError("cannot contract a loop at vertex %d" % v)
         if a == v:
             if xa:
-                return None  # decorated dying half-edge: excluded by stability
+                return None  # psi on a half-edge of the contracting M_{0,3}
             attach.append((b, xb))
         elif b == v:
             if xb:
-                return None
+                return None  # psi on a half-edge of the contracting M_{0,3}
             attach.append((a, xa))
         else:
             new_edges.append((a, b))
             new_edge_psi.append((xa, xb))
     hanging_legs = [(l, leg_psi.get(l, 0)) for l in legs[v]]
-    if len(attach) + len(hanging_legs) != 2:
-        return None
+    if len(attach) + len(hanging_legs) != 2 or not attach:
+        # valence 2 is checked by the caller; no edges means the graph was
+        # (0, 3), whose forgetful map has no stable target
+        raise ValueError("cannot contract vertex %d with %d edges and %d legs"
+                         % (v, len(attach), len(hanging_legs)))
     if len(attach) == 2:
         (w1, x1), (w2, x2) = attach
         new_edges.append((min(w1, w2), max(w1, w2)))
         new_edge_psi.append((x1, x2) if w1 <= w2 else (x2, x1))
-    elif len(attach) == 1 and len(hanging_legs) == 1:
-        (w, _xw), (l, xl) = attach[0], hanging_legs[0]
-        legs[w].append(l)
-        # the half-edge psi at w survives as the leg psi; any psi that sat on
-        # the forgotten side or on the leg is zero here by the guards above
-        leg_psi = dict(leg_psi)
-        leg_psi[l] = attach[0][1]
-        if xl:
-            return None
     else:
-        return None
+        (w, xw), (l, xl) = attach[0], hanging_legs[0]
+        if xl:
+            return None  # psi on the surviving leg at the contracting M_{0,3}
+        # the half-edge psi at w survives as the leg psi
+        legs[w].append(l)
+        leg_psi = dict(leg_psi)
+        leg_psi[l] = xw
     genera = [g for i, g in enumerate(graph.genera) if i != v]
     legs = [ls for i, ls in enumerate(legs) if i != v]
     kappa = [k for i, k in enumerate(kappa) if i != v]
@@ -761,5 +768,4 @@ def _contract_vertex(graph, legs, leg_psi, edge_psi, kappa, v):
 
     new_edges = [(rn(a), rn(b)) for a, b in new_edges]
     new_edges = [(min(a, b), max(a, b)) for a, b in new_edges]
-    return StrataVector.single(
-        _rebuild(genera, legs, new_edges, leg_psi, new_edge_psi, kappa))
+    return _rebuild(genera, legs, new_edges, leg_psi, new_edge_psi, kappa)

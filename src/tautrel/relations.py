@@ -18,22 +18,29 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .graphs import (DecoratedGraph, StrataVector, enumerate_decorated_basis,
-                     enumerate_stable_graphs, forgetful_pushforward,
-                     gluing_pushforward, multiply_kappa, multiply_psi)
+from .graphs import (DecoratedGraph, StrataVector, _rebuild,
+                     enumerate_decorated_basis, enumerate_stable_graphs,
+                     forgetful_pushforward, gluing_pushforward, multiply_kappa,
+                     multiply_psi)
 from .intersect import integrate_against_monomial, smooth_monomial_basis
 from .reconstruct import reconstruct_class, to_normalized_insertion
 
 
 class RelationSet:
-    """Per-(g, n, codim) spans of rational strata vectors, kept reduced."""
+    """Per-(g, n, codim) spans of rational strata vectors, kept reduced.
+
+    Each cell holds its RREF rows as sparse ``{column: Fraction}`` dicts in
+    insertion order, plus a ``pivot column -> row`` map sharing the same
+    dicts.  Rows are fully reduced (zero at every other row's pivot), so one
+    pass of ``_reduce`` is exact.
+    """
 
     def __init__(self, cells):
         self.cells = sorted(cells)
         self.basis = {}
         self.index = {}
         self.rows = {cell: [] for cell in self.cells}      # RREF rows
-        self.pivots = {cell: [] for cell in self.cells}
+        self.pivots = {cell: {} for cell in self.cells}    # pivot -> row
         self.provenance = {cell: [] for cell in self.cells}
         for cell in self.cells:
             g, n, d = cell
@@ -42,44 +49,41 @@ class RelationSet:
             self.index[cell] = {dg.key(): i for i, dg in enumerate(basis)}
 
     def to_row(self, cell, vector):
-        row = [Fraction(0)] * len(self.basis[cell])
-        for dg, c in vector.terms.items():
-            row[self.index[cell][dg.key()]] = Fraction(c)
+        index = self.index[cell]
+        return {index[dg.key()]: Fraction(c)
+                for dg, c in vector.terms.items() if c}
+
+    def _reduce(self, cell, row):
+        """Subtract from ``row`` (in place) the rows whose pivots it hits."""
+        pivots = self.pivots[cell]
+        for f, r in [(row[c], pivots[c]) for c in row if c in pivots]:
+            _subtract(row, f, r)
         return row
 
     def add(self, cell, vector, tag=None):
         """Row-reduce a new vector into the cell; True if independent."""
-        if vector.is_zero():
+        row = self._reduce(cell, self.to_row(cell, vector))
+        if not row:
             return False
-        row = self.to_row(cell, vector)
-        rows, pivots = self.rows[cell], self.pivots[cell]
-        for idx in range(len(rows)):
-            p = pivots[idx]
-            if row[p] != 0:
-                f = row[p]
-                r = rows[idx]
-                row = [x - f * y for x, y in zip(row, r)]
-        piv = next((i for i, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            return False
+        piv = min(row)
         d = row[piv]
-        row = [x / d for x in row]
-        for idx in range(len(rows)):
-            if rows[idx][piv] != 0:
-                f = rows[idx][piv]
-                rows[idx] = [x - f * y for x, y in zip(rows[idx], row)]
-        rows.append(row)
-        pivots.append(piv)
+        for c in row:
+            row[c] /= d
+        for r in self.rows[cell]:
+            if piv in r:
+                _subtract(r, r[piv], row)
+        self.rows[cell].append(row)
+        self.pivots[cell][piv] = row
         self.provenance[cell].append(tag)
         return True
 
     def vectors(self, cell):
         out = []
+        basis = self.basis[cell]
         for row in self.rows[cell]:
             vec = StrataVector(cell[0], cell[1])
-            for i, x in enumerate(row):
-                if x:
-                    vec.terms[self.basis[cell][i]] = x
+            for i in sorted(row):
+                vec.terms[basis[i]] = row[i]
             out.append(vec)
         return out
 
@@ -87,20 +91,27 @@ class RelationSet:
         return len(self.rows[cell])
 
     def contains(self, cell, vector):
-        row = self.to_row(cell, vector)
-        for r, p in zip(self.rows[cell], self.pivots[cell]):
-            if row[p] != 0:
-                f = row[p]
-                row = [x - f * y for x, y in zip(row, r)]
-        return all(x == 0 for x in row)
+        return not self._reduce(cell, self.to_row(cell, vector))
 
     def copy(self):
         out = RelationSet(self.cells)
         for cell in self.cells:
-            out.rows[cell] = [list(r) for r in self.rows[cell]]
-            out.pivots[cell] = list(self.pivots[cell])
+            rows = [dict(r) for r in self.rows[cell]]
+            out.rows[cell] = rows
+            # a row's pivot is its leading column: later pivots lie beyond it
+            out.pivots[cell] = {min(r): r for r in rows}
             out.provenance[cell] = list(self.provenance[cell])
         return out
+
+
+def _subtract(row, f, other):
+    """row -= f * other on sparse rows, dropping entries that cancel."""
+    for c, y in other.items():
+        x = row.get(c, 0) - f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def insertion_multisets(dim, n):
@@ -178,16 +189,14 @@ def polar_vectors(vector):
 
 def relabel_legs(vector, perm):
     """Apply a permutation of leg labels; perm maps old label -> new label."""
-    out = StrataVector(vector.g, vector.n)
+    pairs = []
     for dg, c in vector.terms.items():
         graph = dg.graph
         legs = [tuple(perm[l] for l in ls) for ls in graph.legs]
-        from .graphs import _rebuild
-        new = _rebuild(graph.genera, legs, graph.edges,
-                       {perm[l]: e for l, e in dg.leg_psi},
-                       dg.edge_psi, [list(k) for k in dg.kappa])
-        out = out + StrataVector.single(new, c)
-    return out
+        pairs.append((_rebuild(graph.genera, legs, graph.edges,
+                               {perm[l]: e for l, e in dg.leg_psi},
+                               dg.edge_psi, [list(k) for k in dg.kappa]), c))
+    return StrataVector(vector.g, vector.n, pairs)
 
 
 def close_relations(rs, max_rounds=None):

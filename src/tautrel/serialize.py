@@ -231,11 +231,10 @@ def vector_to_json(vector, coeff_text=str) -> dict:
 
 
 def rational_vector_from_json(data) -> StrataVector:
-    vec = StrataVector(int(data["g"]), int(data["n"]))
-    for term in data["terms"]:
-        dg = graph_from_json(term["graph"])
-        vec = vec + StrataVector.single(dg, Fraction(term["coefficient"]))
-    return vec
+    return StrataVector(int(data["g"]), int(data["n"]),
+                        ((graph_from_json(term["graph"]),
+                          Fraction(term["coefficient"]))
+                         for term in data["terms"]))
 
 
 def rmatrix_to_json(R) -> dict:

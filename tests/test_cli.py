@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from tautrel.charts import a2_chart
 from tautrel.cli import main
 from tautrel.serialize import dump_chart
@@ -93,6 +95,35 @@ def test_compare_charts(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "compare.json").read_text())
     assert data["verdicts"] == {"1,1,1": "equal"}
+
+
+def test_compare_readme_example_shares_param(tmp_path):
+    # without --param, a2xa1 is expanded along t1 as a2 is, not along w2
+    code = run(["compare", "--chart", "a2", "--chart2", "a2xa1", "--gn", "1,1",
+                "--codim", "1", "--out", str(tmp_path)])
+    assert code == 0
+    data = json.loads((tmp_path / "compare.json").read_text())
+    assert data["verdicts"]
+    assert all(v == "equal" for v in data["verdicts"].values()), data
+
+
+@pytest.mark.parametrize("args, message", [
+    (["relations", "--chart", "a2", "--gn", "0,2"], "not a stable type"),
+    (["relations", "--chart", "a2", "--codim", "0"], "codim must be at least 1"),
+    (["relations", "--chart", "a2", "--codim", "-1"],
+     "codim must be at least 1"),
+    (["reconstruct", "--chart", "a2", "--insertion", "7"], "out of range"),
+    (["genus1", "--chart", "a2", "--insertion", "9"], "out of range"),
+    (["frame", "--chart", "a2", "--param", "zz"], "not a variable of chart"),
+    (["frame", "--chart", "a2", "--param", "t1", "--trunc", "0"],
+     "trunc must be positive"),
+], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
+        "genus1-insertion", "unknown-param", "trunc-0"])
+def test_bad_input_exit_code_2(tmp_path, capsys, args, message):
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_genus1_command(tmp_path):

@@ -1,6 +1,8 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
                             enumerate_decorated_basis, enumerate_stable_graphs,
                             forgetful_pushforward, gluing_pushforward,
@@ -131,6 +133,15 @@ def test_forgetful_one_point_rules():
     want = {(1, 1): F(1), (2,): F(1)}
     got = {dg.kappa[0]: c for dg, c in out.terms.items()}
     assert got == want
+
+
+def test_forgetful_pushforward_to_unstable_type_raises():
+    # (1,1) -> (1,0) and (0,3) -> (0,2) have no stable target: an error,
+    # not a silent zero
+    for g, n in [(1, 1), (0, 3)]:
+        v = StrataVector.single(DecoratedGraph.smooth(g, n))
+        with pytest.raises(ValueError):
+            forgetful_pushforward(v)
 
 
 def test_forgetful_string_case():

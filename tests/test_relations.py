@@ -3,13 +3,14 @@ from fractions import Fraction as F
 
 from tautrel.charts import a2_expansion, a2x_a1_expansion
 from tautrel.frobenius import idempotent_frame
-from tautrel.graphs import DecoratedGraph, StrataVector
+from tautrel.graphs import DecoratedGraph, StrataVector, _canonical_labeling
 from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations, compare_spans,
                                extract_relations, verify_relations,
                                verify_vector)
 from tautrel.rmatrix import RMatrix, solve_flatness
+from tautrel.serialize import relations_from_json, relations_to_json
 
 
 def a2_spec(K=3, trunc=10):
@@ -239,3 +240,106 @@ def test_extraction_on_remaining_default_cells():
     assert {c: rs.dim(c) for c in cells} == \
         {(2, 1, 1): 1, (2, 1, 2): 1, (1, 3, 1): 1, (1, 3, 2): 2}
     assert verify_relations(rs) == {}
+
+
+def dense_rref(vectors, ncols):
+    """Reference Gauss-Jordan on dense rows: first nonzero column as pivot,
+    rows kept in insertion order and back-substituted."""
+    rows, pivots = [], []
+    for vec in vectors:
+        row = dense_reduce(rows, pivots, vec)
+        piv = next((i for i, x in enumerate(row) if x), None)
+        if piv is None:
+            continue
+        row = [x / row[piv] for x in row]
+        rows = [[x - r[piv] * y for x, y in zip(r, row)] if r[piv] else r
+                for r in rows]
+        rows.append(row)
+        pivots.append(piv)
+    return rows, pivots
+
+
+def dense_reduce(rows, pivots, vec):
+    row = list(vec)
+    for r, p in zip(rows, pivots):
+        f = row[p]
+        if f:
+            row = [x - f * y for x, y in zip(row, r)]
+    return row
+
+
+def test_sparse_rref_matches_dense_reference():
+    cell = (0, 5, 2)
+    template = RelationSet([cell])
+    basis = template.basis[cell]
+    ncols = len(basis)
+    assert ncols == 127
+
+    def strata(dense):
+        return StrataVector(0, 5, {basis[i]: x for i, x in enumerate(dense)})
+
+    for seed in range(3):
+        rng = random.Random(1505 + seed)
+
+        def sparse_dense():
+            row = [F(0)] * ncols
+            for i in rng.sample(range(ncols), rng.randint(1, 6)):
+                row[i] = F(rng.randint(-5, 5), rng.randint(1, 4))
+            return row
+
+        def combination(vectors):
+            row = [F(0)] * ncols
+            for vec in rng.sample(vectors, min(3, len(vectors))):
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                row = [x + c * y for x, y in zip(row, vec)]
+            return row
+
+        inputs = []
+        for _ in range(60):
+            fresh = rng.random() < 0.7 or not inputs
+            inputs.append(sparse_dense() if fresh else combination(inputs))
+        rs = RelationSet([cell])
+        for k, vec in enumerate(inputs):
+            rs.add(cell, strata(vec), ("input", k))
+        rows, pivots = dense_rref(inputs, ncols)
+        assert rs.dim(cell) == len(rows)
+        assert list(rs.pivots[cell]) == pivots
+        assert [min(r) for r in rs.rows[cell]] == pivots
+        assert [[r.get(i, 0) for i in range(ncols)]
+                for r in rs.rows[cell]] == rows
+        index = template.index[cell]
+        for vec, row in zip(rs.vectors(cell), rows):
+            assert [index[dg.key()] for dg in vec.terms] == \
+                sorted(index[dg.key()] for dg in vec.terms)
+            assert {index[dg.key()]: c for dg, c in vec.terms.items()} == \
+                {i: x for i, x in enumerate(row) if x}
+
+        inside = [combination(inputs) for _ in range(10)]
+        outside = [sparse_dense() for _ in range(10)]
+        for vec in inside + outside:
+            expected = not any(dense_reduce(rows, pivots, vec))
+            assert rs.contains(cell, strata(vec)) == expected
+        assert all(rs.contains(cell, strata(vec)) for vec in inside)
+
+        copy = rs.copy()
+        assert copy.rows[cell] == rs.rows[cell]
+        assert copy.pivots[cell] == rs.pivots[cell]
+        copy.add(cell, strata(outside[0]))
+        assert [[r.get(i, 0) for i in range(ncols)]
+                for r in rs.rows[cell]] == rows
+
+        back = relations_from_json(relations_to_json(rs))
+        assert back.rows[cell] == rs.rows[cell]
+        assert back.provenance[cell] == [tuple(map(str, t))
+                                         for t in rs.provenance[cell]]
+
+
+def test_canonical_labeling_memoized_tuple_coset():
+    # vertices 0 and 1 are interchangeable: a coset of two permutations
+    args = ((1, 1, 0), ((), (), (1,)), ((0, 2), (1, 2)))
+    first = _canonical_labeling(*args)
+    coset = first[3]
+    assert isinstance(coset, tuple) and len(coset) == 2
+    assert all(isinstance(p, tuple) for p in coset)
+    assert _canonical_labeling(*args) is first
+    assert _canonical_labeling.__wrapped__(*args) == first
