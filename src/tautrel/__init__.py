@@ -18,7 +18,7 @@ from .reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift, edge_series,
                           to_normalized_insertion, tqft_value)
 from .relations import (RelationSet, close_relations, compare_spans,
                         extract_relations, verify_relations)
-from .charts import extend_chart, extend_dimension
+from .charts import extend_chart
 from .rmatrix import (RMatrix, quotient_holomorphy, solve_2d_family,
                       solve_flatness)
 

@@ -110,9 +110,6 @@ def extend_chart(chart, c, wname=None):
                           name="%s+A1(c=%s)" % (chart.name, c))
 
 
-extend_dimension = extend_chart
-
-
 def a2x_a1_expansion(c=1, trunc=6):
     """Product A2 x A1 expanded along the A2 discriminant t1 = 0."""
     chart = extend_chart(a2_chart(), c)

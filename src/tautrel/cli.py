@@ -46,7 +46,7 @@ def _load_config(args):
         with open(args.config) as fh:
             config = json.load(fh)
     for key in ("chart", "param", "trunc", "z_order", "codim", "family",
-                "out", "jobs", "cover_degree"):
+                "out", "cover_degree"):
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
@@ -234,10 +234,7 @@ def _relations_for(config, exp):
     frame = idempotent_frame(exp)
     R = solve_flatness(frame, int(config["z_order"]), _constants(config))
     spec = CohFTSpec(frame, R)
-    jobs = config.get("jobs")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    rs = extract_relations(spec, _default_cells(config), jobs=jobs)
+    rs = extract_relations(spec, _default_cells(config))
     return close_relations(rs)
 
 
@@ -333,7 +330,6 @@ def build_parser():
         p.add_argument("--gn", help="grid like '1,1;0,4'")
         p.add_argument("--insertion", help="flat indices like '0,1'")
         p.add_argument("--constants", help="JSON list of [i, k, value]")
-        p.add_argument("--jobs", type=int)
         p.add_argument("--out", help="output directory")
         if name == "rmatrix":
             p.add_argument("--family", help="polynomial f(t) for the 2d family")

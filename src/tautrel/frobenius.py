@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .multipoly import MultiPoly, monomial_power
 from .puiseux import PuiseuxSeries, SeriesMatrix
@@ -362,7 +363,7 @@ def _rational_roots(poly, degree):
     """All rational roots with multiplicity of a Fraction-coefficient poly."""
     denom = 1
     for c in poly.values():
-        denom = denom * c.denominator // gcd_int(denom, c.denominator)
+        denom = denom * c.denominator // gcd(denom, c.denominator)
     ints = {e: int(c * denom) for e, c in poly.items() if c != 0}
     a0_e = min(ints)
     a0, an = ints[a0_e], ints[max(ints)]
@@ -399,12 +400,6 @@ def _rational_roots(poly, degree):
         if not p or max(p, default=0) == 0:
             break
     return found
-
-
-def gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def newton_puiseux_roots(coeffs, param, trunc, _depth=0):
@@ -567,19 +562,9 @@ class IdempotentFrame:
     def to_flat(self, vec):
         return self.psi.apply(vec)
 
-    def du_components(self, i):
-        """du_i as flat-covector components (row i of E^{-1})."""
-        return self._einv.entries[i]
-
     def unit_normalized(self):
         """Coordinates of the unit field in the normalized basis: Delta^{-1/2}."""
         return [self.sqrt_delta[i].invert() for i in range(self.dim)]
-
-    def psi_permuted(self, order):
-        """Psi with columns permuted to the given idempotent order."""
-        n = self.dim
-        return SeriesMatrix([[self.psi.entries[mu][order[j]] for j in range(n)]
-                             for mu in range(n)])
 
 
 def _sort_key(eps_vec, expansion):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import factorial
 
 
 def _is_zero(c):
@@ -91,7 +92,7 @@ class StableGraph:
             for e in self.edges:
                 mult[e] = mult.get(e, 0) + 1
             for (a, b), m in mult.items():
-                factor *= _fact(m)
+                factor *= factorial(m)
                 if a == b:
                     factor *= 2 ** m
             self._aut = n_sigma * factor
@@ -109,13 +110,6 @@ class StableGraph:
     def __repr__(self):
         return "StableGraph(g=%s, legs=%s, edges=%s)" % (self.genera, self.legs,
                                                          list(self.edges))
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _connected(nv, edges):
@@ -330,14 +324,6 @@ class StrataVector:
                 out.terms[dg] = val
         return out
 
-    def map_coeff(self, fn):
-        out = StrataVector(self.g, self.n)
-        for dg, coeff in self.terms.items():
-            val = fn(coeff)
-            if not _is_zero(val):
-                out.terms[dg] = val
-        return out
-
     def is_zero(self):
         return not self.terms
 
@@ -493,22 +479,6 @@ def multiply_kappa(vector, a):
             pairs.append((DecoratedGraph(dg.graph, dict(dg.leg_psi),
                                          dg.edge_psi, kappa), c))
     return StrataVector(vector.g, vector.n, pairs)
-
-
-def multiply_psi_vertex(dg, coeff, vertex, marking, power):
-    """psi-multiplication at a vertex marking ('leg', l) or ('edge', i, s)."""
-    if power == 0:
-        return StrataVector.single(dg, coeff)
-    if marking[0] == "leg":
-        leg_psi = dict(dg.leg_psi)
-        leg_psi[marking[1]] = leg_psi.get(marking[1], 0) + power
-        return StrataVector.single(
-            DecoratedGraph(dg.graph, leg_psi, dg.edge_psi, dg.kappa), coeff)
-    _, idx, side = marking
-    edge_psi = [list(x) for x in dg.edge_psi]
-    edge_psi[idx][side] += power
-    return StrataVector.single(
-        DecoratedGraph(dg.graph, dict(dg.leg_psi), edge_psi, dg.kappa), coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .graphs import DecoratedGraph, StrataVector, enumerate_decorated_basis, \
+from .graphs import StrataVector, enumerate_decorated_basis, \
     multiply_kappa, multiply_psi
 
 _PSI_CACHE = {}
@@ -134,13 +134,6 @@ def kappa_psi_integral(g, psi_exponents, kappa_indices):
             extra.append(1 + sum(kappas[i] for i in block))
         total += coeff * psi_integral(g, list(psi_exponents) + extra)
     return total
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _set_partitions(m):

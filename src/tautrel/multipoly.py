@@ -24,6 +24,7 @@ twelfth roots of negative numbers are not needed and raise.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
@@ -77,6 +78,27 @@ def _reduce_monomial(pairs: Iterable[Tuple[str, Fraction]]):
         else:
             out.append((sym, exp))
     return tuple(out), factor
+
+
+_ONE = Fraction(1)
+
+
+def _monomial_product(m1: Monomial, m2: Monomial):
+    """Product of two reduced monomials; returns (monomial, rational factor).
+
+    Every key stored in a ``MultiPoly`` is already reduced, so a constant
+    operand needs no reduction; other pairs go through a bounded cache.
+    """
+    if not m1:
+        return m2, _ONE
+    if not m2:
+        return m1, _ONE
+    return _reduced_product(m1, m2)
+
+
+@functools.lru_cache(maxsize=4096)
+def _reduced_product(m1: Monomial, m2: Monomial):
+    return _reduce_monomial(m1 + m2)
 
 
 class MultiPoly:
@@ -192,7 +214,7 @@ class MultiPoly:
         terms: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono, factor = _reduce_monomial(m1 + m2)
+                mono, factor = _monomial_product(m1, m2)
                 acc = terms.get(mono, Fraction(0)) + c1 * c2 * factor
                 if acc == 0:
                     terms.pop(mono, None)
@@ -314,20 +336,6 @@ class MultiPoly:
                     term = term * monomial_power(value, exp)
             out = out + term
         return out
-
-    def eval_rational(self, assignment: Dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for sym, exp in mono:
-                if sym not in assignment:
-                    raise ValueError("unassigned symbol %s" % sym)
-                base = Fraction(assignment[sym])
-                if exp.denominator != 1:
-                    raise ValueError("fractional exponent in evaluation")
-                value *= base ** int(exp)
-            total += value
-        return total
 
     # -- formatting -----------------------------------------------------------
 

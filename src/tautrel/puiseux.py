@@ -341,22 +341,6 @@ class PuiseuxSeries:
         trunc = self.trunc if self.trunc == INF else self.trunc + 1
         return PuiseuxSeries(self.param, coeffs, self.ram, trunc)
 
-    def mul_param_power(self, exponent):
-        exponent = Fraction(exponent)
-        ram = _lcm(self.ram, exponent.denominator)
-        a = self.rescale(ram)
-        shift = int(exponent * ram)
-        coeffs = {k + shift: v for k, v in a.coeffs.items()}
-        trunc = a.trunc if a.trunc == INF else a.trunc + exponent
-        return PuiseuxSeries(a.param, coeffs, ram, trunc)
-
-    def substitute_sym(self, symbol, value):
-        """Substitute a background symbol by a MultiPoly (not the parameter)."""
-        if symbol == self.param:
-            raise ValueError("cannot substitute the series parameter")
-        coeffs = {k: v.substitute(symbol, _as_poly(value)) for k, v in self.coeffs.items()}
-        return PuiseuxSeries(self.param, coeffs, self.ram, self.trunc)
-
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from math import factorial
+from operator import mul
 
 from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, enumerate_stable_graphs,
@@ -199,7 +202,7 @@ def vertex_contributions(spec, gv, nmark, color, budget):
             extra = sum(combo) - k
             if extra > budget:
                 continue
-            coeff = PuiseuxSeries.const(Fraction(1, _fact(k)), spec.param)
+            coeff = PuiseuxSeries.const(Fraction(1, factorial(k)), spec.param)
             for b in combo:
                 coeff = coeff * T[b][color]
             coeff = coeff * spec.delta_power(color, base + k)
@@ -216,13 +219,6 @@ def vertex_contributions(spec, gv, nmark, color, budget):
     return out
 
 
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def to_normalized_insertion(frame, flat_vector, psi_weight=0, trunc=None):
     """Convert a flat vector (rationals or series) into normalized coords."""
     param = frame.param
@@ -235,49 +231,114 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     """The reconstruction as a StrataVector with Puiseux-series coefficients.
 
     ``insertions`` is a list of (normalized-coordinate vector, psi weight),
-    one per marking; see ``to_normalized_insertion``.
+    one per marking; see ``to_normalized_insertion``.  The class is
+    multilinear in the insertions: the leg-independent weights of each graph
+    and leg-psi assignment are built once per spec (``graph_weights``), and
+    only the leg components are formed here and contracted against them.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
-    dim = 3 * g - 3 + n
-    bound = min(codim_bound, dim)
-    N = spec.dim
-    param = spec.param
+    bound = min(codim_bound, 3 * g - 3 + n)
     legs_data = [leg_series(spec, v, w, bound) for v, w in insertions]
-    B = edge_series(spec, bound)
-    result = StrataVector(g, n)
-    for graph in enumerate_stable_graphs(g, n, bound):
-        E = len(graph.edges)
-        aut = graph.aut_order()
-        nv = graph.num_vertices
-        markings = [graph.vertex_markings(v) for v in range(nv)]
-        # prepare decoration slots
-        leg_slots = [mk[1] for v in range(nv) for mk in markings[v]
-                     if mk[0] == "leg"]
-        budget = bound - E
-        # iterate psi assignments for legs and edge sides
-        leg_choices = {}
-        for label in leg_slots:
-            leg_choices[label] = sorted(legs_data[label - 1].keys())
-        edge_items = list(range(E))
-        for leg_assign in _bounded_assignments(
-                [leg_choices[l] for l in sorted(leg_slots)], budget):
-            leg_psi = dict(zip(sorted(leg_slots), leg_assign))
-            rem1 = budget - sum(leg_assign)
-            for edge_assign in _bounded_assignments(
-                    [sorted({p for p, q in B}) for _ in edge_items] +
-                    [sorted({q for p, q in B}) for _ in edge_items], rem1):
-                ps = edge_assign[:E]
-                qs = edge_assign[E:]
-                used = sum(ps) + sum(qs)
-                rem2 = rem1 - used
-                if rem2 < 0:
+    leg_choices = [sorted(data) for data in legs_data]
+    one = PuiseuxSeries.const(1, spec.param)
+    pairs = []
+    B, graphs = graph_weights(spec, g, n, bound)
+    for graph, leg_vertex, table in graphs:
+        for leg_psi in _bounded_assignments(leg_choices,
+                                            bound - len(graph.edges)):
+            entries = table.get(leg_psi)
+            if entries is None:
+                entries = _leg_psi_weights(spec, graph, leg_psi, B, bound)
+                table[leg_psi] = entries
+            comps = [data[p] for data, p in zip(legs_data, leg_psi)]
+            leg_factors = {}
+            for coloring, dg, weight in entries:
+                factor = leg_factors.get(coloring)
+                if factor is None:
+                    parts = [comp[coloring[v]]
+                             for comp, v in zip(comps, leg_vertex)]
+                    factor = reduce(mul, parts) if parts else one
+                    leg_factors[coloring] = factor
+                if not factor.is_zero():
+                    pairs.append((dg, factor * weight))
+    # summed in the order of the graph sum: a partial sum that cancels to
+    # zero is dropped together with its truncation
+    return StrataVector(g, n, pairs)
+
+
+def graph_weights(spec, g, n, bound):
+    """Leg-independent data of the graph sum of type (g, n), cached on the spec.
+
+    Returns (B, graphs): the edge bivector coefficients to ``bound`` and, per
+    stable graph, (graph, vertex of each leg in label order, table).  The
+    table maps a tuple of leg psi exponents to its weights (see
+    ``_leg_psi_weights``); it is filled as insertion tuples ask for them, so
+    every (graph, leg psi) pair is summed once per spec.
+    """
+    cache = getattr(spec, "_weight_cache", None)
+    if cache is None:
+        cache = {}
+        spec._weight_cache = cache
+    key = (g, n, bound)
+    if key not in cache:
+        graphs = []
+        for graph in enumerate_stable_graphs(g, n, bound):
+            leg_vertex = [None] * n
+            for v, legs in enumerate(graph.legs):
+                for label in legs:
+                    leg_vertex[label - 1] = v
+            graphs.append((graph, leg_vertex, {}))
+        cache[key] = (edge_series(spec, bound), graphs)
+    return cache[key]
+
+
+def _leg_psi_weights(spec, graph, leg_psi, B, bound):
+    """Terms of one graph with leg psi exponents ``leg_psi``, legs left out.
+
+    A list of (coloring, DecoratedGraph, series), in the order of the sum,
+    with series 1/|Aut| * prod edge bivector entries * prod vertex k-sums;
+    times the leg components of the coloring it is a term of the class.
+    """
+    E = len(graph.edges)
+    nv = graph.num_vertices
+    nmarks = [len(graph.vertex_markings(v)) for v in range(nv)]
+    psi_by_label = dict(enumerate(leg_psi, start=1))
+    inv_aut = PuiseuxSeries.const(Fraction(1, graph.aut_order()), spec.param)
+    rem1 = bound - E - sum(leg_psi)
+    p_values = sorted({p for p, q in B})
+    q_values = sorted({q for p, q in B})
+    entries = []
+    for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
+                                            rem1):
+        edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
+        mats = [B.get(pq) for pq in edge_psi]
+        if None in mats:
+            continue
+        # per-vertex budgets are coupled only through rem
+        rem = rem1 - sum(edge_assign)
+        for coloring in itertools.product(range(spec.dim), repeat=nv):
+            factor = inv_aut
+            for mat, (a, b) in zip(mats, graph.edges):
+                factor = factor * mat.entries[coloring[a]][coloring[b]]
+            if factor.is_zero():
+                continue
+            vertex_terms = [sorted(vertex_contributions(
+                spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
+                for v in range(nv)]
+            for combo in itertools.product(*vertex_terms):
+                if sum(key[0] for key, _ in combo) > rem:
                     continue
-                # per-vertex budgets are coupled only through rem2
-                _accumulate_graph_terms(spec, result, graph, markings, aut,
-                                        legs_data, B, leg_psi, ps, qs, rem2,
-                                        g, n, bound)
-    return result.drop_above_codim(bound)
+                coeff = factor
+                for _, series in combo:
+                    coeff = coeff * series
+                if coeff.is_zero():
+                    continue
+                dg = DecoratedGraph(graph, psi_by_label, edge_psi,
+                                    [key[1] for key, _ in combo])
+                if dg.codim() <= bound:
+                    entries.append((coloring, dg, coeff))
+    return entries
 
 
 def _bounded_assignments(choice_lists, budget):
@@ -291,67 +352,6 @@ def _bounded_assignments(choice_lists, budget):
             break
         for rest in _bounded_assignments(choice_lists[1:], budget - x):
             yield (x,) + rest
-
-
-def _accumulate_graph_terms(spec, result, graph, markings, aut, legs_data, B,
-                            leg_psi, ps, qs, rem, g, n, bound):
-    nv = graph.num_vertices
-    N = spec.dim
-    param = spec.param
-    E = len(graph.edges)
-    base_codim = E + sum(leg_psi.values()) + sum(ps) + sum(qs)
-    for coloring in itertools.product(range(N), repeat=nv):
-        # scalar factor from legs and edges for this coloring
-        factor = PuiseuxSeries.const(Fraction(1, aut), param)
-        ok = True
-        for v in range(nv):
-            for mk in markings[v]:
-                if mk[0] == "leg":
-                    label = mk[1]
-                    comp = legs_data[label - 1].get(leg_psi[label])
-                    if comp is None:
-                        ok = False
-                        break
-                    factor = factor * comp[coloring[v]]
-            if not ok:
-                break
-        if not ok:
-            continue
-        for idx, (a, b) in enumerate(graph.edges):
-            mat = B.get((ps[idx], qs[idx]))
-            if mat is None:
-                ok = False
-                break
-            factor = factor * mat.entries[coloring[a]][coloring[b]]
-        if not ok or factor.is_zero():
-            continue
-        # vertex k-sums
-        vertex_terms = []
-        for v in range(nv):
-            contribs = vertex_contributions(spec, graph.genera[v],
-                                            len(markings[v]), coloring[v], rem)
-            vertex_terms.append(sorted(contribs.items()))
-        for combo in itertools.product(*vertex_terms):
-            extra = sum(key[0] for key, _ in combo)
-            if extra > rem:
-                continue
-            coeff = factor
-            for _, series in combo:
-                coeff = coeff * series
-            if coeff.is_zero():
-                continue
-            kappa = [key[1] for key, _ in combo]
-            edge_psi = [(ps[i], qs[i]) for i in range(E)]
-            dg = DecoratedGraph(graph, leg_psi, edge_psi, kappa)
-            if dg.codim() <= bound:
-                if dg in result.terms:
-                    acc = result.terms[dg] + coeff
-                    if acc.is_zero():
-                        del result.terms[dg]
-                    else:
-                        result.terms[dg] = acc
-                else:
-                    result.terms[dg] = coeff
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def dilaton_shift(spec, g, n, insertions, codim_bound, v_flat, v_degree):
         cls = reconstruct_class(spec, g, n + k, extra, codim_bound + k)
         for _ in range(k):
             cls = forgetful_pushforward(cls)
-        total = total + cls.scale(Fraction(1, _fact(k))).drop_above_codim(
+        total = total + cls.scale(Fraction(1, factorial(k))).drop_above_codim(
             min(codim_bound, 3 * g - 3 + n))
     return total
 

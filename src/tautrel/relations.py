@@ -94,7 +94,11 @@ class RelationSet:
         return not self._reduce(cell, self.to_row(cell, vector))
 
     def copy(self):
-        out = RelationSet(self.cells)
+        # basis and index are read-only after __init__, so they are shared
+        out = RelationSet([])
+        out.cells = self.cells
+        out.basis = self.basis
+        out.index = self.index
         for cell in self.cells:
             rows = [dict(r) for r in self.rows[cell]]
             out.rows[cell] = rows
@@ -119,11 +123,13 @@ def insertion_multisets(dim, n):
     return list(itertools.combinations_with_replacement(range(dim), n))
 
 
-def extract_relations(spec, cells, jobs=None):
+def extract_relations(spec, cells):
     """Relations of the CohFT spec on the given (g, n, codim) cells.
 
-    ``jobs`` sets the worker-pool width for the insertion loop; results are
-    collected in deterministic order, so the output is pool-size independent.
+    The class is reconstructed once per insertion multiset of flat basis
+    fields, serially and in a fixed order.  All tuples of a (g, n) share one
+    leg-independent graph sum (``reconstruct.graph_weights``, cached on the
+    spec), so each reconstruction only contracts its own leg components.
     """
     rs = RelationSet(cells)
     frame = spec.frame
@@ -132,23 +138,13 @@ def extract_relations(spec, cells, jobs=None):
         by_gn.setdefault((g, n), []).append(d)
     for (g, n), ds in sorted(by_gn.items()):
         dmax = max(ds)
-        combos = insertion_multisets(frame.dim, n)
-
-        def job(combo):
+        for combo in insertion_multisets(frame.dim, n):
             insertions = []
             for mu in combo:
                 vec = [Fraction(1) if k == mu else Fraction(0)
                        for k in range(frame.dim)]
                 insertions.append(to_normalized_insertion(frame, vec))
-            return reconstruct_class(spec, g, n, insertions, dmax)
-
-        if jobs and jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                classes = list(pool.map(job, combos))
-        else:
-            classes = [job(c) for c in combos]
-        for combo, cls in zip(combos, classes):
+            cls = reconstruct_class(spec, g, n, insertions, dmax)
             for d in ds:
                 part = cls.codim_part(d)
                 for vector, exponent, mono in polar_vectors(part):

@@ -35,28 +35,9 @@ class RMatrix:
         self.orders = list(orders)      # orders[k] = coefficient of z^k
         self.K = len(orders) - 1
         self.constants = dict(constants)
-        self._inverse = None
 
     def __getitem__(self, k):
         return self.orders[k]
-
-    def inverse_orders(self):
-        """Coefficients of R(z)^{-1} to the same z-order."""
-        if self._inverse is None:
-            n = self.frame.dim
-            param = self.frame.param
-            inv = [SeriesMatrix.identity(n, param)]
-            for k in range(1, self.K + 1):
-                acc = SeriesMatrix.zero(n, n, param)
-                for j in range(1, k + 1):
-                    acc = acc + self.orders[j] * inv[k - j]
-                inv.append(-acc)
-            self._inverse = inv
-        return self._inverse
-
-    def transpose_orders(self):
-        """Coefficients of R^t(z) (eta = Id in the normalized basis)."""
-        return [m.transpose() for m in self.orders]
 
     def symplectic_defect(self, k):
         """z^k coefficient of R(z) R^t(-z) - Id."""
@@ -103,10 +84,6 @@ class RMatrix:
         psi = self.frame.psi
         psi_inv = self.frame.psi_inv()
         return [psi * m * psi_inv for m in self.orders]
-
-    def scale_orders(self, trunc):
-        return RMatrix(self.frame, [m.truncate(trunc) for m in self.orders],
-                       self.constants)
 
 
 def _dvar(series, frame, var_index):

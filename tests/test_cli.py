@@ -126,6 +126,15 @@ def test_bad_input_exit_code_2(tmp_path, capsys, args, message):
     assert not list(tmp_path.iterdir())
 
 
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    # extraction is serial; argparse rejects the removed flag with exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(["relations", "--chart", "a2", "--jobs", "2",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_genus1_command(tmp_path):
     code = run(["genus1", "--chart", "a2", "--param", "t1", "--trunc", "9",
                 "--insertion", "1", "--out", str(tmp_path)])
@@ -182,7 +191,7 @@ def test_chart_file_expansion_point(tmp_path):
 
 def test_relations_command_deterministic(tmp_path):
     args = ["relations", "--chart", "a2", "--param", "t1", "--trunc", "10",
-            "--gn", "1,1", "--codim", "1", "--jobs", "2", "--out", str(tmp_path)]
+            "--gn", "1,1", "--codim", "1", "--out", str(tmp_path)]
     assert run(args) == 0
     first = (tmp_path / "relations.json").read_bytes()
     assert run(args) == 0

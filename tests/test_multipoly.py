@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautrel.multipoly import (MultiPoly as MP, NonUnitError, monomial_power,
+from tautrel.multipoly import (MultiPoly as MP, NonUnitError,
+                               _monomial_product, _reduce_monomial,
+                               _reduced_product, monomial_power,
                                root_of_rational)
 
 
@@ -85,3 +87,44 @@ def test_random_ring_axioms():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+
+
+def test_monomial_product_matches_reduction():
+    # adjoined symbols wrap past their relation (@i^2 = -1, @rp^12 = p);
+    # free symbols carry negative and fractional exponents
+    rng = random.Random(11)
+    exponents = {"@i": range(1, 2), "@r2": range(1, 12), "@r3": range(1, 12)}
+
+    def rand_mono():
+        pairs = []
+        for sym in ("@i", "@r2", "@r3"):
+            if rng.random() < 0.6:
+                pairs.append((sym, F(rng.choice(exponents[sym]))))
+        for sym in ("t1", "zeta3"):
+            if rng.random() < 0.6:
+                e = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                if e:
+                    pairs.append((sym, e))
+        mono, factor = _reduce_monomial(pairs)
+        assert factor == 1  # in-range exponents need no reduction
+        return mono
+
+    monos = [()] + [rand_mono() for _ in range(60)]
+    for m1 in monos:
+        for m2 in monos[:12]:
+            for a, b in ((m1, m2), (m2, m1)):
+                assert _monomial_product(a, b) == _reduce_monomial(a + b)
+    wrapped = _monomial_product((("@i", F(1)), ("@r2", F(7))),
+                                (("@i", F(1)), ("@r2", F(9))))
+    assert wrapped == ((("@r2", F(4)),), F(-2))
+
+
+def test_monomial_product_cache_is_bounded():
+    assert _reduced_product.cache_info().maxsize == 4096
+    # a constant operand bypasses the cache
+    mono = (("@r2", F(5)), ("t1", F(-1, 2)))
+    before = _reduced_product.cache_info()
+    assert _monomial_product((), mono) == (mono, 1)
+    assert _monomial_product(mono, ()) == (mono, 1)
+    after = _reduced_product.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -381,3 +384,47 @@ def test_class_symmetry_under_leg_permutation():
     for dg in keys:
         diff = a.terms.get(dg, PS.zero("t")) - b_perm.terms.get(dg, PS.zero("t"))
         assert diff.is_zero()
+
+
+def _a2_insertions(frame, combo, psi_weights=None):
+    weights = psi_weights or [0] * len(combo)
+    return [to_normalized_insertion(
+        frame, [F(int(k == mu)) for k in range(frame.dim)], psi_weight=w)
+        for mu, w in zip(combo, weights)]
+
+
+def test_cached_graph_weights_do_not_change_the_class():
+    """A spec whose weight cache other cells and tuples have filled gives
+    the same classes, truncations included, as a fresh spec."""
+    frame = idempotent_frame(a2_expansion(trunc=10))
+    R = solve_flatness(frame, K=3)
+    warm = CohFTSpec(frame, R)
+    combos = list(itertools.combinations_with_replacement(range(2), 5))
+    cases = [(c, None) for c in combos] + [((0, 1, 1, 1, 1), [0, 1, 0, 0, 0])]
+    reconstruct_class(warm, 0, 4, _a2_insertions(frame, (0, 1, 1, 1)), 1)
+    reconstruct_class(warm, 1, 2, _a2_insertions(frame, (1, 1)), 2)
+    for combo, weights in reversed(cases):
+        reconstruct_class(warm, 0, 5, _a2_insertions(frame, combo, weights), 2)
+    sizes = []
+    for combo, weights in cases:
+        insertions = _a2_insertions(frame, combo, weights)
+        a = reconstruct_class(CohFTSpec(frame, R), 0, 5, insertions, 2)
+        b = reconstruct_class(warm, 0, 5, insertions, 2)
+        assert a.terms.keys() == b.terms.keys()
+        for dg, c in a.terms.items():
+            assert c == b.terms[dg] and c.trunc == b.terms[dg].trunc
+        sizes.append(len(a.terms))
+    assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
+
+
+def test_reconstruct_artifact_pinned(tmp_path):
+    # sha256 of `tautrel reconstruct --chart a2 --gn 1,2 --codim 2` with the
+    # echoed output directory removed
+    from tautrel.cli import main
+    assert main(["reconstruct", "--chart", "a2", "--gn", "1,2", "--codim",
+                 "2", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "reconstruct.json").read_text())
+    del data["config"]["out"]
+    text = json.dumps(data, indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "98e3c594fab62b0404a5dbd634e137b386ad24ebbfb70334e2156223e9fd607a")

@@ -164,13 +164,17 @@ def test_extraction_empty_on_zero_dimensional_moduli():
     assert rs.dim((0, 3, 0)) == 0
 
 
-def test_extraction_pool_size_independent():
+def test_extraction_repeatable_on_warm_caches():
+    # the second run reads the graph weights and vertex sums cached on the
+    # spec by the first
     spec = a2_spec()
-    cells = [(1, 1, 1), (0, 4, 1)]
-    seq = extract_relations(spec, cells)
-    par = extract_relations(spec, cells, jobs=3)
+    cells = [(1, 1, 1), (0, 4, 1), (0, 5, 2)]
+    cold = extract_relations(spec, cells)
+    assert spec._weight_cache
+    warm = extract_relations(spec, cells)
     for cell in cells:
-        assert seq.rows[cell] == par.rows[cell]
+        assert cold.rows[cell] == warm.rows[cell]
+        assert cold.provenance[cell] == warm.provenance[cell]
 
 
 def test_compare_spans_symmetric():
