@@ -10,10 +10,10 @@ dG = (1/48) sum dlog Delta_i + (1/2) sum r_ii du_i exactly.
 
 from tautrel.charts import family_expansion
 from tautrel.frobenius import idempotent_frame
+from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly
 from tautrel.reconstruct import (CohFTSpec, genus_one_correlator,
-                                 integrate_reconstruction, reconstruct_class,
-                                 to_normalized_insertion)
+                                 reconstruct_class, to_normalized_insertion)
 from tautrel.rmatrix import solve_flatness
 
 t = MultiPoly.var("t")
@@ -31,7 +31,8 @@ def main():
                     else "kappa_1" if dg.kappa[0] else
                     "psi_1" if dg.leg_psi else "fundamental")
             print("  %-11s %s" % (kind, coeff.truncate(3)))
-        print("  integral           :", integrate_reconstruction(cls).truncate(3))
+        integral = integrate_strata(cls.codim_part(1))
+        print("  integral           :", integral.truncate(3))
         print("  closed genus-1 form:", genus_one_correlator(spec, [0, 1]).truncate(3))
         print()
 

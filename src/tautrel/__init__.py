@@ -13,8 +13,7 @@ from .graphs import (DecoratedGraph, StableGraph, StrataVector,
 from .intersect import (integrate_against_monomial, integrate_strata,
                         kappa_psi_integral, pairing_matrix, psi_integral)
 from .reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift, edge_series,
-                          genus_one_correlator, integrate_reconstruction,
-                          leg_series, reconstruct_class,
+                          genus_one_correlator, leg_series, reconstruct_class,
                           to_normalized_insertion, tqft_value)
 from .relations import (RelationSet, close_relations, compare_spans,
                         extract_relations, verify_relations)

@@ -83,7 +83,7 @@ def a3_expansion(trunc=6):
     return ChartExpansion(a3_chart(), "phi", subs, cover_degree=2, trunc=trunc)
 
 
-def extend_chart(chart, c, wname=None):
+def extend_chart(chart, c):
     """Example-3.1 dimension extension by an idempotent direction of norm 1/c.
 
     The new unit is the old unit plus the new idempotent; coordinates are
@@ -96,7 +96,7 @@ def extend_chart(chart, c, wname=None):
     if chart.unit[unit_idx] != 1 or any(x != 0 for i, x in enumerate(chart.unit)
                                         if i != unit_idx):
         raise ValueError("extension needs a coordinate unit field")
-    wname = wname or "w%d" % chart.dim
+    wname = "w%d" % chart.dim
     n = chart.dim
     metric = [[chart.metric[i][j] for j in range(n)] + [Fraction(0)]
               for i in range(n)]

@@ -17,9 +17,9 @@ from fractions import Fraction
 from . import charts as chartlib
 from .frobenius import (ChartError, ChartExpansion, NonSemisimpleError,
                         idempotent_frame, local_structure_probe, psi0_frame)
+from .intersect import integrate_strata
 from .multipoly import NonUnitError
-from .reconstruct import (CohFTSpec, genus_one_correlator,
-                          integrate_reconstruction, reconstruct_class,
+from .reconstruct import (CohFTSpec, genus_one_correlator, reconstruct_class,
                           to_normalized_insertion)
 from .relations import (close_relations, compare_spans, extract_relations,
                         verify_relations)
@@ -45,8 +45,8 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
-    for key in ("chart", "param", "trunc", "z_order", "codim", "family",
-                "out", "cover_degree"):
+    for key in ("chart", "chart2", "param", "trunc", "z_order", "codim",
+                "family", "relations_file", "out", "cover_degree"):
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
@@ -294,7 +294,7 @@ def cmd_genus1(config):
     X = [Fraction(1) if k == flat_idx else Fraction(0) for k in range(frame.dim)]
     value = genus_one_correlator(spec, X)
     cls = reconstruct_class(spec, 1, 1, [to_normalized_insertion(frame, X)], 1)
-    integral = integrate_reconstruction(cls)
+    integral = integrate_strata(cls.codim_part(1))
     payload = {"dG": str(value), "reconstruction_integral": str(integral),
                "agree": (value - integral).is_zero()}
     path = _write(config, "genus1.json", payload)
@@ -345,12 +345,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        if getattr(args, "family", None):
-            config["family"] = args.family
-        if getattr(args, "chart2", None):
-            config["chart2"] = args.chart2
-        if getattr(args, "relations_file", None):
-            config["relations_file"] = args.relations_file
     except (OSError, json.JSONDecodeError, ParseError, ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -54,7 +54,7 @@ def _mat_inv_rational(m):
 class FrobeniusChart:
     """Flat coordinates, constant metric, potential; checked on construction."""
 
-    def __init__(self, coords, metric, potential, unit, name=None, check=True):
+    def __init__(self, coords, metric, potential, unit, name=None):
         self.coords = list(coords)
         self.dim = len(self.coords)
         self.metric = _frac_matrix(metric)
@@ -75,8 +75,7 @@ class FrobeniusChart:
                         MultiPoly())
                     for k in range(self.dim)]
                    for j in range(self.dim)] for i in range(self.dim)]
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _check_axioms(self):
         n = self.dim
@@ -96,12 +95,6 @@ class FrobeniusChart:
                 raise ChartError("WDVV fails at (%d,%d,%d,%d)" % (i, j, k, b))
 
     # -- polynomial-level operations ----------------------------------------
-
-    def mult_matrix(self, coeffs):
-        """Matrix of star-multiplication by sum(coeffs[mu] e_mu), MultiPoly level."""
-        n = self.dim
-        return [[sum((coeffs[mu] * self.C[mu][nu][k] for mu in range(n)), MultiPoly())
-                 for nu in range(n)] for k in range(n)]
 
     def trace_form(self):
         """Gram matrix Tr(e_i * e_j) of the trace form, MultiPoly entries."""
@@ -222,9 +215,6 @@ class ChartExpansion:
                 row.append(acc)
             rows.append(row)
         return SeriesMatrix(rows)
-
-    def discriminant_series(self):
-        return self.poly_series(self.chart.discriminant_poly())
 
     def tD_order(self, series):
         """Order along the discriminant: param-order / cover_degree."""
@@ -538,6 +528,7 @@ class IdempotentFrame:
         self.sqrt_delta = sqrt_delta    # chosen branches
         self.psi = psi                  # normalized idempotents -> flat basis
         self._psi_inv = None
+        self._connection = {}
 
     @property
     def param(self):
@@ -555,6 +546,14 @@ class IdempotentFrame:
                   for j in range(n)] for i in range(n)])
         return self._psi_inv
 
+    def psi_connection(self, a):
+        """W_a = Psi^{-1} d_a Psi along chart variable ``self.vars[a]``."""
+        if a not in self._connection:
+            var = self.vars[a]
+            dpsi = self.psi.map(lambda e: e.derivative_sym(var))
+            self._connection[a] = self.psi_inv() * dpsi
+        return self._connection[a]
+
     def to_normalized(self, vec):
         """Flat-basis series vector -> normalized-idempotent coordinates."""
         return self.psi_inv().apply(vec)
@@ -567,12 +566,12 @@ class IdempotentFrame:
         return [self.sqrt_delta[i].invert() for i in range(self.dim)]
 
 
-def _sort_key(eps_vec, expansion):
+def _sort_key(eps_vec):
     orders = tuple(e.order_or_trunc() for e in eps_vec)
     return (min(orders), orders, tuple(str(e) for e in eps_vec))
 
 
-def idempotent_frame(expansion, probe=None, trunc=None, verify=True):
+def idempotent_frame(expansion, probe=None):
     """Construct the idempotent frame of a chart expansion.
 
     ``probe`` is an optional rational vector in the flat basis whose
@@ -581,7 +580,7 @@ def idempotent_frame(expansion, probe=None, trunc=None, verify=True):
     """
     chart = expansion.chart
     n = chart.dim
-    trunc = Fraction(trunc if trunc is not None else expansion.trunc)
+    trunc = Fraction(expansion.trunc)
     candidates = []
     if probe is not None:
         candidates.append([Fraction(x) for x in probe])
@@ -609,7 +608,7 @@ def idempotent_frame(expansion, probe=None, trunc=None, verify=True):
         if not ok:
             failures.append((cand, "coincident root expansions"))
             continue
-        return _frame_from_roots(expansion, vec, M, roots, trunc, verify)
+        return _frame_from_roots(expansion, vec, M, roots, trunc)
     raise NonSemisimpleError(
         "no suitable probe field; tried %d candidates: %s"
         % (len(failures), failures[:4]))
@@ -632,7 +631,7 @@ def _char_poly(M, param):
     return coeffs
 
 
-def _frame_from_roots(expansion, probe_vec, M, roots, trunc, verify):
+def _frame_from_roots(expansion, probe_vec, M, roots, trunc):
     chart = expansion.chart
     n = chart.dim
     param = expansion.param
@@ -647,7 +646,7 @@ def _frame_from_roots(expansion, probe_vec, M, roots, trunc, verify):
             diff_inv = (roots[i] - roots[j]).invert(trunc=trunc)
             op = op * ((M - ident.scale(roots[j])).map(lambda e: e * diff_inv))
         eps.append([e.truncate(trunc) for e in op.apply(unit)])
-    order = sorted(range(n), key=lambda i: _sort_key(eps[i], expansion))
+    order = sorted(range(n), key=lambda i: _sort_key(eps[i]))
     eps = [eps[i] for i in order]
     # norms
     delta_inv = [expansion.pairing(eps[i], eps[i]) for i in range(n)]
@@ -676,8 +675,7 @@ def _frame_from_roots(expansion, probe_vec, M, roots, trunc, verify):
     frame.roots = roots
     frame.vars = vars_
     frame.du_chart = du_chart
-    if verify:
-        verify_frame(frame)
+    verify_frame(frame)
     return frame
 
 
@@ -826,9 +824,6 @@ class Psi0Frame:
             [[matrix.entries[self.order[i]][self.order[j]]
               * (self.units[i] * self.units[j])
               for j in range(n)] for i in range(n)])
-
-    def permute_normalized(self, matrix):
-        return self.align(matrix)
 
     def conjugated(self, matrix):
         """Psi0 M Psi0^{-1} for a normalized-basis matrix in frame ordering."""

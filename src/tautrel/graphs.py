@@ -240,28 +240,36 @@ class DecoratedGraph:
 
 def _canonical_decoration(graph, edge_psi, kappa):
     """Minimal decoration encoding over the graph's automorphism coset."""
-    genera, legs, edges = graph.genera, graph.legs, graph.edges
-    _, _, _, coset = _canonical_labeling(genera, legs, edges)
+    _, _, _, coset = _canonical_labeling(graph.genera, graph.legs, graph.edges)
     best = None
     for p in coset:
-        new_kappa = [None] * len(genera)
-        for v in range(len(genera)):
-            new_kappa[p[v]] = tuple(sorted(kappa[v]))
-        moved = []
-        for (a, b), (xa, xb) in zip(edges, edge_psi):
-            na, nb = p[a], p[b]
-            if na > nb:
-                na, nb, xa, xb = nb, na, xb, xa
-            if na == nb and xa > xb:
-                xa, xb = xb, xa
-            moved.append(((na, nb), (xa, xb)))
-        moved.sort()
-        new_edges = tuple(e for e, _ in moved)
-        assert new_edges == edges
-        enc = (tuple(x for _, x in moved), tuple(new_kappa))
+        new_edges, new_edge_psi, new_kappa = _move_decoration(
+            p, graph.edges, edge_psi, kappa)
+        assert new_edges == graph.edges
+        enc = (new_edge_psi, new_kappa)
         if best is None or enc < best:
             best = enc
     return list(best[0]), list(best[1])
+
+
+def _move_decoration(p, edges, edge_psi, kappa):
+    """Carry kappas and edge psi pairs along the vertex map ``p``.
+
+    Returns (edges, edge psi pairs, kappas) with every edge oriented low to
+    high (a loop's smaller psi first) and the edges sorted with their pairs.
+    """
+    new_kappa = [None] * len(kappa)
+    for v, k in enumerate(kappa):
+        new_kappa[p[v]] = tuple(sorted(k))
+    moved = []
+    for (a, b), (xa, xb) in zip(edges, edge_psi):
+        na, nb = p[a], p[b]
+        if na > nb or (na == nb and xa > xb):
+            na, nb, xa, xb = nb, na, xb, xa
+        moved.append(((na, nb), (xa, xb)))
+    moved.sort()
+    return (tuple(e for e, _ in moved), tuple(x for _, x in moved),
+            tuple(new_kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +296,6 @@ class StrataVector:
                         self.terms[dg] = acc
                 else:
                     self.terms[dg] = c
-
-    @staticmethod
-    def zero(g, n):
-        return StrataVector(g, n)
 
     @staticmethod
     def single(dg, coeff=Fraction(1)):
@@ -346,18 +350,21 @@ class StrataVector:
 # enumeration
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_stable_graphs(g, n, max_edges):
-    """All stable graphs of type (g, n) with at most max_edges edges."""
+    """All stable graphs of type (g, n) with at most max_edges edges.
+
+    Returns a tuple and memoizes it: only a few dozen (g, n, max_edges)
+    triples occur, and extraction, closure and pairing ask for the same
+    ones again.
+    """
     if 2 * g - 2 + n <= 0:
         raise ValueError("(g, n) = (%d, %d) is unstable" % (g, n))
     out = {}
     max_vertices = max(1, 2 * g - 2 + n)
     for nv in range(1, max_vertices + 1):
         for ne in range(nv - 1, max_edges + 1):
-            h1 = ne - nv + 1
-            if h1 < 0 or sum_genus_bound(g, h1) < 0:
-                continue
-            total_genus = g - h1
+            total_genus = g - (ne - nv + 1)
             if total_genus < 0:
                 continue
             for genera in _compositions(total_genus, nv):
@@ -372,11 +379,7 @@ def enumerate_stable_graphs(g, n, max_edges):
                         graph = StableGraph(genera, legs, edge_combo)
                         if graph.is_stable():
                             out.setdefault(graph.key(), graph)
-    return sorted(out.values(), key=lambda gr: (len(gr.edges), gr.key()))
-
-
-def sum_genus_bound(g, h1):
-    return g - h1
+    return tuple(sorted(out.values(), key=lambda gr: (len(gr.edges), gr.key())))
 
 
 def _compositions(total, parts):
@@ -668,24 +671,14 @@ def _drop_leg(dg, v, leg_label, kappa_override=None):
 def _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa):
     can_g, can_l, can_e, coset = _canonical_labeling(
         tuple(genera), tuple(tuple(sorted(l)) for l in legs), tuple(edges))
-    p = coset[0]
-    nv = len(genera)
-    new_kappa = [None] * nv
-    for v in range(nv):
-        new_kappa[p[v]] = tuple(sorted(kappa[v]))
-    moved = []
-    for (a, b), (xa, xb) in zip(edges, edge_psi):
-        na, nb = p[a], p[b]
-        if na > nb:
-            na, nb, xa, xb = nb, na, xb, xa
-        moved.append(((na, nb), (xa, xb)))
-    moved.sort(key=lambda t: t[0])
+    _, new_edge_psi, new_kappa = _move_decoration(coset[0], edges, edge_psi,
+                                                  kappa)
     out_graph = StableGraph.__new__(StableGraph)
     out_graph.genera = can_g
     out_graph.legs = can_l
     out_graph.edges = can_e
     out_graph._aut = None
-    return DecoratedGraph(out_graph, leg_psi, [x for _, x in moved], new_kappa)
+    return DecoratedGraph(out_graph, leg_psi, new_edge_psi, new_kappa)
 
 
 def _contract_vertex(graph, legs, leg_psi, edge_psi, kappa, v):

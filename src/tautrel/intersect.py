@@ -6,13 +6,12 @@ Witten-Kontsevich theorem; the recursion is anchored at <tau_0^3>_0 = 1 and
 psi-correlators with extra markings by the signed set-partition formula, the
 inverse of the forgetful pushforward with convention kappa_a = pi_*(psi^(a+1)).
 
-The memo cache is a module-level dict (concurrent reads and atomic inserts
-are safe; recomputing a value yields the identical Fraction) and can be
-persisted to a versioned text file with save_cache/load_cache.
+The memo cache is a module-level dict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -20,31 +19,6 @@ from .graphs import StrataVector, enumerate_decorated_basis, \
     multiply_kappa, multiply_psi
 
 _PSI_CACHE = {}
-
-
-CACHE_FORMAT = "psi-cache 1"
-
-
-def save_cache(path):
-    """Persist the correlator cache: 'g a1,...,an value' lines, sorted."""
-    lines = [CACHE_FORMAT]
-    for (g, exps), value in sorted(_PSI_CACHE.items()):
-        lines.append("%d %s %s" % (g, ",".join(map(str, exps)), value))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_cache(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CACHE_FORMAT:
-        raise ValueError("unrecognized cache format")
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        g, exps, value = line.split(" ")
-        key = (int(g), tuple(int(x) for x in exps.split(",") if x))
-        _PSI_CACHE[key] = Fraction(value)
 
 
 def _dfact(m):
@@ -196,10 +170,14 @@ def integrate_against_monomial(vector, monomial):
     return integrate_strata(out)
 
 
+@functools.lru_cache(maxsize=None)
 def smooth_monomial_basis(g, n, codim):
-    """Smooth-vertex decorated classes (psi-kappa monomials) of a codimension."""
-    return [dg for dg in enumerate_decorated_basis(g, n, codim)
-            if dg.graph.num_vertices == 1 and not dg.graph.edges]
+    """Smooth-vertex decorated classes (psi-kappa monomials) of a codimension.
+
+    A memoized tuple: the pairing check asks for it once per relation.
+    """
+    return tuple(dg for dg in enumerate_decorated_basis(g, n, codim)
+                 if dg.graph.num_vertices == 1 and not dg.graph.edges)
 
 
 def pairing_matrix(g, n, d):

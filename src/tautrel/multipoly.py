@@ -28,8 +28,6 @@ import functools
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 # monomial: sorted tuple of (symbol, exponent) with nonzero exponents
@@ -443,6 +441,3 @@ def monomial_power(poly: MultiPoly, exponent: Fraction) -> MultiPoly:
     e = exponent.numerator
     return root ** e if e >= 0 else root.inverse() ** (-e)
 
-
-ZERO = MultiPoly()
-ONE = MultiPoly.const(1)

@@ -17,8 +17,6 @@ from math import gcd, inf as INF
 
 from .multipoly import MultiPoly, NonUnitError, monomial_power
 
-Exponent = Fraction
-
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
@@ -123,13 +121,6 @@ class PuiseuxSeries:
         if k.denominator != 1:
             return MultiPoly()
         return self.coeffs.get(int(k), MultiPoly())
-
-    def leading(self):
-        """(exponent, coefficient) of the lowest-order term."""
-        o = self.order()
-        if o is None:
-            raise ValueError("series is zero to truncation")
-        return o, self.coeffs[min(self.coeffs)]
 
     def support(self):
         return sorted(Fraction(k, self.ram) for k in self.coeffs)
@@ -237,12 +228,6 @@ class PuiseuxSeries:
             return False
         return (self.ram == other.ram and self.coeffs == other.coeffs
                 and self.trunc == other.trunc)
-
-    def eq_to_truncation(self, other):
-        """Equality of all coefficients below the shared truncation."""
-        other = PuiseuxSeries._coerce(other, self.param)
-        diff = self - other
-        return diff.is_zero()
 
     def invert(self, trunc=None):
         """Multiplicative inverse; the leading coefficient must be a unit."""

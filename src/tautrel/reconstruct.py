@@ -219,7 +219,7 @@ def vertex_contributions(spec, gv, nmark, color, budget):
     return out
 
 
-def to_normalized_insertion(frame, flat_vector, psi_weight=0, trunc=None):
+def to_normalized_insertion(frame, flat_vector, psi_weight=0):
     """Convert a flat vector (rationals or series) into normalized coords."""
     param = frame.param
     vec = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
@@ -406,27 +406,3 @@ def genus_one_correlator(spec, flat_field):
         total = total - spec.R[1].entries[i][i] * du_i * Fraction(1, 2)
     return total
 
-
-def integrate_reconstruction(vector):
-    """Integrate a series-coefficient StrataVector of top codimension."""
-    from .intersect import kappa_psi_integral
-    total = None
-    dim = 3 * vector.g - 3 + vector.n
-    for dg, coeff in vector.terms.items():
-        if dg.codim() != dim:
-            continue
-        value = Fraction(1)
-        graph = dg.graph
-        for v in range(graph.num_vertices):
-            exps = []
-            for mk in graph.vertex_markings(v):
-                if mk[0] == "leg":
-                    exps.append(dg.leg_exponent(mk[1]))
-                else:
-                    exps.append(dg.edge_psi[mk[1]][mk[2]])
-            value *= kappa_psi_integral(graph.genera[v], exps, dg.kappa[v])
-        term = coeff * value
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total

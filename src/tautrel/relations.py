@@ -195,7 +195,7 @@ def relabel_legs(vector, perm):
     return StrataVector(vector.g, vector.n, pairs)
 
 
-def close_relations(rs, max_rounds=None):
+def close_relations(rs):
     """Smallest stable system containing rs, within its cells.
 
     Worklist closure: every vector added is processed once against all
@@ -205,15 +205,6 @@ def close_relations(rs, max_rounds=None):
     out = rs.copy()
     cells = set(out.cells)
     frontier = [(cell, vec) for cell in out.cells for vec in out.vectors(cell)]
-    graph_cache = {}
-
-    def graphs_with(g2, n2, extra):
-        key = (g2, n2, extra)
-        if key not in graph_cache:
-            graph_cache[key] = [gr for gr in enumerate_stable_graphs(g2, n2, extra)
-                                if len(gr.edges) == extra]
-        return graph_cache[key]
-
     while frontier:
         cell, vec = frontier.pop()
         g, n, d = cell
@@ -237,7 +228,9 @@ def close_relations(rs, max_rounds=None):
             extra = d2 - d
             if extra < 1 or g2 < g or (g2, n2) == (g, n):
                 continue
-            for graph in graphs_with(g2, n2, extra):
+            for graph in enumerate_stable_graphs(g2, n2, extra):
+                if len(graph.edges) != extra:
+                    continue
                 for glued in _graft_everywhere(graph, vec):
                     push(target, glued, ("glue",))
     return out
@@ -309,14 +302,9 @@ def verify_relations(rs):
     """
     failures = {}
     for cell in rs.cells:
-        g, n, d = cell
-        dim = 3 * g - 3 + n
-        monomials = smooth_monomial_basis(g, n, dim - d)
         for ridx, vec in enumerate(rs.vectors(cell)):
-            for mono in monomials:
-                val = integrate_against_monomial(vec, mono)
-                if val != 0:
-                    failures.setdefault(cell, []).append((ridx, mono, val))
+            for mono, val in verify_vector(vec, cell[2]):
+                failures.setdefault(cell, []).append((ridx, mono, val))
     return failures
 
 

@@ -68,7 +68,8 @@ class RMatrix:
                             for i in range(n)])
         prev = self.orders[k - 1]
         W = frame.psi_connection(var_index)
-        dprev = prev.map(lambda e: _dvar(e, frame, var_index))
+        var = frame.vars[var_index]
+        dprev = prev.map(lambda e: e.derivative_sym(var))
         return acc + dprev - prev * W
 
     def check_flatness(self):
@@ -84,30 +85,6 @@ class RMatrix:
         psi = self.frame.psi
         psi_inv = self.frame.psi_inv()
         return [psi * m * psi_inv for m in self.orders]
-
-
-def _dvar(series, frame, var_index):
-    if var_index == 0:
-        return series.derivative()
-    return series.derivative_sym(frame.vars[var_index])
-
-
-def _frame_connection(frame, var_index):
-    """W_a = Psi^{-1} d_a Psi; cached on the frame."""
-    cache = getattr(frame, "_connection", None)
-    if cache is None:
-        cache = {}
-        frame._connection = cache
-    if var_index not in cache:
-        dpsi = frame.psi.map(lambda e: _dvar(e, frame, var_index))
-        cache[var_index] = frame.psi_inv() * dpsi
-    return cache[var_index]
-
-
-# expose on the frame class (kept here with the solver that needs it)
-from .frobenius import IdempotentFrame as _IF  # noqa: E402
-
-_IF.psi_connection = lambda self, a: _frame_connection(self, a)
 
 
 def solve_flatness(frame, K, constants=None):
@@ -130,7 +107,8 @@ def solve_flatness(frame, K, constants=None):
         prev = orders[-1]
         rhs = []  # rhs[a] = -(d_a R^{k-1} - R^{k-1} W_a)
         for a in range(nvars):
-            dprev = prev.map(lambda e: _dvar(e, frame, a))
+            var = frame.vars[a]
+            dprev = prev.map(lambda e: e.derivative_sym(var))
             rhs.append(prev * W[a] - dprev)
         entries = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -309,7 +287,7 @@ def rational_solution(a, b, c, var="t"):
     y = MultiPoly()
     for d, u in enumerate(unknowns):
         y = y + MultiPoly.var(u) * MultiPoly.var(var) ** d
-    resid = a * _poly_dt(y, var) + b * y + c
+    resid = a * y.derivative(var) + b * y + c
     # collect linear equations by power of t
     eqs = {}
     for mono, coef in resid.terms.items():
@@ -330,10 +308,6 @@ def rational_solution(a, b, c, var="t"):
     for d, u in enumerate(unknowns):
         out = out + MultiPoly.const(sol[u]) * MultiPoly.var(var) ** d
     return out
-
-
-def _poly_dt(p, var):
-    return p.derivative(var)
 
 
 def _solve_linear(eqs, unknowns):
@@ -422,7 +396,7 @@ class QuotientReport:
                    for mat in self.min_orders.values() for row in mat for o in row)
 
 
-def quotient_holomorphy(p1, R1, p2, R2, check_residual=True):
+def quotient_holomorphy(p1, R1, p2, R2):
     """Entry orders of R~1 R~2^{-1} per z-order, plus the mixed-equation residual.
 
     ``p1``, ``p2`` are Psi0Frame values over identified (t, t0, u_{>=3})
@@ -453,9 +427,7 @@ def quotient_holomorphy(p1, R1, p2, R2, check_residual=True):
     min_orders = {k: [[(None if e.order() is None else e.order() / cover)
                        for e in row] for row in quotient[k].entries]
                   for k in quotient}
-    residual_ok = True
-    if check_residual:
-        residual_ok = _mixed_residual_ok(p1, p2, tilde1, inv2, quotient, K)
+    residual_ok = _mixed_residual_ok(p1, p2, tilde1, inv2, quotient, K)
     return QuotientReport(quotient, min_orders, residual_ok)
 
 

@@ -139,10 +139,6 @@ def parse_poly(text) -> MultiPoly:
     return value
 
 
-def poly_text(poly) -> str:
-    return str(poly)
-
-
 # ---------------------------------------------------------------------------
 # charts
 
@@ -153,7 +149,7 @@ def chart_to_json(chart) -> dict:
         "dimension": chart.dim,
         "coords": list(chart.coords),
         "metric": [[str(x) for x in row] for row in chart.metric],
-        "potential": poly_text(chart.potential),
+        "potential": str(chart.potential),
         "unit_index": next(i for i, x in enumerate(chart.unit) if x != 0)
         if sum(1 for x in chart.unit if x) == 1 else None,
         "unit": [str(x) for x in chart.unit],
@@ -246,7 +242,7 @@ def rmatrix_to_json(R) -> dict:
     }
 
 
-def relations_to_json(rs, config_echo=None) -> dict:
+def relations_to_json(rs) -> dict:
     cells = []
     for cell in rs.cells:
         g, n, d = cell
@@ -257,10 +253,7 @@ def relations_to_json(rs, config_echo=None) -> dict:
             "provenance": [list(map(str, p)) if p else None
                            for p in rs.provenance[cell]],
         })
-    out = {"schema_version": SCHEMA_VERSION, "cells": cells}
-    if config_echo is not None:
-        out["config"] = config_echo
-    return out
+    return {"schema_version": SCHEMA_VERSION, "cells": cells}
 
 
 def relations_from_json(data):

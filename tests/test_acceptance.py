@@ -24,8 +24,7 @@ from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP, monomial_power
 from tautrel.puiseux import PuiseuxSeries as PS
 from tautrel.reconstruct import (CohFTSpec, genus_one_correlator,
-                                 integrate_reconstruction, reconstruct_class,
-                                 to_normalized_insertion)
+                                 reconstruct_class, to_normalized_insertion)
 from tautrel.relations import (close_relations, compare_spans,
                                extract_relations, verify_relations,
                                verify_vector)
@@ -215,7 +214,7 @@ def test_criterion_04a_genus_one_coefficients_as_stated():
         "psi_1 coefficient differs from the quoted -2(gamma + 7 fdot/48f)"
     assert (got["kappa"] - (gamma - fdf * F(5, 48)) * 2).is_zero()
     assert (got["delta_divisor"] - (gamma * 2 + fdf * F(2, 48))).is_zero()
-    assert (integrate_reconstruction(cls) - gamma).is_zero()
+    assert (integrate_strata(cls.codim_part(1)) - gamma).is_zero()
     report("4a", "quoted genus-one coefficient triple")
 
 
@@ -233,7 +232,7 @@ def test_criterion_04b_genus_one_corrected_orientation():
         # integral via int psi = int kappa = (1/12) int delta_0 = 1/24
         total = (got["psi"] + got["kappa"]) * F(1, 24) + \
             got["delta_divisor"] * F(1, 2) * 1
-        assert (total - integrate_reconstruction(cls)).is_zero()
+        assert (total - integrate_strata(cls.codim_part(1))).is_zero()
         assert (total + gamma).is_zero()
         # cross-validated against the closed genus-one formula
         assert (genus_one_correlator(spec, [0, 1]) - total).is_zero()

@@ -107,6 +107,46 @@ def test_compare_readme_example_shares_param(tmp_path):
     assert all(v == "equal" for v in data["verdicts"].values()), data
 
 
+def _write_config(path, config):
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_compare_chart2_from_config(tmp_path):
+    base = {"chart": "a2", "param": "t1", "trunc": 10, "gn": [[1, 1]],
+            "codim": 1, "out": str(tmp_path)}
+    cfg = _write_config(tmp_path / "cfg.json", dict(base, chart2="a2xa1"))
+    assert run(["compare", "--config", cfg]) == 0
+    data = json.loads((tmp_path / "compare.json").read_text())
+    assert data["verdicts"] == {"1,1,1": "equal"}
+    assert data["config"]["chart2"] == "a2xa1"
+    # a flag overrides the config value
+    missing = str(tmp_path / "missing.json")
+    cfg = _write_config(tmp_path / "cfg2.json", dict(base, chart2=missing))
+    assert run(["compare", "--config", cfg, "--chart2", "a2xa1"]) == 0
+    data = json.loads((tmp_path / "compare.json").read_text())
+    assert data["config"]["chart2"] == "a2xa1"
+
+
+def test_verify_relations_file_from_config(tmp_path):
+    assert run(["relations", "--chart", "a2", "--param", "t1", "--trunc", "10",
+                "--gn", "1,1", "--codim", "1", "--out", str(tmp_path)]) == 0
+    rel_path = str(tmp_path / "relations.json")
+    out = tmp_path / "verify"
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"relations_file": rel_path, "out": str(out)})
+    assert run(["verify", "--config", cfg]) == 0
+    assert json.loads((out / "verify.json").read_text())["all_zero"] is True
+    # the config's file is the one read, and a flag overrides it
+    missing = str(tmp_path / "missing.json")
+    cfg = _write_config(tmp_path / "cfg2.json",
+                        {"relations_file": missing, "out": str(out)})
+    assert run(["verify", "--config", cfg]) == 2
+    assert run(["verify", "--config", cfg, "--relations-file", rel_path]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert report["config"]["relations_file"] == rel_path
+
+
 @pytest.mark.parametrize("args, message", [
     (["relations", "--chart", "a2", "--gn", "0,2"], "not a stable type"),
     (["relations", "--chart", "a2", "--codim", "0"], "codim must be at least 1"),

@@ -54,6 +54,12 @@ def test_known_counts():
     assert len(enumerate_stable_graphs(2, 0, 3)) == 7
 
 
+def test_enumeration_memoized_tuple():
+    first = enumerate_stable_graphs(1, 2, 2)
+    assert isinstance(first, tuple)
+    assert enumerate_stable_graphs(1, 2, 2) is first
+
+
 def test_automorphism_orders():
     loop = StableGraph([0], [[1]], [(0, 0)])
     assert loop.aut_order() == 2

@@ -9,13 +9,13 @@ from tautrel.charts import (a2_expansion, a2x_a1_expansion, extend_chart,
                             a2_chart, family_expansion)
 from tautrel.frobenius import ChartExpansion, idempotent_frame
 from tautrel.graphs import DecoratedGraph, StableGraph
+from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
 from tautrel.reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift,
                                  edge_series, genus_one_correlator,
-                                 integrate_reconstruction, leg_series,
-                                 reconstruct_class, to_normalized_insertion,
-                                 tqft_value)
+                                 leg_series, reconstruct_class,
+                                 to_normalized_insertion, tqft_value)
 from tautrel.rmatrix import RMatrix, solve_flatness
 
 V = MP.var
@@ -175,7 +175,7 @@ def test_family_11_coefficients():
         for key in want:
             assert (got[key] - want[key]).is_zero(), (fpoly, key)
         # the correlator integral equals -gamma
-        assert (integrate_reconstruction(cls) + gamma).is_zero()
+        assert (integrate_strata(cls.codim_part(1)) + gamma).is_zero()
         # and the closed genus-one formula agrees
         assert (genus_one_correlator(spec, [0, 1]) + gamma).is_zero()
 
@@ -195,7 +195,7 @@ def test_orientation_anchors():
                                                    for k in range(2)])
                    for m in combo]
             cls = reconstruct_class(spec, 0, n, ins, d)
-            got = integrate_reconstruction(cls)
+            got = integrate_strata(cls.codim_part(n - 3))
             if isinstance(got, F):
                 got = PS.const(got, "t")
             p = chart.potential
@@ -219,7 +219,7 @@ def test_orientation_anchors():
     R.check_symplectic()
     spec2 = CohFTSpec(fr, R)
     cls = reconstruct_class(spec2, 1, 1, [to_normalized_insertion(fr, [0, 1])], 1)
-    integ = integrate_reconstruction(cls)
+    integ = integrate_strata(cls.codim_part(1))
     assert (integ - PS.const(F(-1, 24), "t")).is_zero()
 
 

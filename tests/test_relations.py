@@ -53,6 +53,12 @@ def test_corrupted_vector_flagged():
                                     F(1, 7))
     report = verify_vector(bad, 1)
     assert report  # nonzero pairing found
+    # verify_relations reports the same pairings, row by row
+    bad_set = RelationSet([(1, 1, 1)])
+    assert bad_set.add((1, 1, 1), bad)
+    (row,) = bad_set.vectors((1, 1, 1))
+    assert verify_relations(bad_set) == {
+        (1, 1, 1): [(0, m, v) for m, v in verify_vector(row, 1)]}
     # the fundamental-class 'relation' is flagged too
     fake = StrataVector.single(DecoratedGraph.smooth(1, 1, kappa=(1,)))
     assert verify_vector(fake, 1)

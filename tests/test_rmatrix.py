@@ -193,7 +193,7 @@ def test_quotient_holomorphy_self_and_subblock():
     order3 = p3.order
     block_orders = []
     for k in range(3):
-        m = p3.permute_normalized(R3[k])
+        m = p3.align(R3[k])
         block_orders.append(SeriesMatrix([[m.entries[i][j] for j in range(2)]
                                           for i in range(2)]))
     # align the A2 frame ordering with the product's singular ordering
