@@ -32,23 +32,39 @@ def _frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _mat_inv_rational(m):
-    """Exact inverse of a rational matrix (Gauss-Jordan)."""
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def rref(rows, ncols):
+    """Exact Gauss-Jordan on ``Fraction`` rows, pivoting in the first
+    ``ncols`` columns (later columns ride along, as in an augmented matrix).
+
+    Returns the reduced rows, pivot rows first, and the pivot columns.
+    """
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
-            raise ChartError("metric is singular")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        d = rows[r][col]
+        rows[r] = [x / d for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _mat_inv_rational(m):
+    """Exact inverse of a rational matrix."""
+    n = len(m)
+    rows, pivots = rref([[Fraction(x) for x in m[i]] +
+                         [Fraction(i == j) for j in range(n)]
+                         for i in range(n)], n)
+    if len(pivots) < n:
+        raise ChartError("metric is singular")
+    return [row[n:] for row in rows]
 
 
 class FrobeniusChart:

@@ -29,19 +29,18 @@ from .reconstruct import reconstruct_class, to_normalized_insertion
 class RelationSet:
     """Per-(g, n, codim) spans of rational strata vectors, kept reduced.
 
-    Each cell holds its RREF rows as sparse ``{column: Fraction}`` dicts in
-    insertion order, plus a ``pivot column -> row`` map sharing the same
-    dicts.  Rows are fully reduced (zero at every other row's pivot), so one
-    pass of ``_reduce`` is exact.
+    Each cell holds its reduced row echelon basis as a ``pivot column ->
+    row`` map, every row a sparse ``{column: Fraction}`` dict.  Rows are
+    fully reduced (zero at every other row's pivot), so one pass of
+    ``_reduce`` is exact, and the basis depends only on the span: rows are
+    read in ascending pivot order.
     """
 
     def __init__(self, cells):
         self.cells = sorted(cells)
         self.basis = {}
         self.index = {}
-        self.rows = {cell: [] for cell in self.cells}      # RREF rows
         self.pivots = {cell: {} for cell in self.cells}    # pivot -> row
-        self.provenance = {cell: [] for cell in self.cells}
         for cell in self.cells:
             g, n, d = cell
             basis = enumerate_decorated_basis(g, n, d)
@@ -60,7 +59,7 @@ class RelationSet:
             _subtract(row, f, r)
         return row
 
-    def add(self, cell, vector, tag=None):
+    def add(self, cell, vector):
         """Row-reduce a new vector into the cell; True if independent."""
         row = self._reduce(cell, self.to_row(cell, vector))
         if not row:
@@ -69,18 +68,19 @@ class RelationSet:
         d = row[piv]
         for c in row:
             row[c] /= d
-        for r in self.rows[cell]:
+        pivots = self.pivots[cell]
+        for r in pivots.values():
             if piv in r:
                 _subtract(r, r[piv], row)
-        self.rows[cell].append(row)
-        self.pivots[cell][piv] = row
-        self.provenance[cell].append(tag)
+        pivots[piv] = row
         return True
 
     def vectors(self, cell):
         out = []
         basis = self.basis[cell]
-        for row in self.rows[cell]:
+        pivots = self.pivots[cell]
+        for piv in sorted(pivots):
+            row = pivots[piv]
             vec = StrataVector(cell[0], cell[1])
             for i in sorted(row):
                 vec.terms[basis[i]] = row[i]
@@ -88,7 +88,7 @@ class RelationSet:
         return out
 
     def dim(self, cell):
-        return len(self.rows[cell])
+        return len(self.pivots[cell])
 
     def contains(self, cell, vector):
         return not self._reduce(cell, self.to_row(cell, vector))
@@ -99,12 +99,8 @@ class RelationSet:
         out.cells = self.cells
         out.basis = self.basis
         out.index = self.index
-        for cell in self.cells:
-            rows = [dict(r) for r in self.rows[cell]]
-            out.rows[cell] = rows
-            # a row's pivot is its leading column: later pivots lie beyond it
-            out.pivots[cell] = {min(r): r for r in rows}
-            out.provenance[cell] = list(self.provenance[cell])
+        out.pivots = {cell: {p: dict(r) for p, r in pivots.items()}
+                      for cell, pivots in self.pivots.items()}
         return out
 
 
@@ -147,19 +143,16 @@ def extract_relations(spec, cells):
             cls = reconstruct_class(spec, g, n, insertions, dmax)
             for d in ds:
                 part = cls.codim_part(d)
-                for vector, exponent, mono in polar_vectors(part):
-                    tag = ("chart=%s" % frame.expansion.chart.name,
-                           "insertion=%s" % (combo,),
-                           "exponent=%s" % exponent, "monomial=%s" % (mono,))
-                    rs.add((g, n, d), vector, tag)
+                for vector in polar_vectors(part):
+                    rs.add((g, n, d), vector)
     return rs
 
 
 def polar_vectors(vector):
     """Rational strata vectors from the negative-exponent coefficients.
 
-    Yields (StrataVector over Q, exponent, background monomial).  Raises if
-    a series cannot certify its polar part.
+    Yields one StrataVector over Q per (exponent, background monomial), in
+    increasing exponent.  Raises if a series cannot certify its polar part.
     """
     slots = {}
     for dg, series in vector.terms.items():
@@ -172,11 +165,11 @@ def polar_vectors(vector):
                 continue
             for mono, coeff in poly.terms.items():
                 slots.setdefault((e, mono), {})[dg] = coeff
-    for (e, mono), terms in sorted(slots.items(),
-                                   key=lambda kv: (kv[0][0], str(kv[0][1]))):
+    for _, terms in sorted(slots.items(),
+                           key=lambda kv: (kv[0][0], str(kv[0][1]))):
         vec = StrataVector(vector.g, vector.n)
         vec.terms = dict(terms)
-        yield vec, e, mono
+        yield vec
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +192,12 @@ def close_relations(rs):
     """Smallest stable system containing rs, within its cells.
 
     Worklist closure: every vector added is processed once against all
-    operations (adjacent leg transpositions generate the full relabeling
-    action on spans, so only those are applied).
+    operations.  Adjacent leg transpositions generate the full relabeling
+    action on spans, so only those are applied.  For the same reason ``vec``
+    is grafted with its legs as they are: every relabeling of ``vec`` lies in
+    its cell's closed span, and grafting is linear, so grafting the
+    relabelings adds nothing the identity grafts of the span's vectors do not
+    already give.
     """
     out = rs.copy()
     cells = set(out.cells)
@@ -209,20 +206,20 @@ def close_relations(rs):
         cell, vec = frontier.pop()
         g, n, d = cell
 
-        def push(target, vector, tag):
-            if target in cells and out.add(target, vector, tag):
+        def push(target, vector):
+            if target in cells and out.add(target, vector):
                 frontier.append((target, vector))
 
         for i in range(1, n):
             perm = {k: k for k in range(1, n + 1)}
             perm[i], perm[i + 1] = i + 1, i
-            push(cell, relabel_legs(vec, perm), ("relabel", i))
+            push(cell, relabel_legs(vec, perm))
         for i in range(1, n + 1):
-            push((g, n, d + 1), multiply_psi(vec, i), ("psi", i))
+            push((g, n, d + 1), multiply_psi(vec, i))
         for a in range(1, max(dd for _, _, dd in cells) - d + 1):
-            push((g, n, d + a), multiply_kappa(vec, a), ("kappa", a))
+            push((g, n, d + a), multiply_kappa(vec, a))
         if (2 * g - 2 + n - 1) > 0 and d >= 1 and n >= 1:
-            push((g, n - 1, d - 1), forgetful_pushforward(vec), ("forget",))
+            push((g, n - 1, d - 1), forgetful_pushforward(vec))
         for target in cells:
             g2, n2, d2 = target
             extra = d2 - d
@@ -232,39 +229,21 @@ def close_relations(rs):
                 if len(graph.edges) != extra:
                     continue
                 for glued in _graft_everywhere(graph, vec):
-                    push(target, glued, ("glue",))
+                    push(target, glued)
     return out
 
 
 def _graft_everywhere(graph, vec):
-    """Insert ``vec`` at every matching vertex of ``graph``, in every way."""
+    """Insert ``vec`` at every matching vertex of ``graph``, with the
+    fundamental class at every other vertex (all are stable types)."""
     g, n = vec.g, vec.n
     for v in range(graph.num_vertices):
-        if graph.genera[v] != g:
+        if graph.genera[v] != g or len(graph.vertex_markings(v)) != n:
             continue
-        markings = graph.vertex_markings(v)
-        if len(markings) != n:
-            continue
-        # fundamental classes elsewhere
-        others = []
-        ok = True
-        for w in range(graph.num_vertices):
-            if w == v:
-                others.append(None)
-                continue
-            gw = graph.genera[w]
-            nw = len(graph.vertex_markings(w))
-            if 2 * gw - 2 + nw <= 0:
-                ok = False
-                break
-            others.append(StrataVector.single(DecoratedGraph.smooth(gw, nw)))
-        if not ok:
-            continue
-        for assign in itertools.permutations(range(1, n + 1)):
-            relabeled = relabel_legs(vec, {i + 1: assign[i] for i in range(n)})
-            vertex_vectors = [relabeled if w == v else others[w]
-                              for w in range(graph.num_vertices)]
-            yield gluing_pushforward(graph, vertex_vectors)
+        yield gluing_pushforward(graph, [
+            vec if w == v else StrataVector.single(DecoratedGraph.smooth(
+                graph.genera[w], len(graph.vertex_markings(w))))
+            for w in range(graph.num_vertices)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +255,7 @@ def compare_spans(rs1, rs2):
     'incomparable'; witnesses are vectors outside the other span."""
     out = {}
     for cell in rs1.cells:
-        if cell not in rs2.rows:
+        if cell not in rs2.pivots:
             continue
         left_in = all(rs2.contains(cell, v) for v in rs1.vectors(cell))
         right_in = all(rs1.contains(cell, v) for v in rs2.vectors(cell))

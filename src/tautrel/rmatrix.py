@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .frobenius import ChartError, NonSemisimpleError, integrate_oneform
+from .frobenius import ChartError, NonSemisimpleError, integrate_oneform, rref
 from .multipoly import MultiPoly
 from .puiseux import PuiseuxSeries, SeriesMatrix
 
@@ -312,36 +312,15 @@ def rational_solution(a, b, c, var="t"):
 
 def _solve_linear(eqs, unknowns):
     """Solve {const + sum coef*u = 0 per equation}; None if inconsistent."""
-    rows = []
-    for tpow in sorted(eqs):
-        eq = eqs[tpow]
-        row = [eq.get(u, Fraction(0)) for u in unknowns]
-        row.append(eq.get(None, Fraction(0)))
-        rows.append(row)
     m = len(unknowns)
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        d = rows[r][c]
-        rows[r] = [x / d for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][m] != 0:
-            return None
+    rows, pivots = rref([[eqs[tpow].get(u, Fraction(0)) for u in unknowns] +
+                         [eqs[tpow].get(None, Fraction(0))]
+                         for tpow in sorted(eqs)], m)
+    if any(row[m] != 0 for row in rows[len(pivots):]):
+        return None
     sol = {u: Fraction(0) for u in unknowns}
-    for i, c in enumerate(pivots):
-        sol[unknowns[c]] = -rows[i][m]
+    for row, c in zip(rows, pivots):
+        sol[unknowns[c]] = -row[m]
     return sol
 
 

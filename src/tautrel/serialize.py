@@ -243,6 +243,8 @@ def rmatrix_to_json(R) -> dict:
 
 
 def relations_to_json(rs) -> dict:
+    """Each cell's reduced row echelon basis, rows in ascending pivot column:
+    equal spans give equal documents."""
     cells = []
     for cell in rs.cells:
         g, n, d = cell
@@ -250,20 +252,35 @@ def relations_to_json(rs) -> dict:
             "g": g, "n": n, "codim": d,
             "rank": rs.dim(cell),
             "relations": [vector_to_json(v) for v in rs.vectors(cell)],
-            "provenance": [list(map(str, p)) if p else None
-                           for p in rs.provenance[cell]],
         })
     return {"schema_version": SCHEMA_VERSION, "cells": cells}
 
 
 def relations_from_json(data):
+    """The spans of a relations document; keys it does not read (such as
+    the ``provenance`` of older files) are ignored.  Raises ParseError on a
+    malformed document."""
     from .relations import RelationSet
-    cells = [(c["g"], c["n"], c["codim"]) for c in data["cells"]]
-    rs = RelationSet(cells)
-    for c in data["cells"]:
-        cell = (c["g"], c["n"], c["codim"])
-        for rel, prov in zip(c["relations"], c.get("provenance") or
-                             [None] * len(c["relations"])):
-            rs.add(cell, rational_vector_from_json(rel),
-                   tuple(prov) if prov else None)
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ParseError("unsupported relations schema_version %r" % (version,))
+    try:
+        cells = [(int(c["g"]), int(c["n"]), int(c["codim"]))
+                 for c in data["cells"]]
+        vectors = [[rational_vector_from_json(rel) for rel in c["relations"]]
+                   for c in data["cells"]]
+        rs = RelationSet(cells)
+    except KeyError as exc:
+        raise ParseError("relations document lacks key %s" % exc) from None
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ParseError("malformed relations document: %s" % exc) from None
+    for cell, vecs in zip(cells, vectors):
+        for vec in vecs:
+            if (vec.g, vec.n) != cell[:2]:
+                raise ParseError("relation on (g, n) = (%d, %d) in cell %s"
+                                 % (vec.g, vec.n, cell))
+            if any(dg.key() not in rs.index[cell] for dg in vec.terms):
+                raise ParseError("relation in cell %s has a graph outside "
+                                 "the cell's basis" % (cell,))
+            rs.add(cell, vec)
     return rs

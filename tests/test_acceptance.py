@@ -327,6 +327,15 @@ def test_criterion_09_extension_spans_equal():
               % len(CELLS))
 
 
+def test_closed_a2_ranks_pinned():
+    # closure grafts each vector with its legs as they are; these ranks are
+    # those of grafting under every leg assignment
+    closed = closed_span(a2_pack())
+    assert {cell: closed.dim(cell) for cell in CELLS} == {
+        (0, 4, 1): 7, (0, 5, 1): 11, (0, 5, 2): 126, (1, 1, 1): 2,
+        (1, 2, 1): 2, (1, 2, 2): 15, (2, 0, 1): 1, (2, 0, 2): 4}
+
+
 def test_criterion_10_holomorphic_action_preserves_span():
     import random
     from tautrel.puiseux import SeriesMatrix

@@ -147,6 +147,32 @@ def test_verify_relations_file_from_config(tmp_path):
     assert report["config"]["relations_file"] == rel_path
 
 
+def _relations_doc(exponent=1, coefficient="1", g=1, schema_version=1,
+                   cell=(1, 1, 1), edges=()):
+    """One cell holding coefficient * psi_1^exponent on (g, 1)."""
+    graph = {"vertices": [{"genus": 1, "legs": [1], "kappa": []}],
+             "edges": list(edges), "leg_psi": {"1": exponent}}
+    relation = {"g": g, "n": 1,
+                "terms": [{"graph": graph, "coefficient": coefficient}]}
+    return {"schema_version": schema_version,
+            "cells": [{"g": cell[0], "n": cell[1], "codim": cell[2],
+                       "relations": [relation]}]}
+
+
+def test_verify_hand_written_document(tmp_path):
+    # the document the malformed cases below start from is read, and its
+    # psi_1 is no relation
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps(_relations_doc()))
+    out = tmp_path / "out"
+    assert run(["verify", "--relations-file", str(path),
+                "--out", str(out)]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert report["all_zero"] is False
+    assert [[row, value] for row, _, value in report["failures"]["1,1,1"]] \
+        == [[0, "1/24"]]
+
+
 @pytest.mark.parametrize("args, message", [
     (["relations", "--chart", "a2", "--gn", "0,2"], "not a stable type"),
     (["relations", "--chart", "a2", "--codim", "0"], "codim must be at least 1"),
@@ -157,9 +183,37 @@ def test_verify_relations_file_from_config(tmp_path):
     (["frame", "--chart", "a2", "--param", "zz"], "not a variable of chart"),
     (["frame", "--chart", "a2", "--param", "t1", "--trunc", "0"],
      "trunc must be positive"),
+    (["verify", "--relations-file", {"schema_version": 1}],
+     "lacks key 'cells'"),
+    (["verify", "--relations-file", _relations_doc(schema_version=2)],
+     "unsupported relations schema_version 2"),
+    (["verify", "--relations-file", _relations_doc(g=0)],
+     "relation on (g, n) = (0, 1) in cell (1, 1, 1)"),
+    (["verify", "--relations-file", _relations_doc(exponent=2)],
+     "graph outside the cell's basis"),
+    (["verify", "--relations-file", _relations_doc(coefficient="x")],
+     "malformed relations document"),
+    (["verify", "--relations-file", _relations_doc(coefficient="1/0")],
+     "malformed relations document"),
+    (["verify", "--relations-file", _relations_doc(cell=(0, 2, 1))],
+     "(g, n) = (0, 2) is unstable"),
+    (["verify", "--relations-file", _relations_doc(edges=[[0, 5, 0, 0]])],
+     "malformed relations document"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
-        "genus1-insertion", "unknown-param", "trunc-0"])
-def test_bad_input_exit_code_2(tmp_path, capsys, args, message):
+        "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
+        "relations-schema-version", "relations-wrong-gn",
+        "relations-graph-outside-basis", "relations-coefficient-not-rational",
+        "relations-coefficient-zero-denominator", "relations-unstable-cell",
+        "relations-edge-out-of-range"])
+def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
+                               message):
+    # a document in ``args`` is written to a file outside the output directory
+    args = list(args)
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            path = tmp_path_factory.mktemp("input") / "relations.json"
+            path.write_text(json.dumps(arg))
+            args[i] = str(path)
     assert run(args + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err

@@ -59,6 +59,13 @@ def test_wdvv_checked_on_construction():
                        0)
 
 
+def test_singular_metric_raises():
+    # the A2 potential with a rank-one metric
+    with pytest.raises(ChartError, match="metric is singular"):
+        FrobeniusChart(["t0", "t1"], [[1, 2], [2, 4]],
+                       V("t0") ** 2 * V("t1") / 2 + V("t1") ** 4 / 72, 0)
+
+
 def test_discriminants():
     assert a2_chart().discriminant_poly() == 4 * V("t1")
     # A3: vanishing locus of -32 t2^3 - 27 t1^2 up to a constant factor

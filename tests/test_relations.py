@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -81,8 +82,8 @@ def test_closure_produces_new_vectors():
     spec = a2_spec()
     rs = extract_relations(spec, [(0, 4, 1)])
     rs_with_targets = RelationSet([(0, 4, 1), (1, 2, 2), (0, 5, 2)])
-    for vec, tag in zip(rs.vectors((0, 4, 1)), rs.provenance[(0, 4, 1)]):
-        rs_with_targets.add((0, 4, 1), vec, tag)
+    for vec in rs.vectors((0, 4, 1)):
+        rs_with_targets.add((0, 4, 1), vec)
     closed = close_relations(rs_with_targets)
     assert closed.dim((1, 2, 2)) > 0
     assert closed.dim((0, 5, 2)) > 0
@@ -179,8 +180,7 @@ def test_extraction_repeatable_on_warm_caches():
     assert spec._weight_cache
     warm = extract_relations(spec, cells)
     for cell in cells:
-        assert cold.rows[cell] == warm.rows[cell]
-        assert cold.provenance[cell] == warm.provenance[cell]
+        assert cold.pivots[cell] == warm.pivots[cell]
 
 
 def test_compare_spans_symmetric():
@@ -309,14 +309,21 @@ def test_sparse_rref_matches_dense_reference():
             fresh = rng.random() < 0.7 or not inputs
             inputs.append(sparse_dense() if fresh else combination(inputs))
         rs = RelationSet([cell])
-        for k, vec in enumerate(inputs):
-            rs.add(cell, strata(vec), ("input", k))
+        for vec in inputs:
+            rs.add(cell, strata(vec))
         rows, pivots = dense_rref(inputs, ncols)
+        # the same basis, read in ascending pivot order
+        rows = [row for _, row in sorted(zip(pivots, rows))]
+        pivots = sorted(pivots)
         assert rs.dim(cell) == len(rows)
-        assert list(rs.pivots[cell]) == pivots
-        assert [min(r) for r in rs.rows[cell]] == pivots
-        assert [[r.get(i, 0) for i in range(ncols)]
-                for r in rs.rows[cell]] == rows
+        assert sorted(rs.pivots[cell]) == pivots
+        assert all(min(r) == p for p, r in rs.pivots[cell].items())
+
+        def dense_rows(relations):
+            return [[relations.pivots[cell][p].get(i, 0) for i in range(ncols)]
+                    for p in sorted(relations.pivots[cell])]
+
+        assert dense_rows(rs) == rows
         index = template.index[cell]
         for vec, row in zip(rs.vectors(cell), rows):
             assert [index[dg.key()] for dg in vec.terms] == \
@@ -332,16 +339,48 @@ def test_sparse_rref_matches_dense_reference():
         assert all(rs.contains(cell, strata(vec)) for vec in inside)
 
         copy = rs.copy()
-        assert copy.rows[cell] == rs.rows[cell]
         assert copy.pivots[cell] == rs.pivots[cell]
         copy.add(cell, strata(outside[0]))
-        assert [[r.get(i, 0) for i in range(ncols)]
-                for r in rs.rows[cell]] == rows
+        assert dense_rows(rs) == rows
 
         back = relations_from_json(relations_to_json(rs))
-        assert back.rows[cell] == rs.rows[cell]
-        assert back.provenance[cell] == [tuple(map(str, t))
-                                         for t in rs.provenance[cell]]
+        assert back.pivots[cell] == rs.pivots[cell]
+
+
+def test_closed_artifact_bytes_independent_of_order():
+    # shuffled generators, closed in one pass or with a closure half way:
+    # different closure paths, one span, one document
+    cells = [(0, 4, 1), (1, 1, 1), (1, 2, 1), (0, 5, 2)]
+    rs = extract_relations(a2_spec(), cells)
+    generators = [(cell, vec) for cell in cells for vec in rs.vectors(cell)]
+    documents = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        order = rng.sample(generators, len(generators))
+        split = rng.randint(1, len(order) - 1)
+        closed = RelationSet(cells)
+        for cell, vec in order[:split]:
+            closed.add(cell, vec)
+        if seed == 2:
+            closed = close_relations(closed)
+        for cell, vec in order[split:]:
+            closed.add(cell, vec)
+        documents.append(json.dumps(relations_to_json(close_relations(closed))))
+    assert documents[0] == documents[1]
+
+
+def test_parent_format_document_loads():
+    # older files list rows in acceptance order with a provenance tag each
+    cells = [(1, 1, 1), (0, 4, 1)]
+    rs = close_relations(extract_relations(a2_spec(), cells))
+    doc = relations_to_json(rs)
+    for cell in doc["cells"]:
+        cell["relations"].reverse()
+        cell["provenance"] = [["glue"] for _ in cell["relations"]]
+    back = relations_from_json(json.loads(json.dumps(doc)))
+    assert {cell: v for cell, (v, _) in compare_spans(rs, back).items()} == \
+        {cell: "equal" for cell in cells}
+    assert relations_to_json(back) == relations_to_json(rs)
 
 
 def test_canonical_labeling_memoized_tuple_coset():
