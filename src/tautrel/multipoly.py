@@ -17,6 +17,11 @@ Exponents of ``@``-symbols are integers and are reduced into ``0..n-1`` using
 the relation.  Distinct primes and ``@i`` generate linearly disjoint field
 extensions, so equality of canonical forms is exact equality of numbers.
 
+In a stored monomial an integral exponent is a plain ``int`` and a
+fractional one a ``Fraction``, so integral keys hash without ``Fraction``
+arithmetic.  ``2 == Fraction(2)`` and their hashes agree, so a key written
+with ``Fraction`` exponents still finds its term.
+
 Branch convention for roots of negative rationals: ``(-c)**(1/2) = @i*c**(1/2)``,
 ``(-c)**(1/3) = -(c**(1/3))``, ``(-c)**(1/6) = -@i*c**(1/6)``.  Fourth and
 twelfth roots of negative numbers are not needed and raise.
@@ -30,10 +35,13 @@ from typing import Dict, Iterable, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
-# monomial: sorted tuple of (symbol, exponent) with nonzero exponents
-Monomial = Tuple[Tuple[str, Fraction], ...]
+# monomial: sorted tuple of (symbol, exponent) with nonzero exponents; an
+# exponent is an ``int`` when integral and a ``Fraction`` otherwise
+Monomial = Tuple[Tuple[str, Scalar], ...]
 
 ONE_MONOMIAL: Monomial = ()
+
+_ONE = Fraction(1)
 
 
 class NonUnitError(ArithmeticError):
@@ -52,12 +60,15 @@ def _relation(symbol: str):
     raise ValueError("unknown adjoined symbol %r" % symbol)
 
 
-def _reduce_monomial(pairs: Iterable[Tuple[str, Fraction]]):
-    """Sort, merge and relation-reduce; returns (monomial, rational factor)."""
+def _reduce_monomial(pairs: Iterable[Tuple[str, Scalar]]):
+    """Sort, merge and relation-reduce; returns (monomial, rational factor).
+
+    Integral exponents come out as ``int``, fractional ones as ``Fraction``.
+    """
     merged: Dict[str, Fraction] = {}
     for sym, exp in pairs:
-        merged[sym] = merged.get(sym, Fraction(0)) + Fraction(exp)
-    factor = Fraction(1)
+        merged[sym] = merged.get(sym, 0) + Fraction(exp)
+    factor = _ONE
     out = []
     for sym in sorted(merged):
         exp = merged[sym]
@@ -68,17 +79,14 @@ def _reduce_monomial(pairs: Iterable[Tuple[str, Fraction]]):
             n, value = rel
             if exp.denominator != 1:
                 raise ValueError("fractional power of %s" % sym)
-            e = int(exp)
-            q, r = divmod(e, n)
-            factor *= value ** q
+            q, r = divmod(exp.numerator, n)
+            if q:  # else factor stays _ONE, which _add_product skips
+                factor = factor * value ** q
             if r:
-                out.append((sym, Fraction(r)))
+                out.append((sym, r))
         else:
-            out.append((sym, exp))
+            out.append((sym, exp.numerator if exp.denominator == 1 else exp))
     return tuple(out), factor
-
-
-_ONE = Fraction(1)
 
 
 def _monomial_product(m1: Monomial, m2: Monomial):
@@ -97,6 +105,29 @@ def _monomial_product(m1: Monomial, m2: Monomial):
 @functools.lru_cache(maxsize=4096)
 def _reduced_product(m1: Monomial, m2: Monomial):
     return _reduce_monomial(m1 + m2)
+
+
+def _add_product(terms: Dict[Monomial, Fraction], p1: Dict[Monomial, Fraction],
+                 p2: Dict[Monomial, Fraction]) -> None:
+    """Add the product of the term maps ``p1`` and ``p2`` into ``terms``.
+
+    Entries that cancel are left in place as zeros; the caller drops them
+    once, after its last addition.
+    """
+    get = terms.get
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            mono, factor = _monomial_product(m1, m2)
+            c = c1 * c2 if factor is _ONE else c1 * c2 * factor
+            acc = get(mono)
+            terms[mono] = c if acc is None else acc + c
+
+
+def _from_terms(terms: Dict[Monomial, Fraction]) -> "MultiPoly":
+    """A ``MultiPoly`` over reduced keys, dropping zero coefficients."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = {m: c for m, c in terms.items() if c}
+    return out
 
 
 class MultiPoly:
@@ -210,17 +241,8 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono, factor = _monomial_product(m1, m2)
-                acc = terms.get(mono, Fraction(0)) + c1 * c2 * factor
-                if acc == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = terms
-        return out
+        _add_product(terms, self.terms, other.terms)
+        return _from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -430,13 +452,10 @@ def monomial_power(poly: MultiPoly, exponent: Fraction) -> MultiPoly:
     root = root_of_rational(coeff, n)
     pairs = []
     for sym, exp in mono:
-        rel = _relation(sym)
-        if rel is None:
-            pairs.append((sym, exp / n))
-        else:
-            if (Fraction(exp) / n).denominator != 1:
-                raise ValueError("cannot take %s-th root of %s" % (n, sym))
-            pairs.append((sym, exp / n))
+        exp = Fraction(exp) / n
+        if _relation(sym) is not None and exp.denominator != 1:
+            raise ValueError("cannot take %s-th root of %s" % (n, sym))
+        pairs.append((sym, exp))
     root = root * MultiPoly.monomial(1, pairs)
     e = exponent.numerator
     return root ** e if e >= 0 else root.inverse() ** (-e)

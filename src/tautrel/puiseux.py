@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf as INF
 
-from .multipoly import MultiPoly, NonUnitError, monomial_power
+from .multipoly import (MultiPoly, NonUnitError, _add_product, _from_terms,
+                        monomial_power)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -180,23 +181,69 @@ class PuiseuxSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product, known below ``min(a.trunc + ord b, b.trunc + ord a)``.
+
+        Both operands are read on the common grid ``k / ram``, ``ram`` the
+        lcm of theirs.  There the truncation becomes the integer cap
+        ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
+        holds exactly when ``k >= kcap``, so pairs with ``k1 + k2 >= kcap``
+        are skipped without building a ``Fraction``.  Coefficient products
+        are summed straight into one term map per output exponent.
+        """
         other = PuiseuxSeries._coerce(other, self.param)
         param = self._join_param(other)
+        for s in (self, other):
+            if s.param is None and param is not None and any(
+                    param in v.variables() for v in s.coeffs.values()):
+                raise ValueError("coefficient contains the parameter %s" % param)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            # ord of a zero operand reads as its truncation
+            return PuiseuxSeries.zero(
+                param, self.order_or_trunc() + other.order_or_trunc())
         ram = _lcm(self.ram, other.ram)
-        a, b = self.rescale(ram), other.rescale(ram)
-        trunc = min(a.trunc + b.order_or_trunc(), b.trunc + a.order_or_trunc())
-        coeffs = {}
-        for k1, v1 in a.coeffs.items():
-            for k2, v2 in b.coeffs.items():
-                if trunc != INF and Fraction(k1 + k2, ram) >= trunc:
+        fa, fb = ram // self.ram, ram // other.ram
+        # trunc * ram = min(a.trunc * ram + kb, b.trunc * ram + ka) with ka,
+        # kb the least grid indices, kept as an unreduced x / y
+        x = y = None
+        for t, k in ((self.trunc, min(b) * fb), (other.trunc, min(a) * fa)):
+            if t != INF:
+                n, d = t.numerator * ram + k * t.denominator, t.denominator
+                if x is None or n * y < x * d:
+                    x, y = n, d
+        if x is None:
+            trunc = kcap = INF
+        else:
+            trunc, kcap = Fraction(x, y * ram), -(-x // y)
+        sums = {}
+        for k1, v1 in a.items():
+            k1 *= fa
+            for k2, v2 in b.items():
+                k = k1 + k2 * fb
+                if k >= kcap:
                     continue
-                k = k1 + k2
-                prod = v1 * v2
-                if k in coeffs:
-                    coeffs[k] = coeffs[k] + prod
-                else:
-                    coeffs[k] = prod
-        return PuiseuxSeries(param, coeffs, ram, trunc)
+                terms = sums.get(k)
+                if terms is None:
+                    terms = sums[k] = {}
+                _add_product(terms, v1.terms, v2.terms)
+        coeffs = {}
+        g = ram
+        for k, terms in sums.items():
+            poly = _from_terms(terms)
+            if poly.terms:
+                coeffs[k] = poly
+                g = gcd(g, k)
+        if not coeffs:
+            ram = 1
+        elif g > 1:
+            coeffs = {k // g: v for k, v in coeffs.items()}
+            ram //= g
+        out = PuiseuxSeries.__new__(PuiseuxSeries)
+        out.param = param
+        out.ram = ram
+        out.coeffs = coeffs
+        out.trunc = trunc
+        return out
 
     __rmul__ = __mul__
 

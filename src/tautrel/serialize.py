@@ -259,7 +259,8 @@ def relations_to_json(rs) -> dict:
 def relations_from_json(data):
     """The spans of a relations document; keys it does not read (such as
     the ``provenance`` of older files) are ignored.  Raises ParseError on a
-    malformed document."""
+    malformed document, including one whose cell ``rank`` is not the
+    dimension its ``relations`` span."""
     from .relations import RelationSet
     version = data.get("schema_version") if isinstance(data, dict) else None
     if version != SCHEMA_VERSION:
@@ -267,6 +268,7 @@ def relations_from_json(data):
     try:
         cells = [(int(c["g"]), int(c["n"]), int(c["codim"]))
                  for c in data["cells"]]
+        ranks = [int(c["rank"]) for c in data["cells"]]
         vectors = [[rational_vector_from_json(rel) for rel in c["relations"]]
                    for c in data["cells"]]
         rs = RelationSet(cells)
@@ -274,7 +276,7 @@ def relations_from_json(data):
         raise ParseError("relations document lacks key %s" % exc) from None
     except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         raise ParseError("malformed relations document: %s" % exc) from None
-    for cell, vecs in zip(cells, vectors):
+    for cell, rank, vecs in zip(cells, ranks, vectors):
         for vec in vecs:
             if (vec.g, vec.n) != cell[:2]:
                 raise ParseError("relation on (g, n) = (%d, %d) in cell %s"
@@ -283,4 +285,7 @@ def relations_from_json(data):
                 raise ParseError("relation in cell %s has a graph outside "
                                  "the cell's basis" % (cell,))
             rs.add(cell, vec)
+        if rank != rs.dim(cell):
+            raise ParseError("cell %s claims rank %d but its relations span "
+                             "%d" % (cell, rank, rs.dim(cell)))
     return rs

@@ -148,7 +148,7 @@ def test_verify_relations_file_from_config(tmp_path):
 
 
 def _relations_doc(exponent=1, coefficient="1", g=1, schema_version=1,
-                   cell=(1, 1, 1), edges=()):
+                   cell=(1, 1, 1), edges=(), rank=1):
     """One cell holding coefficient * psi_1^exponent on (g, 1)."""
     graph = {"vertices": [{"genus": 1, "legs": [1], "kappa": []}],
              "edges": list(edges), "leg_psi": {"1": exponent}}
@@ -156,7 +156,7 @@ def _relations_doc(exponent=1, coefficient="1", g=1, schema_version=1,
                 "terms": [{"graph": graph, "coefficient": coefficient}]}
     return {"schema_version": schema_version,
             "cells": [{"g": cell[0], "n": cell[1], "codim": cell[2],
-                       "relations": [relation]}]}
+                       "rank": rank, "relations": [relation]}]}
 
 
 def test_verify_hand_written_document(tmp_path):
@@ -199,12 +199,14 @@ def test_verify_hand_written_document(tmp_path):
      "(g, n) = (0, 2) is unstable"),
     (["verify", "--relations-file", _relations_doc(edges=[[0, 5, 0, 0]])],
      "malformed relations document"),
+    (["verify", "--relations-file", _relations_doc(rank=5)],
+     "claims rank 5 but its relations span 1"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",
         "relations-graph-outside-basis", "relations-coefficient-not-rational",
         "relations-coefficient-zero-denominator", "relations-unstable-cell",
-        "relations-edge-out-of-range"])
+        "relations-edge-out-of-range", "relations-rank-mismatch"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

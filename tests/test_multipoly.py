@@ -128,3 +128,45 @@ def test_monomial_product_cache_is_bounded():
     assert _monomial_product(mono, ()) == (mono, 1)
     after = _reduced_product.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _assert_canonical_keys(poly):
+    # integral exponents are stored as int, fractional ones as Fraction
+    for mono in poly.terms:
+        for _, e in mono:
+            if type(e) is not int:
+                assert type(e) is F and e.denominator != 1, mono
+
+
+def test_canonical_exponent_types():
+    x, y = MP.var("x"), MP.var("y", F(1, 2))
+    mono = MP.monomial(F(9, 4), [("x", F(4, 2)), ("y", F(-2, 3)),
+                                 ("@r3", F(14))])
+    polys = [
+        x, y, MP.var("x", F(2)), MP.var("@i", 3), MP.var("@r2", 13), mono,
+        y * y, x * y, MP.var("@i") * MP.var("@i"),
+        MP.var("@r2", 7) * MP.var("@r2", 9) * y,
+        mono.inverse(), (x * y).inverse(),
+        (x ** 3 * y).derivative("x"), (x ** 3 * y).derivative("y"),
+        MP.var("x", F(3, 2)).derivative("x"),
+        MP.var("x", F(-1, 2)).antiderivative("x"), (x * y).antiderivative("x"),
+        (x * x + x).substitute("x", y + 1),
+        MP.var("x", F(3, 2)).substitute("x", MP.var("y", 2)),
+        monomial_power(mono, F(1, 2)), monomial_power(mono, F(-3, 2)),
+        monomial_power(mono, 3), monomial_power(MP.var("x", 2), F(1, 2)),
+        root_of_rational(F(-2), 2), root_of_rational(F(18, 5), 12),
+        root_of_rational(6, 3), root_of_rational(F(-1), 6),
+    ]
+    for poly in polys:
+        _assert_canonical_keys(poly)
+    assert monomial_power(MP.var("x", 2), F(1, 2)).terms == {(("x", 1),): 1}
+
+
+def test_coefficient_lookup_with_fraction_exponents():
+    p = MP.monomial(5, [("x", 2), ("y", F(1, 2)), ("@r2", 3)]) + MP.var("x")
+    assert p.coefficient((("x", F(2)), ("y", F(1, 2)), ("@r2", F(3)))) == 5
+    assert p.coefficient((("x", F(1)),)) == 1
+    assert p.terms[(("@r2", F(3)), ("x", F(2)), ("y", F(1, 2)))] == 5
+    # a key that wraps past the relation is reduced first: @r2^15 = 2 @r2^3
+    assert p.coefficient((("@r2", F(15)), ("x", F(2)), ("y", F(1, 2)))) \
+        == F(5, 2)

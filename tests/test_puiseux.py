@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -34,6 +35,92 @@ def _fact(k):
     for i in range(2, k + 1):
         out *= i
     return out
+
+
+def schoolbook_mul(a, b):
+    """Reference product: both operands on the common grid, a Fraction
+    truncation test per pair, and coefficient products summed monomial by
+    monomial through the normalizing constructors."""
+    ram = a.ram * b.ram // gcd(a.ram, b.ram)
+    a, b = a.rescale(ram), b.rescale(ram)
+    trunc = min(a.trunc + b.order_or_trunc(), b.trunc + a.order_or_trunc())
+    coeffs = {}
+    for k1, v1 in a.coeffs.items():
+        for k2, v2 in b.coeffs.items():
+            if trunc != INF and F(k1 + k2, ram) >= trunc:
+                continue
+            for m1, c1 in v1.terms.items():
+                for m2, c2 in v2.terms.items():
+                    coeffs[k1 + k2] = (coeffs.get(k1 + k2, MP())
+                                       + MP({m1 + m2: c1 * c2}))
+    return PS(a.param or b.param, coeffs, ram, trunc)
+
+
+def _assert_product(a, b):
+    prod = a * b
+    ref = schoolbook_mul(a, b)
+    assert (prod.ram, prod.coeffs, prod.trunc) == (ref.ram, ref.coeffs,
+                                                   ref.trunc)
+    assert all(F(k, prod.ram) < prod.trunc for k in prod.coeffs)
+    assert all(not poly.is_zero() for poly in prod.coeffs.values())
+    return prod
+
+
+def test_fused_product_matches_schoolbook():
+    rng = random.Random(7)
+    symbols = [("@i", [1]), ("@r2", [5, 7, 9, 11]), ("x", [-2, -1, 1, 2]),
+               ("y", [F(-1, 2), F(1, 3), F(3, 2)])]
+
+    def rand_coeff():
+        poly = MP()
+        for _ in range(rng.randint(1, 3)):
+            pairs = [(sym, rng.choice(exps)) for sym, exps in symbols
+                     if rng.random() < 0.4]
+            poly = poly + MP.monomial(F(rng.randint(-3, 3), rng.randint(1, 3)),
+                                      pairs)
+        return poly
+
+    def rand_series():
+        ram = rng.choice([1, 2, 3, 6])
+        coeffs = {rng.randint(-4 * ram, 3 * ram): rand_coeff()
+                  for _ in range(rng.randint(0, 4))}
+        # finite truncations sit on the grids of every ram, so some k1 + k2
+        # lands exactly on the product's truncation
+        trunc = rng.choice([INF, F(rng.randint(-6, 24), 6)])
+        return PS("t", {k: v for k, v in coeffs.items()
+                        if trunc == INF or F(k, ram) < trunc}, ram, trunc)
+
+    for _ in range(300):
+        _assert_product(rand_series(), rand_series())
+
+
+def test_fused_product_edge_cases():
+    t = PS.unit("t", 1)
+    half = PS.unit("t", F(1, 2))
+    i, x = MP.var("@i"), MP.var("x")
+    # k1 + k2 on the truncation is excluded: t^2 * t lands on O(t^3)
+    a = PS("t", {1: 1, 4: 1}, 2, trunc=3)
+    b = PS("t", {0: 1, 1: 1}, 1, trunc=3)
+    prod = _assert_product(a, b)
+    assert prod.trunc == 3 and prod.support() == [F(1, 2), F(3, 2), 2]
+    # one exponent cancels, and the ramification drops back to 1
+    prod = _assert_product(1 + half, 1 - half)
+    assert prod == PS.from_poly(MP.const(1) - MP.var("t"), "t")
+    # @i coefficients wrap past @i^2 = -1, the t^1 coefficient cancels
+    prod = _assert_product(PS.const(x, "t") + t * i, PS.const(x, "t") - t * i)
+    assert prod == PS.from_poly(x * x + MP.var("t") ** 2, "t")
+    assert _assert_product(PS.unit("t", 1, MP.var("@r2", 7)),
+                           PS.unit("t", F(1, 3), MP.var("@r2", 9))) \
+        == PS.unit("t", F(4, 3), MP.monomial(2, [("@r2", 4)]))
+    # a nonzero product keeps its leading term, so a zero product needs a
+    # zero operand; it comes back with ram 1
+    zero = PS.zero("t", trunc=F(1, 3))
+    sixth = PS("t", {-1: x, 5: 1}, 6, trunc=F(7, 6))
+    for a, b in ((zero, sixth), (sixth, zero), (PS.zero("t"), sixth)):
+        prod = _assert_product(a, b)
+        assert prod.is_zero() and prod.ram == 1
+    assert (zero * sixth).trunc == F(1, 6)
+    assert (PS.zero("t") * sixth).trunc == INF
 
 
 def test_difference_of_squares():
