@@ -53,17 +53,32 @@ def a2_tilted_expansion(alpha=1, trunc=6):
                           {"t0": V("t0"), "t1": V("t1")}, trunc=trunc)
 
 
+def _a3_subs():
+    """Flat coordinates of A3 in (phi, zeta3, t0), phi = zeta1 - zeta2."""
+    phi, z3, t0 = V("phi"), V("zeta3"), V("t0")
+    zeta1 = -z3 / 2 + phi / 2
+    zeta2 = -z3 / 2 - phi / 2
+    e2 = zeta1 * zeta2 + zeta1 * z3 + zeta2 * z3
+    e3 = zeta1 * zeta2 * z3
+    t1 = -e3
+    t2 = e2 / 2
+    return {"s0": t0 - t2 * t2 / 2, "s1": t1, "s2": t2}
+
+
 def a3_chart():
     """Versal deformations x^4/4 + t2 x^2 + t1 x + t0 in flat coordinates.
 
     Flat coordinates (s0, s1, s2) = (t0 - t2^2/2, t1, t2); the flat fields are
-    1, x, x^2 + t2 in the Milnor ring Q[t][x]/(f'(x)).
+    1, x, x^2 + t2 in the Milnor ring Q[t][x]/(f'(x)).  The expansion point
+    is that of ``a3_expansion``.
     """
     s0, s1, s2 = V("s0"), V("s1"), V("s2")
     potential = (s0 * s0 * s2 / 2 + s0 * s1 * s1 / 2
                  - s1 * s1 * s2 * s2 / 4 + s2 ** 5 / 60)
+    point = {"param": "phi", "cover_degree": 2,
+             "subs": {c: str(p) for c, p in _a3_subs().items()}}
     return FrobeniusChart(["s0", "s1", "s2"], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-                          potential, 0, name="A3")
+                          potential, 0, name="A3", expansion_point=point)
 
 
 def a3_expansion(trunc=6):
@@ -72,15 +87,8 @@ def a3_expansion(trunc=6):
     Coordinates (phi, zeta3, t0) with phi = zeta1 - zeta2 the local parameter;
     phi is a double cover of the transversal coordinate t_D.
     """
-    phi, z3, t0 = V("phi"), V("zeta3"), V("t0")
-    zeta1 = -z3 / 2 + phi / 2
-    zeta2 = -z3 / 2 - phi / 2
-    e2 = zeta1 * zeta2 + zeta1 * z3 + zeta2 * z3
-    e3 = zeta1 * zeta2 * z3
-    t1 = -e3
-    t2 = e2 / 2
-    subs = {"s0": t0 - t2 * t2 / 2, "s1": t1, "s2": t2}
-    return ChartExpansion(a3_chart(), "phi", subs, cover_degree=2, trunc=trunc)
+    return ChartExpansion(a3_chart(), "phi", _a3_subs(), cover_degree=2,
+                          trunc=trunc)
 
 
 def extend_chart(chart, c):

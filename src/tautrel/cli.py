@@ -89,6 +89,7 @@ def _check_insertions(flat, dim):
 def _make_expansion(config, default_param=None):
     """The chart expansion of ``config``.
 
+    The expansion point is the config's ``expansion``, else the chart's own.
     Without an explicit parameter (``--param`` or the expansion point),
     ``default_param`` is used when the chart has it as a variable, and the
     last chart coordinate otherwise.
@@ -96,15 +97,8 @@ def _make_expansion(config, default_param=None):
     name = config.get("chart")
     if not name:
         raise ParseError("no chart given (config 'chart' or --chart)")
-    exp_cfg = dict(config.get("expansion") or {})
-    if name in BUILTIN_CHARTS:
-        chart = BUILTIN_CHARTS[name]()
-    else:
-        chart = load_chart(name)
-        with open(name) as fh:
-            file_exp = json.load(fh).get("expansion_point")
-        if file_exp and not exp_cfg:
-            exp_cfg = dict(file_exp)
+    chart = BUILTIN_CHARTS[name]() if name in BUILTIN_CHARTS else load_chart(name)
+    exp_cfg = dict(config.get("expansion") or chart.expansion_point or {})
     subs_cfg = exp_cfg.get("subs") or {}
     subs = {}
     for c in chart.coords:
@@ -173,6 +167,8 @@ def cmd_frame(config):
 def cmd_rmatrix(config):
     if config.get("family"):
         f = parse_poly(config["family"])
+        if f.variables() - {"t"}:
+            raise ParseError("--family must be a polynomial in t, got %s" % f)
         diag = solve_2d_family(f)
         payload = {
             "family": str(f),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .multipoly import MultiPoly, monomial_power
-from .puiseux import PuiseuxSeries, SeriesMatrix
+from .puiseux import PuiseuxSeries, SeriesMatrix, cofactor_det
 
 
 class ChartError(ValueError):
@@ -68,9 +68,15 @@ def _mat_inv_rational(m):
 
 
 class FrobeniusChart:
-    """Flat coordinates, constant metric, potential; checked on construction."""
+    """Flat coordinates, constant metric, potential; checked on construction.
 
-    def __init__(self, coords, metric, potential, unit, name=None):
+    ``expansion_point`` optionally names the transversal the command line
+    expands the chart along: a dict with ``param``, ``cover_degree`` and
+    ``subs`` (coordinate -> polynomial text), as in a chart file.
+    """
+
+    def __init__(self, coords, metric, potential, unit, name=None,
+                 expansion_point=None):
         self.coords = list(coords)
         self.dim = len(self.coords)
         self.metric = _frac_matrix(metric)
@@ -82,6 +88,7 @@ class FrobeniusChart:
             unit = vec
         self.unit = [Fraction(u) for u in unit]
         self.name = name or "chart"
+        self.expansion_point = expansion_point
         # third derivatives A[mu][nu][lam] and structure constants C[mu][nu][k]
         d1 = [potential.derivative(c) for c in self.coords]
         d2 = [[d1[i].derivative(c) for c in self.coords] for i in range(self.dim)]
@@ -123,20 +130,7 @@ class FrobeniusChart:
 
     def discriminant_poly(self):
         """det Tr(e_i e_j) as a MultiPoly in the flat coordinates."""
-        gram = self.trace_form()
-        n = self.dim
-
-        def det(rows):
-            if len(rows) == 1:
-                return rows[0][0]
-            acc = MultiPoly()
-            for j in range(len(rows)):
-                minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-                term = rows[0][j] * det(minor)
-                acc = acc + (term if j % 2 == 0 else -term)
-            return acc
-
-        return det([row[:] for row in gram])
+        return cofactor_det(self.trace_form())
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,9 @@ class ChartExpansion:
             background |= val.variables()
         background.discard(param)
         self.background = sorted(background)
+        self.vars = [param] + self.background  # chart variables
         self._C_series = None
+        self._jacobian_inv = None
 
     def poly_series(self, poly):
         """Expand a MultiPoly in flat coordinates into a PuiseuxSeries."""
@@ -189,20 +185,7 @@ class ChartExpansion:
 
     def product(self, x, y):
         """Quantum product of two flat-basis series vectors."""
-        n = self.chart.dim
-        C = self.structure_series()
-        out = []
-        for k in range(n):
-            acc = PuiseuxSeries.zero(self.param)
-            for i in range(n):
-                if x[i].is_zero():
-                    continue
-                for j in range(n):
-                    if y[j].is_zero():
-                        continue
-                    acc = acc + x[i] * y[j] * C[i][j][k]
-            out.append(acc)
-        return out
+        return self.mult_matrix_series(x).apply(y)
 
     def pairing(self, x, y):
         """Metric pairing of two flat-basis series vectors."""
@@ -237,24 +220,25 @@ class ChartExpansion:
         o = series.order()
         return None if o is None else o / self.cover_degree
 
+    def jacobian(self):
+        """J[mu][a] = d subs[t_mu] / d vars[a]: flat coordinates by chart variables."""
+        return SeriesMatrix([[PuiseuxSeries.from_poly(self.subs[c].derivative(v), self.param)
+                              for v in self.vars] for c in self.chart.coords])
+
     def derivative_along(self, series, direction):
         """Directional derivative of a series function by a flat-basis vector.
 
         ``direction`` is a series vector in the flat basis; the function is a
         series in (param, background).  Uses the chain rule through the
-        substitution: needs the Jacobian d(subs)/d(param, background).
+        substitution: the inverse Jacobian, computed once per expansion.
         """
-        # solve: flat-vector direction = sum_a dir_a * d/d(var_a) where vars are
-        # (param, background); the Jacobian J[mu][a] = d subs[t_mu] / d var_a.
-        vars_ = [self.param] + self.background
-        n = self.chart.dim
-        if len(vars_) != n:
-            raise ChartError("expansion is not a coordinate system (%d vars, dim %d)"
-                             % (len(vars_), n))
-        J = SeriesMatrix([[PuiseuxSeries.from_poly(self.subs[c].derivative(v), self.param)
-                           for v in vars_] for c in self.chart.coords])
-        Jinv = J.inverse(trunc=self.trunc)
-        chart_dir = Jinv.apply(direction)  # components along (param, background)
+        if self._jacobian_inv is None:
+            n = self.chart.dim
+            if len(self.vars) != n:
+                raise ChartError("expansion is not a coordinate system (%d vars, dim %d)"
+                                 % (len(self.vars), n))
+            self._jacobian_inv = self.jacobian().inverse(trunc=self.trunc)
+        chart_dir = self._jacobian_inv.apply(direction)  # components along vars
         out = series.derivative() * chart_dir[0]
         for a, v in enumerate(self.background):
             out = out + series.derivative_sym(v) * chart_dir[a + 1]
@@ -492,7 +476,6 @@ def _newton_refine(coeffs, dcoeffs, x0, param, trunc):
             break
         dp_val = _poly_eval(dcoeffs, y)
         corr = p_val * dp_val.invert(trunc=trunc)
-        err = corr.order()
         y = (y - corr).truncate(trunc)
         guard += 1
         if guard > 200:
@@ -534,15 +517,20 @@ def integrate_oneform(components, param, background):
 class IdempotentFrame:
     """Orthogonal idempotents, canonical coordinates and norms on a cover."""
 
-    def __init__(self, expansion, eps, u, delta_inv, delta, sqrt_delta, psi):
+    def __init__(self, expansion, eps, u, delta_inv, delta, sqrt_delta, psi,
+                 einv, roots, du_chart):
         self.expansion = expansion
         self.dim = expansion.chart.dim
+        self.vars = expansion.vars      # chart variables (param, background)
         self.eps = eps                  # idempotents, flat components
         self.u = u                      # canonical coordinates
         self.delta_inv = delta_inv      # eta(eps_i, eps_i)
         self.delta = delta
         self.sqrt_delta = sqrt_delta    # chosen branches
         self.psi = psi                  # normalized idempotents -> flat basis
+        self.einv = einv                # rows: du_i in the flat basis
+        self.roots = roots              # eigenvalues of the probe field
+        self.du_chart = du_chart        # du_i along self.vars
         self._psi_inv = None
         self._connection = {}
 
@@ -553,13 +541,9 @@ class IdempotentFrame:
     def psi_inv(self):
         # Psi^T eta Psi = Id, hence Psi^{-1} = Psi^T eta
         if self._psi_inv is None:
-            eta = self.expansion.chart.metric
-            n = self.dim
-            pt = self.psi.transpose()
-            self._psi_inv = SeriesMatrix(
-                [[sum((pt.entries[i][k] * eta[k][j] for k in range(n)),
-                      PuiseuxSeries.zero(self.param))
-                  for j in range(n)] for i in range(n)])
+            eta = SeriesMatrix([[PuiseuxSeries.const(x, self.param) for x in row]
+                                for row in self.expansion.chart.metric])
+            self._psi_inv = self.psi.transpose() * eta
         return self._psi_inv
 
     def psi_connection(self, a):
@@ -594,24 +578,18 @@ def idempotent_frame(expansion, probe=None):
     multiplication operator must have pairwise distinct root expansions; by
     default small rational combinations of flat fields are searched.
     """
-    chart = expansion.chart
-    n = chart.dim
+    n = expansion.chart.dim
     trunc = Fraction(expansion.trunc)
-    candidates = []
     if probe is not None:
-        candidates.append([Fraction(x) for x in probe])
+        candidates = [tuple(probe)]
     else:
-        for i in range(n):
-            vec = [Fraction(0)] * n
-            vec[i] = Fraction(1)
-            candidates.append(vec)
-        for combo in itertools.product(range(0, 4), repeat=n):
-            if all(c == 0 for c in combo):
-                continue
-            candidates.append([Fraction(c) for c in combo])
+        # the unit vectors first, then the other nonzero vectors in [0, 3]^n
+        candidates = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        candidates += [c for c in itertools.product(range(4), repeat=n)
+                       if any(c) and c not in candidates]
     failures = []
     for cand in candidates:
-        vec = [PuiseuxSeries.const(c, expansion.param) for c in cand]
+        vec = [PuiseuxSeries.const(Fraction(c), expansion.param) for c in cand]
         M = expansion.mult_matrix_series(vec)
         char = _char_poly(M, expansion.param)
         try:
@@ -624,7 +602,7 @@ def idempotent_frame(expansion, probe=None):
         if not ok:
             failures.append((cand, "coincident root expansions"))
             continue
-        return _frame_from_roots(expansion, vec, M, roots, trunc)
+        return _frame_from_roots(expansion, M, roots, trunc)
     raise NonSemisimpleError(
         "no suitable probe field; tried %d candidates: %s"
         % (len(failures), failures[:4]))
@@ -647,9 +625,8 @@ def _char_poly(M, param):
     return coeffs
 
 
-def _frame_from_roots(expansion, probe_vec, M, roots, trunc):
-    chart = expansion.chart
-    n = chart.dim
+def _frame_from_roots(expansion, M, roots, trunc):
+    n = expansion.chart.dim
     param = expansion.param
     ident = SeriesMatrix.identity(n, param)
     unit = expansion.unit_vector()
@@ -668,31 +645,26 @@ def _frame_from_roots(expansion, probe_vec, M, roots, trunc):
     delta_inv = [expansion.pairing(eps[i], eps[i]) for i in range(n)]
     delta = [d.invert(trunc=trunc) for d in delta_inv]
     sqrt_delta = [d.sqrt(trunc=trunc) for d in delta]
-    # canonical coordinates from the dual frame
-    E = SeriesMatrix([[eps[i][mu] for i in range(n)] for mu in range(n)])
-    Einv = E.inverse(trunc=trunc)
-    u = []
-    du_chart = []
-    vars_ = [param] + expansion.background
-    J = SeriesMatrix([[PuiseuxSeries.from_poly(expansion.subs[c].derivative(v), param)
-                       for v in vars_] for c in chart.coords])
-    for i in range(n):
-        flat_components = Einv.entries[i]
-        comp = [sum((flat_components[mu] * J.entries[mu][a] for mu in range(n)),
-                    PuiseuxSeries.zero(param))
-                for a in range(len(vars_))]
-        du_chart.append(comp)
-        u.append(integrate_oneform(comp, param, expansion.background))
+    # canonical coordinates from the dual frame: the rows of E^{-1} are the
+    # du_i in the flat basis, and E^{-1} J carries them to the chart variables
+    einv = SeriesMatrix(eps).transpose().inverse(trunc=trunc)
+    du_chart = (einv * expansion.jacobian()).entries
+    u = [integrate_oneform(comp, param, expansion.background) for comp in du_chart]
     psi = SeriesMatrix([[eps[i][mu] * sqrt_delta[i] for i in range(n)]
                         for mu in range(n)])
-    frame = IdempotentFrame(expansion, eps, u, delta_inv, delta, sqrt_delta, psi)
-    frame._einv = Einv
-    frame.probe = probe_vec
-    frame.roots = roots
-    frame.vars = vars_
-    frame.du_chart = du_chart
+    frame = IdempotentFrame(expansion, eps, u, delta_inv, delta, sqrt_delta, psi,
+                            einv, roots, du_chart)
     verify_frame(frame)
     return frame
+
+
+def _identity_defect(matrix):
+    """The first (i, j) at which a square SeriesMatrix differs from Id, or None."""
+    for i, row in enumerate(matrix.entries):
+        for j, e in enumerate(row):
+            if not (e - int(i == j)).is_zero():
+                return i, j
+    return None
 
 
 def verify_frame(frame):
@@ -722,25 +694,13 @@ def verify_frame(frame):
         if o > 0:
             raise ChartError("idempotent %d has positive order" % i)
     # du_i(eps_j) = delta_ij
-    for i in range(n):
-        for j in range(n):
-            val = sum((frame._einv.entries[i][mu] * frame.eps[j][mu]
-                       for mu in range(n)), PuiseuxSeries.zero(exp.param))
-            want = 1 if i == j else 0
-            if not (val - want).is_zero():
-                raise ChartError("dual-frame identity fails at (%d,%d)" % (i, j))
+    bad = _identity_defect(frame.einv * SeriesMatrix(frame.eps).transpose())
+    if bad:
+        raise ChartError("dual-frame identity fails at (%d,%d)" % bad)
     # Psi^T eta Psi = Id
-    eta = exp.chart.metric
-    psi = frame.psi
-    for i in range(n):
-        for j in range(n):
-            acc = PuiseuxSeries.zero(exp.param)
-            for a in range(n):
-                for b in range(n):
-                    if eta[a][b]:
-                        acc = acc + psi.entries[a][i] * psi.entries[b][j] * eta[a][b]
-            if not (acc - (1 if i == j else 0)).is_zero():
-                raise ChartError("Psi^T eta Psi != Id at (%d,%d)" % (i, j))
+    bad = _identity_defect(frame.psi_inv() * frame.psi)
+    if bad:
+        raise ChartError("Psi^T eta Psi != Id at (%d,%d)" % bad)
 
 
 def series_rational_power(series, exponent, trunc=None):

@@ -29,12 +29,11 @@ class StableGraph:
 
     __slots__ = ("genera", "legs", "edges", "_aut")
 
-    def __init__(self, genera, legs, edges, _canonical=False):
+    def __init__(self, genera, legs, edges):
         genera = tuple(int(g) for g in genera)
         legs = tuple(tuple(sorted(l)) for l in legs)
         edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        if not _canonical:
-            genera, legs, edges, _ = _canonical_labeling(genera, legs, edges)
+        genera, legs, edges, _ = _canonical_labeling(genera, legs, edges)
         self.genera = genera
         self.legs = legs
         self.edges = edges
@@ -193,15 +192,13 @@ class DecoratedGraph:
 
     __slots__ = ("graph", "leg_psi", "edge_psi", "kappa", "_key")
 
-    def __init__(self, graph, leg_psi=None, edge_psi=None, kappa=None,
-                 _canonical=False):
+    def __init__(self, graph, leg_psi=None, edge_psi=None, kappa=None):
         self.graph = graph
         leg_psi = dict(leg_psi or {})
         self.leg_psi = tuple(sorted((l, e) for l, e in leg_psi.items() if e))
         edge_psi = list(edge_psi or [(0, 0)] * len(graph.edges))
         kappa = list(kappa or [()] * graph.num_vertices)
-        if not _canonical:
-            edge_psi, kappa = _canonical_decoration(graph, edge_psi, kappa)
+        edge_psi, kappa = _canonical_decoration(graph, edge_psi, kappa)
         self.edge_psi = tuple(tuple(x) for x in edge_psi)
         self.kappa = tuple(tuple(sorted(k)) for k in kappa)
         self._key = (graph.key(), self.leg_psi, self.edge_psi, self.kappa)

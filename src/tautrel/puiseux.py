@@ -404,6 +404,20 @@ class PuiseuxSeries:
 # matrices over PuiseuxSeries
 
 
+def cofactor_det(rows):
+    """Determinant of a nonempty square list of rows by cofactor expansion
+    along the first row; the entries may come from any commutative ring."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 class SeriesMatrix:
     __slots__ = ("rows", "cols", "entries")
 
@@ -481,19 +495,9 @@ class SeriesMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return PuiseuxSeries.const(1)
-        if n == 1:
-            return self.entries[0][0]
-        acc = None
-        for j in range(n):
-            minor = SeriesMatrix([row[:j] + row[j + 1:] for row in self.entries[1:]])
-            term = self.entries[0][j] * minor.det()
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        return cofactor_det(self.entries)
 
     def adjugate(self):
         n = self.rows
@@ -501,13 +505,10 @@ class SeriesMatrix:
             return SeriesMatrix([[PuiseuxSeries.const(1, self.entries[0][0].param)]])
         cof = [[None] * n for _ in range(n)]
         for i in range(n):
+            rows = [r for k, r in enumerate(self.entries) if k != i]
             for j in range(n):
-                rows = [r for k, r in enumerate(self.entries) if k != i]
-                minor = SeriesMatrix([row[:j] + row[j + 1:] for row in rows])
-                c = minor.det()
-                if (i + j) % 2:
-                    c = -c
-                cof[j][i] = c
+                c = cofactor_det([row[:j] + row[j + 1:] for row in rows])
+                cof[j][i] = -c if (i + j) % 2 else c
         return SeriesMatrix(cof)
 
     def inverse(self, trunc=None):

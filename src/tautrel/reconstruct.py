@@ -43,6 +43,9 @@ class CohFTSpec:
         # the vector inside T(psi), in normalized coordinates; defaults to 1
         self.dilaton_vector = (dilaton_vector if dilaton_vector is not None
                                else frame.unit_normalized())
+        self._leaf_cache = {}       # see dilaton_leaf
+        self._vertex_cache = {}     # see vertex_contributions
+        self._weight_cache = {}     # see graph_weights
 
     @property
     def dim(self):
@@ -130,25 +133,24 @@ def edge_series(spec, bound):
 
 
 def dilaton_leaf(spec, bound):
-    """T(psi) = psi (Id - A(psi)) v as {power: component list}; O(psi^2)."""
-    cache = getattr(spec, "_leaf_cache", None)
-    if cache is not None and cache[0] >= bound:
-        return {p: c for p, c in cache[1].items() if p <= bound}
+    """T(psi) = psi (Id - A(psi)) v as {power: component list}; O(psi^2).
+
+    Each power is formed once per spec: ``spec._leaf_cache`` maps it to its
+    components, or to None where they vanish.
+    """
     A = spec.R.orders
     v = spec.dilaton_vector
-    n = spec.dim
-    # psi^1 term: (Id - A[0]) v = 0
-    first = [v[i] - A[0].apply(v)[i] for i in range(n)]
-    if any(not c.is_zero() for c in first):
-        raise ChartError("dilaton leaf has a nonzero psi^1 term")
-    out = {}
-    for p in range(2, bound + 1):
-        if p - 1 < len(A):
+    cache = spec._leaf_cache
+    if not cache:
+        # psi^1 term: (Id - A[0]) v = 0
+        if any(not (a - b).is_zero() for a, b in zip(v, A[0].apply(v))):
+            raise ChartError("dilaton leaf has a nonzero psi^1 term")
+    for p in range(2, min(bound, len(A)) + 1):
+        if p not in cache:
             comp = A[p - 1].apply(v)
-            if any(not c.is_zero() for c in comp):
-                out[p] = [-c for c in comp]
-    spec._leaf_cache = (bound, out)
-    return out
+            cache[p] = ([-c for c in comp] if any(not c.is_zero() for c in comp)
+                        else None)
+    return {p: cache[p] for p in range(2, bound + 1) if cache.get(p) is not None}
 
 
 def _push_extras(powers, gv, nmark):
@@ -187,10 +189,7 @@ def vertex_contributions(spec, gv, nmark, color, budget):
     The extra codim of a k-tuple (b_1..b_k) is sum(b_l) - k >= k; together
     with T = O(psi^2) this makes the k-sum finite at every budget.
     """
-    cache = getattr(spec, "_vertex_cache", None)
-    if cache is None:
-        cache = {}
-        spec._vertex_cache = cache
+    cache = spec._vertex_cache
     key = (gv, nmark, color, budget)
     if key in cache:
         return cache[key]
@@ -276,10 +275,7 @@ def graph_weights(spec, g, n, bound):
     ``_leg_psi_weights``); it is filled as insertion tuples ask for them, so
     every (graph, leg psi) pair is summed once per spec.
     """
-    cache = getattr(spec, "_weight_cache", None)
-    if cache is None:
-        cache = {}
-        spec._weight_cache = cache
+    cache = spec._weight_cache
     key = (g, n, bound)
     if key not in cache:
         graphs = []
@@ -397,12 +393,11 @@ def genus_one_correlator(spec, flat_field):
     param = frame.param
     X = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
          for c in flat_field]
+    du = frame.einv.apply(X)
     total = PuiseuxSeries.zero(param)
     for i in range(frame.dim):
         dlog = exp.derivative_along(frame.delta[i], X) * frame.delta_inv[i]
         total = total + dlog * Fraction(1, 48)
-        du_i = sum((frame._einv.entries[i][mu] * X[mu] for mu in range(frame.dim)),
-                   PuiseuxSeries.zero(param))
-        total = total - spec.R[1].entries[i][i] * du_i * Fraction(1, 2)
+        total = total - spec.R[1].entries[i][i] * du[i] * Fraction(1, 2)
     return total
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .frobenius import ChartError, NonSemisimpleError, integrate_oneform, rref
+from .frobenius import (ChartError, NonSemisimpleError, _rational_roots,
+                        integrate_oneform, rref)
 from .multipoly import MultiPoly
 from .puiseux import PuiseuxSeries, SeriesMatrix
 
@@ -194,6 +195,12 @@ def gamma_ode(f):
     return 2 * f, -fd, fdd * Fraction(1, 24)
 
 
+def _coeffs_in(poly, var):
+    """{power of var: rational coefficient} of a polynomial in var alone."""
+    return {k: c.constant_value()
+            for k, c in PuiseuxSeries.from_poly(poly, var).coeffs.items()}
+
+
 def ode_series_solution(a, b, c, var, center, n_terms):
     """Power-series solution of a y' + b y + c = 0 at var = center.
 
@@ -209,23 +216,18 @@ def ode_series_solution(a, b, c, var, center, n_terms):
         b = b.substitute(var, shift)
         c = c.substitute(var, shift)
 
-    def coeff(poly, k):
-        if k < 0:
-            return Fraction(0)
-        return poly.coefficient(((var, Fraction(k)),) if k else ())
+    a, b, c = (_coeffs_in(poly, var) for poly in (a, b, c))
 
-    deg = 0
-    for poly in (a, b, c):
-        for mono in poly.terms:
-            for sym, e in mono:
-                if sym == var:
-                    deg = max(deg, int(e))
+    def coeff(poly, k):
+        return poly.get(k, Fraction(0))
+
+    deg = max(max(poly, default=0) for poly in (a, b, c))
     a0, a1, b0 = coeff(a, 0), coeff(a, 1), coeff(b, 0)
     y = {}
 
     def equation_value(j):
         # known part of the t^j coefficient of a y' + b y + c from solved y's
-        val = Fraction(coeff(c, j))
+        val = coeff(c, j)
         for m in range(deg + 1):
             i = j - m + 1
             if i in y:
@@ -268,17 +270,16 @@ def rational_solution(a, b, c, var="t"):
     meromorphic solution exists.
     """
     deg_bound = 0
-    da = max((int(e) for mono in a.terms for s, e in mono if s == var), default=0)
-    db = max((int(e) for mono in b.terms for s, e in mono if s == var), default=0)
-    dc = max((int(e) for mono in c.terms for s, e in mono if s == var), default=0)
+    ca, cb, cc = (_coeffs_in(poly, var) for poly in (a, b, c))
+    da, db, dc = (max(poly, default=0) for poly in (ca, cb, cc))
     # leading balance: coefficient of t^(d + max(da-1, db))
     top = max(da - 1, db)
     for d in range(0, dc + da + db + 3):
         lead = Fraction(0)
         if da - 1 == top:
-            lead += a.coefficient(((var, Fraction(da)),)) * d
+            lead += ca.get(da, 0) * d
         if db == top:
-            lead += b.coefficient(((var, Fraction(db)),))
+            lead += cb.get(db, 0)
         if lead == 0:
             deg_bound = max(deg_bound, d)
     deg_bound = max(deg_bound, dc - top if top >= 0 else dc, 0)
@@ -288,19 +289,10 @@ def rational_solution(a, b, c, var="t"):
     for d, u in enumerate(unknowns):
         y = y + MultiPoly.var(u) * MultiPoly.var(var) ** d
     resid = a * y.derivative(var) + b * y + c
-    # collect linear equations by power of t
-    eqs = {}
-    for mono, coef in resid.terms.items():
-        tpow = 0
-        rest = []
-        for s, e in mono:
-            if s == var:
-                tpow = int(e)
-            else:
-                rest.append((s, e))
-        eq = eqs.setdefault(tpow, {})
-        key = rest[0][0] if rest else None
-        eq[key] = eq.get(key, Fraction(0)) + coef
+    # one linear equation per power of t: {unknown or None: coefficient}
+    eqs = {tpow: {(mono[0][0] if mono else None): coef
+                  for mono, coef in poly.terms.items()}
+           for tpow, poly in PuiseuxSeries.from_poly(resid, var).coeffs.items()}
     sol = _solve_linear(eqs, unknowns)
     if sol is None:
         return None
@@ -332,14 +324,7 @@ def solve_2d_family(f, centers=None, n_terms=12):
     a, b, c = gamma_ode(f)
     if centers is None:
         centers = []
-        from .frobenius import _rational_roots
-        poly = {}
-        for mono, coef in f.terms.items():
-            e = 0
-            for s, ex in mono:
-                if s == "t":
-                    e = int(ex)
-            poly[e] = poly.get(e, Fraction(0)) + coef
+        poly = _coeffs_in(f, "t")
         for root, _ in _rational_roots(poly, max(poly)):
             centers.append(root)
         if not any(x == 1 for x in centers):

@@ -155,7 +155,7 @@ def chart_to_json(chart) -> dict:
         "unit": [str(x) for x in chart.unit],
         "name": chart.name,
     }
-    if getattr(chart, "expansion_point", None) is not None:
+    if chart.expansion_point is not None:
         out["expansion_point"] = chart.expansion_point
     return out
 
@@ -171,11 +171,8 @@ def chart_from_json(data) -> FrobeniusChart:
         unit = [Fraction(x) for x in data["unit"]]
     else:
         unit = int(data["unit_index"])
-    chart = FrobeniusChart(coords, metric, potential, unit,
-                           name=data.get("name"))
-    if data.get("expansion_point") is not None:
-        chart.expansion_point = data["expansion_point"]
-    return chart
+    return FrobeniusChart(coords, metric, potential, unit, name=data.get("name"),
+                          expansion_point=data.get("expansion_point"))
 
 
 def load_chart(path) -> FrobeniusChart:

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from tautrel.charts import a2_chart
+from tautrel.charts import a2_chart, a3_expansion
 from tautrel.cli import main
+from tautrel.frobenius import idempotent_frame
 from tautrel.serialize import dump_chart
 
 
@@ -56,6 +57,16 @@ def test_frame_report_a3(tmp_path):
         assert "1/4*zeta3*phi^3" in data["u1_minus_u2"]
         # u1 - u2 = 1/4 zeta3 phi^3 has order 3/2 along t_D
         assert data["order_u1_minus_u2"] == "3/2"
+
+
+def test_builtin_a3_uses_its_expansion_point(tmp_path, capsys):
+    # the builtin a3 carries the double cover of charts.a3_expansion
+    assert run(["frame", "--chart", "a3", "--out", str(tmp_path)]) == 0
+    assert "(m = 1/2)" in capsys.readouterr().out
+    data = json.loads((tmp_path / "frame.json").read_text())
+    assert data["m"] == "1/2"
+    frame = idempotent_frame(a3_expansion(trunc=8))
+    assert data["idempotents"] == [[str(c) for c in eps] for eps in frame.eps]
 
 
 def test_malformed_chart_exit_code_2(tmp_path):
@@ -201,12 +212,14 @@ def test_verify_hand_written_document(tmp_path):
      "malformed relations document"),
     (["verify", "--relations-file", _relations_doc(rank=5)],
      "claims rank 5 but its relations span 1"),
+    (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",
         "relations-graph-outside-basis", "relations-coefficient-not-rational",
         "relations-coefficient-zero-denominator", "relations-unstable-cell",
-        "relations-edge-out-of-range", "relations-rank-mismatch"])
+        "relations-edge-out-of-range", "relations-rank-mismatch",
+        "family-not-in-t"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -7,9 +8,9 @@ from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
                             extend_chart, family_expansion)
 from tautrel.frobenius import (ChartError, FrobeniusChart, NonSemisimpleError,
                                idempotent_frame, local_structure_probe,
-                               newton_puiseux_roots, psi0_frame)
+                               newton_puiseux_roots, psi0_frame, verify_frame)
 from tautrel.multipoly import MultiPoly as MP
-from tautrel.puiseux import PuiseuxSeries as PS
+from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
 
 V = MP.var
 
@@ -317,3 +318,39 @@ def test_newton_puiseux_product_reproduces_polynomial():
             prod = new
         for i, c in enumerate(coeffs):
             assert (prod[i] - c).truncate(3).is_zero(), i
+
+
+def _corrupted_frames():
+    """Copies of a valid A2 x A1 frame, each breaking one invariant."""
+    frame = idempotent_frame(a2x_a1_expansion(trunc=6))
+    e0, e1, e2 = frame.eps
+    zero = PS.zero(frame.param)
+
+    def with_eps(eps):
+        bad = copy.copy(frame)
+        bad.eps = eps
+        return bad
+
+    bumped = [e0[0] + 1] + e0[1:]
+    idem = with_eps([bumped, e1, e2])
+    ortho = with_eps([e0, e0, e2])          # idempotent, not orthogonal
+    unit = with_eps([e0, e1, [zero] * 3])   # orthogonal, sums to 1 - eps_2
+    dual = copy.copy(frame)
+    rows = [list(row) for row in frame.einv.entries]
+    rows[0][0] = rows[0][0] + 1
+    dual.einv = SeriesMatrix(rows)
+    psi = copy.copy(frame)
+    rows = [list(row) for row in frame.psi.entries]
+    rows[0][0] = rows[0][0] * 2
+    psi.psi = SeriesMatrix(rows)
+    psi._psi_inv = None
+    return [(idem, "idempotency fails"), (ortho, "orthogonality fails"),
+            (unit, "do not sum to the unit"),
+            (dual, "dual-frame identity fails"),
+            (psi, r"Psi\^T eta Psi != Id")]
+
+
+def test_verify_frame_rejects_each_broken_invariant():
+    for bad, message in _corrupted_frames():
+        with pytest.raises(ChartError, match=message):
+            verify_frame(bad)

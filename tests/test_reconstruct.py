@@ -428,3 +428,26 @@ def test_reconstruct_artifact_pinned(tmp_path):
     text = json.dumps(data, indent=1, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "98e3c594fab62b0404a5dbd634e137b386ad24ebbfb70334e2156223e9fd607a")
+
+
+@pytest.mark.parametrize("argv, name, digest", [
+    (["frame", "--chart", "a2"], "frame.json",
+     "1d4661749d949708411415efc102ac51e38bf6619903397634cdcd1cce2a0731"),
+    (["frame", "--chart", "a2xa1", "--param", "t1"], "frame.json",
+     "5edd86fc118f5e7be954d1bcc3af9a39f8d813463c3b3319dcee326d9e543f25"),
+    (["rmatrix", "--chart", "a2", "--z-order", "4"], "rmatrix.json",
+     "3a2d1804f4e00fbcbd6b638271260c9dd4056afa85a95c250229e5af59dc9798"),
+    (["rmatrix", "--family", "t*(t+1)"], "rmatrix_family.json",
+     "9c3dda81b47ba479307cf5ce671911a44e1b1f2a9eefaba7b617fb98e8a61701"),
+    (["genus1", "--chart", "a2xa1", "--param", "t1"], "genus1.json",
+     "3f8f50c23225377a0b47c6987bcb14fccc54539a864a4d360c6f866529196cb3"),
+], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
+        "genus1-a2xa1"])
+def test_cli_artifact_pinned(tmp_path, argv, name, digest):
+    # sha256 of the artifact with the echoed output directory removed
+    from tautrel.cli import main
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / name).read_text())
+    del data["config"]["out"]
+    text = json.dumps(data, indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -65,6 +65,9 @@ def test_gamma_ode_solutions():
     # c-equation check: gamma = 0 solves 2 gdot - gdot... identically for f=t
     a, b, c = gamma_ode(t)
     assert (a * MP() + b * MP() + c).is_zero()
+    # a constant f has b = -f' = 0: gamma = 0 and no roots to expand at
+    diag_c = solve_2d_family(MP.const(3))
+    assert diag_c.gamma_global == MP() and list(diag_c.gamma_series) == [1]
 
 
 def test_no_meromorphic_solution_for_cubic():
@@ -242,5 +245,6 @@ def test_non_semisimple_chart_error():
     chart = FrobeniusChart(["t0", "t"], [[0, 1], [1, 0]],
                            V("t0") ** 2 * V("t") / 2, 0)
     exp = ChartExpansion(chart, "t", {"t0": V("t0"), "t": V("t")}, trunc=5)
-    with pytest.raises(NonSemisimpleError):
+    # each of the 15 nonzero vectors in [0, 3]^2 is tried once
+    with pytest.raises(NonSemisimpleError, match="tried 15 candidates"):
         idempotent_frame(exp)
