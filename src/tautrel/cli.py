@@ -20,7 +20,7 @@ from .frobenius import (ChartError, ChartExpansion, NonSemisimpleError,
 from .intersect import integrate_strata
 from .multipoly import NonUnitError
 from .reconstruct import (CohFTSpec, genus_one_correlator, reconstruct_class,
-                          to_normalized_insertion)
+                          to_normalized_insertion, unit_insertions)
 from .relations import (close_relations, compare_spans, extract_relations,
                         verify_relations)
 from .rmatrix import solve_2d_family, solve_flatness
@@ -169,6 +169,8 @@ def cmd_rmatrix(config):
         f = parse_poly(config["family"])
         if f.variables() - {"t"}:
             raise ParseError("--family must be a polynomial in t, got %s" % f)
+        if f.is_zero():
+            raise ParseError("--family f = 0 has no semisimple point")
         diag = solve_2d_family(f)
         payload = {
             "family": str(f),
@@ -203,10 +205,8 @@ def cmd_reconstruct(config):
     frame = idempotent_frame(exp)
     R = solve_flatness(frame, int(config["z_order"]), _constants(config))
     spec = CohFTSpec(frame, R)
-    insertions = []
-    for mu in flat:
-        vec = [Fraction(1) if k == mu else Fraction(0) for k in range(frame.dim)]
-        insertions.append(to_normalized_insertion(frame, vec))
+    units = unit_insertions(frame)
+    insertions = [units[mu] for mu in flat]
     cls = reconstruct_class(spec, g, n, insertions, int(config["codim"]))
     payload = vector_to_json(cls)
     path = _write(config, "reconstruct.json", payload)

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
 from math import factorial
-from operator import mul
 
 from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, enumerate_stable_graphs,
@@ -43,6 +41,7 @@ class CohFTSpec:
         # the vector inside T(psi), in normalized coordinates; defaults to 1
         self.dilaton_vector = (dilaton_vector if dilaton_vector is not None
                                else frame.unit_normalized())
+        self._leg_cache = []        # see leg_series
         self._leaf_cache = {}       # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
         self._weight_cache = {}     # see graph_weights
@@ -80,15 +79,18 @@ def tqft_value(spec, g, colors):
 def leg_series(spec, vector_normalized, psi_weight, bound):
     """The leg insertion A(psi) v in normalized coordinates, times psi^w.
 
-    Returns {psi power p: component list over colors}.
+    Returns {psi power p: component list over colors}.  The components
+    A[p] v are formed once per spec and vector: ``spec._leg_cache`` lists
+    (vector, [A[p] v for every order p]), found by equality.
     """
-    A = spec.R.orders
-    out = {}
-    for p in range(0, bound + 1 - psi_weight):
-        if p < len(A):
-            comp = A[p].apply(vector_normalized)
-            out[p + psi_weight] = comp
-    return out
+    for v, comps in spec._leg_cache:
+        if v == vector_normalized:
+            break
+    else:
+        comps = [a.apply(vector_normalized) for a in spec.R.orders]
+        spec._leg_cache.append((list(vector_normalized), comps))
+    return {p + psi_weight: comps[p]
+            for p in range(min(len(comps), bound + 1 - psi_weight))}
 
 
 def edge_series(spec, bound):
@@ -212,7 +214,7 @@ def vertex_contributions(spec, gv, nmark, color, budget):
                 prev = out.get(okey)
                 term = coeff * rat
                 out[okey] = term if prev is None else prev + term
-        if not T and k >= 0:
+        if not T:
             break
     cache[key] = out
     return out
@@ -226,6 +228,13 @@ def to_normalized_insertion(frame, flat_vector, psi_weight=0):
     return (frame.to_normalized(vec), psi_weight)
 
 
+def unit_insertions(frame):
+    """The flat basis fields e_0, ..., e_{dim-1} as normalized insertions."""
+    return [to_normalized_insertion(
+        frame, [Fraction(int(k == mu)) for k in range(frame.dim)])
+        for mu in range(frame.dim)]
+
+
 def reconstruct_class(spec, g, n, insertions, codim_bound):
     """The reconstruction as a StrataVector with Puiseux-series coefficients.
 
@@ -234,13 +243,28 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     multilinear in the insertions: the leg-independent weights of each graph
     and leg-psi assignment are built once per spec (``graph_weights``), and
     only the leg components are formed here and contracted against them.
+
+    A leg factor depends only on the multiset of (insertion class, psi
+    power, color) of its legs, where legs with equal insertions share a
+    class.  It is keyed by that sorted tuple and formed once per call, as
+    the factor of its longest proper prefix times one component.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
     bound = min(codim_bound, 3 * g - 3 + n)
-    legs_data = [leg_series(spec, v, w, bound) for v, w in insertions]
-    leg_choices = [sorted(data) for data in legs_data]
-    one = PuiseuxSeries.const(1, spec.param)
+    distinct = []
+    leg_class = []
+    for v, w in insertions:
+        for c, (cv, cw) in enumerate(distinct):
+            if cw == w and cv == v:
+                break
+        else:
+            c = len(distinct)
+            distinct.append((v, w))
+        leg_class.append(c)
+    class_data = [leg_series(spec, v, w, bound) for v, w in distinct]
+    leg_choices = [sorted(class_data[c]) for c in leg_class]
+    memo = {(): PuiseuxSeries.const(1, spec.param)}
     pairs = []
     B, graphs = graph_weights(spec, g, n, bound)
     for graph, leg_vertex, table in graphs:
@@ -250,20 +274,28 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
             if entries is None:
                 entries = _leg_psi_weights(spec, graph, leg_psi, B, bound)
                 table[leg_psi] = entries
-            comps = [data[p] for data, p in zip(legs_data, leg_psi)]
-            leg_factors = {}
+            legs = list(zip(leg_class, leg_psi, leg_vertex))
             for coloring, dg, weight in entries:
-                factor = leg_factors.get(coloring)
-                if factor is None:
-                    parts = [comp[coloring[v]]
-                             for comp, v in zip(comps, leg_vertex)]
-                    factor = reduce(mul, parts) if parts else one
-                    leg_factors[coloring] = factor
+                key = tuple(sorted([(c, p, coloring[v]) for c, p, v in legs]))
+                factor = _leg_factor(memo, key, class_data)
                 if not factor.is_zero():
                     pairs.append((dg, factor * weight))
     # summed in the order of the graph sum: a partial sum that cancels to
     # zero is dropped together with its truncation
     return StrataVector(g, n, pairs)
+
+
+def _leg_factor(memo, key, class_data):
+    """Product of the leg components named by the sorted ``key``, memoized
+    with every prefix; a one-leg factor is the component itself."""
+    factor = memo.get(key)
+    if factor is None:
+        c, p, color = key[-1]
+        comp = class_data[c][p][color]
+        factor = (comp if len(key) == 1
+                  else _leg_factor(memo, key[:-1], class_data) * comp)
+        memo[key] = factor
+    return factor
 
 
 def graph_weights(spec, g, n, bound):

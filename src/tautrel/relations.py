@@ -23,7 +23,7 @@ from .graphs import (DecoratedGraph, StrataVector, _rebuild,
                      forgetful_pushforward, gluing_pushforward, multiply_kappa,
                      multiply_psi)
 from .intersect import integrate_against_monomial, smooth_monomial_basis
-from .reconstruct import reconstruct_class, to_normalized_insertion
+from .reconstruct import reconstruct_class, unit_insertions
 
 
 class RelationSet:
@@ -128,18 +128,14 @@ def extract_relations(spec, cells):
     spec), so each reconstruction only contracts its own leg components.
     """
     rs = RelationSet(cells)
-    frame = spec.frame
+    units = unit_insertions(spec.frame)
     by_gn = {}
     for g, n, d in cells:
         by_gn.setdefault((g, n), []).append(d)
     for (g, n), ds in sorted(by_gn.items()):
         dmax = max(ds)
-        for combo in insertion_multisets(frame.dim, n):
-            insertions = []
-            for mu in combo:
-                vec = [Fraction(1) if k == mu else Fraction(0)
-                       for k in range(frame.dim)]
-                insertions.append(to_normalized_insertion(frame, vec))
+        for combo in insertion_multisets(spec.dim, n):
+            insertions = [units[mu] for mu in combo]
             cls = reconstruct_class(spec, g, n, insertions, dmax)
             for d in ds:
                 part = cls.codim_part(d)

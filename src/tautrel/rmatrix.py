@@ -321,6 +321,8 @@ def solve_2d_family(f, centers=None, n_terms=12):
 
     ``centers`` defaults to the rational roots of f plus t = 1 when regular.
     """
+    if f.is_zero():
+        raise ValueError("f = 0 has no semisimple point")
     a, b, c = gamma_ode(f)
     if centers is None:
         centers = []

@@ -213,13 +213,15 @@ def test_verify_hand_written_document(tmp_path):
     (["verify", "--relations-file", _relations_doc(rank=5)],
      "claims rank 5 but its relations span 1"),
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
+    (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
+    (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",
         "relations-graph-outside-basis", "relations-coefficient-not-rational",
         "relations-coefficient-zero-denominator", "relations-unstable-cell",
         "relations-edge-out-of-range", "relations-rank-mismatch",
-        "family-not-in-t"])
+        "family-not-in-t", "family-zero", "family-zero-times-t"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

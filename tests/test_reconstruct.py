@@ -2,20 +2,24 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from tautrel.charts import (a2_expansion, a2x_a1_expansion, extend_chart,
                             a2_chart, family_expansion)
 from tautrel.frobenius import ChartExpansion, idempotent_frame
-from tautrel.graphs import DecoratedGraph, StableGraph
+from tautrel.graphs import DecoratedGraph, StableGraph, StrataVector
 from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
+from tautrel import reconstruct
 from tautrel.reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift,
                                  edge_series, genus_one_correlator,
                                  leg_series, reconstruct_class,
-                                 to_normalized_insertion, tqft_value)
+                                 to_normalized_insertion, tqft_value,
+                                 unit_insertions)
 from tautrel.rmatrix import RMatrix, solve_flatness
 
 V = MP.var
@@ -417,6 +421,73 @@ def test_cached_graph_weights_do_not_change_the_class():
     assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
 
 
+def _leg_order_class(spec, g, n, insertions, codim_bound):
+    """The graph sum with every leg factor multiplied in label order, from
+    leg components formed afresh for each leg."""
+    bound = min(codim_bound, 3 * g - 3 + n)
+    A = spec.R.orders
+    legs_data = [{p + w: A[p].apply(v)
+                  for p in range(min(len(A), bound + 1 - w))}
+                 for v, w in insertions]
+    one = PS.const(1, spec.param)
+    pairs = []
+    B, graphs = reconstruct.graph_weights(spec, g, n, bound)
+    for graph, leg_vertex, table in graphs:
+        for leg_psi in reconstruct._bounded_assignments(
+                [sorted(data) for data in legs_data], bound - len(graph.edges)):
+            entries = table.get(leg_psi)
+            if entries is None:
+                entries = reconstruct._leg_psi_weights(spec, graph, leg_psi, B,
+                                                       bound)
+                table[leg_psi] = entries
+            comps = [data[p] for data, p in zip(legs_data, leg_psi)]
+            for coloring, dg, weight in entries:
+                parts = [comp[coloring[v]] for comp, v in zip(comps, leg_vertex)]
+                factor = reduce(mul, parts) if parts else one
+                if not factor.is_zero():
+                    pairs.append((dg, factor * weight))
+    return StrataVector(g, n, pairs)
+
+
+def _assert_same_class(a, b):
+    assert a.terms.keys() == b.terms.keys()
+    for dg, c in a.terms.items():
+        assert c == b.terms[dg] and c.trunc == b.terms[dg].trunc
+
+
+def test_shared_leg_products_match_leg_order(monkeypatch):
+    """Leg factors shared through their sorted (class, psi, color) prefixes
+    give the class of the label-order products, truncations included."""
+    frame = idempotent_frame(a2x_a1_expansion(1, trunc=8))
+    spec = CohFTSpec(frame, solve_flatness(frame, K=3))
+    e0, e1, e2 = [v for v, _ in unit_insertions(frame)]
+    m02, _ = to_normalized_insertion(frame, [1, 0, 1])
+    m12, _ = to_normalized_insertion(frame, [0, 1, 1])
+    cases = [
+        # repeated insertions
+        (0, 5, [(e0, 0), (e1, 0), (e1, 0), (e0, 0), (e1, 0)], 2),
+        # one vector with psi weights 0 and 1
+        (0, 5, [(e1, 0), (e1, 1), (e1, 0), (e1, 0), (e0, 0)], 2),
+        # non-unit vectors, repeated and psi-weighted
+        (0, 5, [(m02, 0), (e1, 0), (m02, 0), (e1, 0), (e1, 0)], 2),
+        (0, 5, [(m02, 0), (e1, 0), (m02, 1), (e1, 0), (m02, 0)], 2),
+        (1, 3, [(m12, 0), (e1, 0), (m12, 0)], 2),
+    ]
+    sizes = []
+    for g, n, insertions, codim in cases:
+        got = reconstruct_class(spec, g, n, insertions, codim)
+        _assert_same_class(
+            got, _leg_order_class(spec, g, n, insertions, codim))
+        sizes.append(len(got.terms))
+    assert min(sizes) > 0
+    # the dilaton shift repeats one (v, 1) insertion k times
+    ins = [(m02, 0)]
+    shifted = dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2)
+    monkeypatch.setattr(reconstruct, "reconstruct_class", _leg_order_class)
+    _assert_same_class(shifted, dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2))
+    assert shifted.terms
+
+
 def test_reconstruct_artifact_pinned(tmp_path):
     # sha256 of `tautrel reconstruct --chart a2 --gn 1,2 --codim 2` with the
     # echoed output directory removed
@@ -441,8 +512,11 @@ def test_reconstruct_artifact_pinned(tmp_path):
      "9c3dda81b47ba479307cf5ce671911a44e1b1f2a9eefaba7b617fb98e8a61701"),
     (["genus1", "--chart", "a2xa1", "--param", "t1"], "genus1.json",
      "3f8f50c23225377a0b47c6987bcb14fccc54539a864a4d360c6f866529196cb3"),
+    (["reconstruct", "--chart", "a2xa1", "--param", "t1", "--gn", "0,5",
+      "--codim", "2", "--insertion", "0,1,1,0,1"], "reconstruct.json",
+     "738b876450b244733e786d0a090dd28c7232728d2026aea36e5870de279da34c"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
-        "genus1-a2xa1"])
+        "genus1-a2xa1", "reconstruct-a2xa1-repeated"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
     from tautrel.cli import main

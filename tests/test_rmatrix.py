@@ -68,6 +68,9 @@ def test_gamma_ode_solutions():
     # a constant f has b = -f' = 0: gamma = 0 and no roots to expand at
     diag_c = solve_2d_family(MP.const(3))
     assert diag_c.gamma_global == MP() and list(diag_c.gamma_series) == [1]
+    # f = 0 is nowhere semisimple
+    with pytest.raises(ValueError, match="no semisimple point"):
+        solve_2d_family(MP())
 
 
 def test_no_meromorphic_solution_for_cubic():
