@@ -180,19 +180,22 @@ def smooth_monomial_basis(g, n, codim):
                  if dg.graph.num_vertices == 1 and not dg.graph.edges)
 
 
+@functools.lru_cache(maxsize=None)
 def pairing_matrix(g, n, d):
     """Partial-pairing Gram matrix between codim d and codim (dim - d).
 
-    Rows run over all decorated-graph generators of codimension d, columns
-    over the smooth psi-kappa monomials of complementary codimension.
+    Rows run over all decorated-graph generators of codimension d, in the
+    sorted order of ``enumerate_decorated_basis``, columns over the smooth
+    psi-kappa monomials of complementary codimension.  Memoized, as tuples:
+    the pairing check pairs every relation of a cell through it.
     """
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
         raise ValueError("codimension out of range")
-    rows = enumerate_decorated_basis(g, n, d)
+    rows = tuple(enumerate_decorated_basis(g, n, d))
     cols = smooth_monomial_basis(g, n, dim - d)
-    matrix = []
-    for r in rows:
-        vec = StrataVector.single(r)
-        matrix.append([integrate_against_monomial(vec, c) for c in cols])
+    matrix = tuple(
+        tuple(integrate_against_monomial(StrataVector.single(r), c)
+              for c in cols)
+        for r in rows)
     return rows, cols, matrix

@@ -15,25 +15,38 @@ type, iterated to a fixed point within the configured bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from .graphs import (DecoratedGraph, StrataVector, _rebuild,
                      enumerate_decorated_basis, enumerate_stable_graphs,
                      forgetful_pushforward, gluing_pushforward, multiply_kappa,
                      multiply_psi)
-from .intersect import integrate_against_monomial, smooth_monomial_basis
+from .intersect import pairing_matrix
 from .reconstruct import reconstruct_class, unit_insertions
+
+
+@functools.lru_cache(maxsize=None)
+def cell_basis(cell):
+    """(basis, index) of a (g, n, codim) cell: the sorted decorated graphs
+    and their ``key -> column`` map.  A basis depends only on the cell, so
+    every RelationSet and every operator map reads this one memo."""
+    g, n, d = cell
+    basis = tuple(enumerate_decorated_basis(g, n, d))
+    return basis, {dg.key(): i for i, dg in enumerate(basis)}
 
 
 class RelationSet:
     """Per-(g, n, codim) spans of rational strata vectors, kept reduced.
 
     Each cell holds its reduced row echelon basis as a ``pivot column ->
-    row`` map, every row a sparse ``{column: Fraction}`` dict.  Rows are
-    fully reduced (zero at every other row's pivot), so one pass of
-    ``_reduce`` is exact, and the basis depends only on the span: rows are
-    read in ascending pivot order.
+    row`` map.  A row is a sparse ``{column: int}`` dict, primitive (its
+    entries have gcd 1) with a positive pivot entry, and fully reduced (zero
+    at every other row's pivot), so one pass of ``_reduce`` is exact and the
+    rows depend only on the span.  ``vectors`` divides each row by its pivot
+    entry, which gives the rational RREF basis in ascending pivot order.
     """
 
     def __init__(self, cells):
@@ -42,36 +55,43 @@ class RelationSet:
         self.index = {}
         self.pivots = {cell: {} for cell in self.cells}    # pivot -> row
         for cell in self.cells:
-            g, n, d = cell
-            basis = enumerate_decorated_basis(g, n, d)
-            self.basis[cell] = basis
-            self.index[cell] = {dg.key(): i for i, dg in enumerate(basis)}
+            self.basis[cell], self.index[cell] = cell_basis(cell)
 
     def to_row(self, cell, vector):
+        """The rational ``{column: Fraction}`` row of a StrataVector."""
         index = self.index[cell]
         return {index[dg.key()]: Fraction(c)
                 for dg, c in vector.terms.items() if c}
 
+    def _integer_row(self, cell, vector):
+        """A fresh integer row: a StrataVector with its denominators
+        cleared, or a copy of an integer row without its zero entries."""
+        if not isinstance(vector, StrataVector):
+            return {c: x for c, x in vector.items() if x}
+        row = self.to_row(cell, vector)
+        m = lcm(*(x.denominator for x in row.values()))
+        return {c: x.numerator * (m // x.denominator) for c, x in row.items()}
+
     def _reduce(self, cell, row):
-        """Subtract from ``row`` (in place) the rows whose pivots it hits."""
+        """Eliminate (in place) every pivot column that ``row`` hits."""
         pivots = self.pivots[cell]
-        for f, r in [(row[c], pivots[c]) for c in row if c in pivots]:
-            _subtract(row, f, r)
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
         return row
 
     def add(self, cell, vector):
-        """Row-reduce a new vector into the cell; True if independent."""
-        row = self._reduce(cell, self.to_row(cell, vector))
+        """Row-reduce a StrataVector or an integer row into the cell; True
+        if it was independent."""
+        row = self._reduce(cell, self._integer_row(cell, vector))
         if not row:
             return False
         piv = min(row)
-        d = row[piv]
-        for c in row:
-            row[c] /= d
+        _make_primitive(row, piv)
         pivots = self.pivots[cell]
-        for r in pivots.values():
+        for p, r in pivots.items():
             if piv in r:
-                _subtract(r, r[piv], row)
+                _eliminate(r, piv, row)
+                _make_primitive(r, p)
         pivots[piv] = row
         return True
 
@@ -83,7 +103,7 @@ class RelationSet:
             row = pivots[piv]
             vec = StrataVector(cell[0], cell[1])
             for i in sorted(row):
-                vec.terms[basis[i]] = row[i]
+                vec.terms[basis[i]] = Fraction(row[i], row[piv])
             out.append(vec)
         return out
 
@@ -91,7 +111,8 @@ class RelationSet:
         return len(self.pivots[cell])
 
     def contains(self, cell, vector):
-        return not self._reduce(cell, self.to_row(cell, vector))
+        """Whether a StrataVector or an integer row lies in the span."""
+        return not self._reduce(cell, self._integer_row(cell, vector))
 
     def copy(self):
         # basis and index are read-only after __init__, so they are shared
@@ -104,14 +125,33 @@ class RelationSet:
         return out
 
 
-def _subtract(row, f, other):
-    """row -= f * other on sparse rows, dropping entries that cancel."""
-    for c, y in other.items():
-        x = row.get(c, 0) - f * y
+def _eliminate(row, c, other):
+    """row := a * row - b * other with a, b coprime and ``row[c]`` cleared,
+    on sparse integer rows (``a = other[c] > 0``); entries that cancel are
+    dropped."""
+    a, b = other[c], row[c]
+    k = gcd(a, b)
+    a, b = a // k, b // k
+    if a != 1:
+        for i in row:
+            row[i] *= a
+    for i, y in other.items():
+        x = row.get(i, 0) - b * y
         if x:
-            row[c] = x
+            row[i] = x
         else:
-            del row[c]
+            del row[i]
+
+
+def _make_primitive(row, piv):
+    """Divide a nonzero integer row by its content, signed so that the
+    entry at ``piv`` comes out positive."""
+    k = gcd(*row.values())
+    if row[piv] < 0:
+        k = -k
+    if k != 1:
+        for i in row:
+            row[i] //= k
 
 
 def insertion_multisets(dim, n):
@@ -187,59 +227,112 @@ def relabel_legs(vector, perm):
 def close_relations(rs):
     """Smallest stable system containing rs, within its cells.
 
-    Worklist closure: every vector added is processed once against all
-    operations.  Adjacent leg transpositions generate the full relabeling
-    action on spans, so only those are applied.  For the same reason ``vec``
-    is grafted with its legs as they are: every relabeling of ``vec`` lies in
-    its cell's closed span, and grafting is linear, so grafting the
-    relabelings adds nothing the identity grafts of the span's vectors do not
-    already give.
+    Worklist closure on basis coordinates: every integer row accepted is
+    processed once against all operations, each a column map from its
+    cell's basis to the target cell's basis (``operator_map``).  Adjacent
+    leg transpositions generate the full relabeling action on spans, so only
+    those are applied.  For the same reason a row is grafted with its legs as
+    they are: every relabeling lies in its cell's closed span, and grafting
+    is linear, so grafting the relabelings adds nothing the identity grafts
+    of the span's rows do not already give.
     """
     out = rs.copy()
-    cells = set(out.cells)
-    frontier = [(cell, vec) for cell in out.cells for vec in out.vectors(cell)]
+    cells = out.cells
+    # copies: back-substitution changes the stored rows in place
+    frontier = [(cell, dict(row)) for cell in cells
+                for row in out.pivots[cell].values()]
+    maps = {}     # source cell -> [(target cell, operator map)]
     while frontier:
-        cell, vec = frontier.pop()
-        g, n, d = cell
-
-        def push(target, vector):
-            if target in cells and out.add(target, vector):
-                frontier.append((target, vector))
-
-        for i in range(1, n):
-            perm = {k: k for k in range(1, n + 1)}
-            perm[i], perm[i + 1] = i + 1, i
-            push(cell, relabel_legs(vec, perm))
-        for i in range(1, n + 1):
-            push((g, n, d + 1), multiply_psi(vec, i))
-        for a in range(1, max(dd for _, _, dd in cells) - d + 1):
-            push((g, n, d + a), multiply_kappa(vec, a))
-        if (2 * g - 2 + n - 1) > 0 and d >= 1 and n >= 1:
-            push((g, n - 1, d - 1), forgetful_pushforward(vec))
-        for target in cells:
-            g2, n2, d2 = target
-            extra = d2 - d
-            if extra < 1 or g2 < g or (g2, n2) == (g, n):
-                continue
-            for graph in enumerate_stable_graphs(g2, n2, extra):
-                if len(graph.edges) != extra:
-                    continue
-                for glued in _graft_everywhere(graph, vec):
-                    push(target, glued)
+        cell, row = frontier.pop()
+        if cell not in maps:
+            maps[cell] = [(target, operator_map(cell, op, target))
+                          for op, target in closure_operations(cell, cells)]
+        for target, opmap in maps[cell]:
+            image = _apply_map(opmap, row)
+            if image and out.add(target, image):
+                frontier.append((target, image))
     return out
 
 
-def _graft_everywhere(graph, vec):
-    """Insert ``vec`` at every matching vertex of ``graph``, with the
-    fundamental class at every other vertex (all are stable types)."""
-    g, n = vec.g, vec.n
-    for v in range(graph.num_vertices):
-        if graph.genera[v] != g or len(graph.vertex_markings(v)) != n:
+def closure_operations(cell, cells):
+    """(operation, target cell) pairs of the closure from ``cell`` into
+    ``cells``.  An operation is ``("swap", i)`` (legs i and i + 1),
+    ``("psi", i)``, ``("kappa", a)``, ``("forget",)`` (the last leg) or
+    ``("glue", graph, v)``: graft into ``graph`` at vertex v, with the
+    fundamental class at every other vertex."""
+    g, n, d = cell
+    dmax = max(dd for _, _, dd in cells)
+    ops = [(("swap", i), cell) for i in range(1, n)]
+    ops += [(("psi", i), (g, n, d + 1)) for i in range(1, n + 1)]
+    ops += [(("kappa", a), (g, n, d + a)) for a in range(1, dmax - d + 1)]
+    if (2 * g - 2 + n - 1) > 0 and d >= 1 and n >= 1:
+        ops.append((("forget",), (g, n - 1, d - 1)))
+    for target in cells:
+        g2, n2, d2 = target
+        extra = d2 - d
+        if extra < 1 or g2 < g or (g2, n2) == (g, n):
             continue
-        yield gluing_pushforward(graph, [
-            vec if w == v else StrataVector.single(DecoratedGraph.smooth(
-                graph.genera[w], len(graph.vertex_markings(w))))
-            for w in range(graph.num_vertices)])
+        for graph in enumerate_stable_graphs(g2, n2, extra):
+            if len(graph.edges) != extra:
+                continue
+            for v in range(graph.num_vertices):
+                if graph.genera[v] == g and \
+                        len(graph.vertex_markings(v)) == n:
+                    ops.append((("glue", graph, v), target))
+    return [(op, target) for op, target in ops if target in cells]
+
+
+@functools.lru_cache(maxsize=None)
+def operator_map(source, op, target):
+    """The closure operation ``op`` as a column map: entry j is the integer
+    row, in the target cell's basis, of the operation applied to source basis
+    element j.  Memoized: it does not depend on the chart, so every closure
+    of a run shares it."""
+    basis, _ = cell_basis(source)
+    _, index = cell_basis(target)
+    return tuple(
+        _integral_row(index, _graph_operation(op, StrataVector.single(dg)))
+        for dg in basis)
+
+
+def _graph_operation(op, vec):
+    kind = op[0]
+    if kind == "swap":
+        i = op[1]
+        perm = {k: k for k in range(1, vec.n + 1)}
+        perm[i], perm[i + 1] = i + 1, i
+        return relabel_legs(vec, perm)
+    if kind == "psi":
+        return multiply_psi(vec, op[1])
+    if kind == "kappa":
+        return multiply_kappa(vec, op[1])
+    if kind == "forget":
+        return forgetful_pushforward(vec)
+    _, graph, v = op
+    return gluing_pushforward(graph, [
+        vec if w == v else StrataVector.single(DecoratedGraph.smooth(
+            graph.genera[w], len(graph.vertex_markings(w))))
+        for w in range(graph.num_vertices)])
+
+
+def _integral_row(index, vector):
+    row = {}
+    for dg, c in vector.terms.items():
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise ValueError("closure operation has a non-integral "
+                             "coefficient %s" % c)
+        row[index[dg.key()]] = c.numerator
+    return row
+
+
+def _apply_map(opmap, row):
+    """The integer row image of ``row`` under a column map."""
+    out = {}
+    for c, x in row.items():
+        for t, y in opmap[c].items():
+            out[t] = out.get(t, 0) + x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +346,17 @@ def compare_spans(rs1, rs2):
     for cell in rs1.cells:
         if cell not in rs2.pivots:
             continue
-        left_in = all(rs2.contains(cell, v) for v in rs1.vectors(cell))
-        right_in = all(rs1.contains(cell, v) for v in rs2.vectors(cell))
-        if left_in and right_in:
+        left, right = rs1.vectors(cell), rs2.vectors(cell)
+        left_out = [not rs2.contains(cell, v) for v in left]
+        right_out = [not rs1.contains(cell, v) for v in right]
+        if not any(left_out) and not any(right_out):
             out[cell] = ("equal", None)
-        elif left_in:
-            w = next(v for v in rs2.vectors(cell) if not rs1.contains(cell, v))
-            out[cell] = ("left in right", w)
-        elif right_in:
-            w = next(v for v in rs1.vectors(cell) if not rs2.contains(cell, v))
-            out[cell] = ("right in left", w)
+        elif not any(left_out):
+            out[cell] = ("left in right", right[right_out.index(True)])
+        elif not any(right_out):
+            out[cell] = ("right in left", left[left_out.index(True)])
         else:
-            w = next(v for v in rs1.vectors(cell) if not rs2.contains(cell, v))
-            out[cell] = ("incomparable", w)
+            out[cell] = ("incomparable", left[left_out.index(True)])
     return out
 
 
@@ -284,12 +375,24 @@ def verify_relations(rs):
 
 
 def verify_vector(vector, codim):
-    """Pairing report for one vector; list of (monomial, value) nonzero."""
+    """Pairing report for one vector; list of (monomial, value) nonzero.
+
+    The vector is paired through the cell's partial-pairing matrix, whose
+    rows are the cell's basis.
+    """
     g, n = vector.g, vector.n
-    dim = 3 * g - 3 + n
+    _, cols, matrix = pairing_matrix(g, n, codim)
+    _, index = cell_basis((g, n, codim))
+    row = []
+    for dg, c in vector.terms.items():
+        i = index.get(dg.key())
+        if i is None:
+            raise ValueError("%r is not a codimension-%d generator of "
+                             "(g, n) = (%d, %d)" % (dg, codim, g, n))
+        row.append((matrix[i], c))
     out = []
-    for mono in smooth_monomial_basis(g, n, dim - codim):
-        val = integrate_against_monomial(vector, mono)
+    for j, mono in enumerate(cols):
+        val = sum(pairings[j] * c for pairings, c in row)
         if val != 0:
             out.append((mono, val))
     return out

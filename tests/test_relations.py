@@ -4,12 +4,15 @@ from fractions import Fraction as F
 
 from tautrel.charts import a2_expansion, a2x_a1_expansion
 from tautrel.frobenius import idempotent_frame
-from tautrel.graphs import DecoratedGraph, StrataVector, _canonical_labeling
+from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
+                            forgetful_pushforward, gluing_pushforward,
+                            multiply_kappa, multiply_psi)
 from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
-from tautrel.relations import (RelationSet, close_relations, compare_spans,
-                               extract_relations, verify_relations,
-                               verify_vector)
+from tautrel.relations import (RelationSet, close_relations,
+                               closure_operations, compare_spans,
+                               extract_relations, operator_map, relabel_legs,
+                               verify_relations, verify_vector)
 from tautrel.rmatrix import RMatrix, solve_flatness
 from tautrel.serialize import relations_from_json, relations_to_json
 
@@ -282,25 +285,39 @@ def test_sparse_rref_matches_dense_reference():
     cell = (0, 5, 2)
     template = RelationSet([cell])
     basis = template.basis[cell]
+    index = template.index[cell]
     ncols = len(basis)
     assert ncols == 127
 
     def strata(dense):
         return StrataVector(0, 5, {basis[i]: x for i, x in enumerate(dense)})
 
-    for seed in range(3):
-        rng = random.Random(1505 + seed)
+    def dense_rows(relations):
+        # the rational rows, read through the artifact path
+        rows = []
+        for vec in relations.vectors(cell):
+            row = [F(0)] * ncols
+            for dg, c in vec.terms.items():
+                row[index[dg.key()]] = c
+            rows.append(row)
+        return rows
+
+    # small denominators (three seeds), then large coprime primes
+    input_sets = [(1505 + seed, range(1, 5)) for seed in range(3)]
+    input_sets.append((1509, (89, 97, 101)))
+    for seed, denominators in input_sets:
+        rng = random.Random(seed)
 
         def sparse_dense():
             row = [F(0)] * ncols
             for i in rng.sample(range(ncols), rng.randint(1, 6)):
-                row[i] = F(rng.randint(-5, 5), rng.randint(1, 4))
+                row[i] = F(rng.randint(-5, 5), rng.choice(denominators))
             return row
 
         def combination(vectors):
             row = [F(0)] * ncols
             for vec in rng.sample(vectors, min(3, len(vectors))):
-                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                c = F(rng.randint(-3, 3), rng.choice(denominators))
                 row = [x + c * y for x, y in zip(row, vec)]
             return row
 
@@ -319,12 +336,7 @@ def test_sparse_rref_matches_dense_reference():
         assert sorted(rs.pivots[cell]) == pivots
         assert all(min(r) == p for p, r in rs.pivots[cell].items())
 
-        def dense_rows(relations):
-            return [[relations.pivots[cell][p].get(i, 0) for i in range(ncols)]
-                    for p in sorted(relations.pivots[cell])]
-
         assert dense_rows(rs) == rows
-        index = template.index[cell]
         for vec, row in zip(rs.vectors(cell), rows):
             assert [index[dg.key()] for dg in vec.terms] == \
                 sorted(index[dg.key()] for dg in vec.terms)
@@ -345,6 +357,67 @@ def test_sparse_rref_matches_dense_reference():
 
         back = relations_from_json(relations_to_json(rs))
         assert back.pivots[cell] == rs.pivots[cell]
+
+
+def reference_operation(op, vec):
+    """The graph operation a closure operation stands for."""
+    kind = op[0]
+    if kind == "swap":
+        perm = {k: k for k in range(1, vec.n + 1)}
+        perm[op[1]], perm[op[1] + 1] = op[1] + 1, op[1]
+        return relabel_legs(vec, perm)
+    if kind == "psi":
+        return multiply_psi(vec, op[1])
+    if kind == "kappa":
+        return multiply_kappa(vec, op[1])
+    if kind == "forget":
+        return forgetful_pushforward(vec, vec.n)
+    _, graph, v = op
+    local = []
+    for w in range(graph.num_vertices):
+        gw, nw = graph.genera[w], len(graph.vertex_markings(w))
+        if w == v:
+            assert (vec.g, vec.n) == (gw, nw)
+            local.append(vec)
+        else:
+            local.append(StrataVector.single(DecoratedGraph.smooth(gw, nw)))
+    return gluing_pushforward(graph, local)
+
+
+def test_closure_maps_match_graph_operations():
+    sources = [(0, 4, 1), (0, 5, 1), (1, 1, 1), (1, 2, 1)]
+    grafted = [(0, 5, 2), (1, 2, 2), (2, 0, 2)]
+    forgotten = [(0, 3, 0), (0, 4, 0), (1, 1, 0)]
+    cells = sources + grafted + forgotten
+    rs = RelationSet(cells)
+    rng = random.Random(1505)
+    kinds = set()
+    glued = set()
+    for source in sources:
+        basis = rs.basis[source]
+        for op, target in closure_operations(source, cells):
+            kinds.add(op[0])
+            if op[0] == "glue":
+                glued.add((source, target))
+            opmap = operator_map(source, op, target)
+            assert len(opmap) == len(basis)
+            for _ in range(2):
+                row = {i: F(rng.randint(-9, 9), rng.randint(1, 7))
+                       for i in rng.sample(range(len(basis)),
+                                           min(4, len(basis)))}
+                image = {}
+                for i, x in row.items():
+                    for t, y in opmap[i].items():
+                        image[t] = image.get(t, 0) + x * y
+                image = {t: x for t, x in image.items() if x}
+                vec = StrataVector(source[0], source[1],
+                                   {basis[i]: x for i, x in row.items()})
+                assert image == rs.to_row(
+                    target, reference_operation(op, vec)), (source, op)
+    assert kinds == {"swap", "psi", "kappa", "forget", "glue"}
+    assert glued == {((0, 4, 1), (0, 5, 2)), ((0, 4, 1), (1, 2, 2)),
+                     ((1, 1, 1), (1, 2, 2)), ((1, 1, 1), (2, 0, 2)),
+                     ((1, 2, 1), (2, 0, 2))}
 
 
 def test_closed_artifact_bytes_independent_of_order():
