@@ -7,6 +7,7 @@ from tautrel.frobenius import idempotent_frame
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
                             forgetful_pushforward, gluing_pushforward,
                             multiply_kappa, multiply_psi)
+from tautrel.intersect import integrate_against_monomial, smooth_monomial_basis
 from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
@@ -66,6 +67,14 @@ def test_corrupted_vector_flagged():
     # the fundamental-class 'relation' is flagged too
     fake = StrataVector.single(DecoratedGraph.smooth(1, 1, kappa=(1,)))
     assert verify_vector(fake, 1)
+    # the pairing matrix gives what multiplying by each monomial gives
+    rng = random.Random(11)
+    vec = StrataVector(0, 5, {dg: F(rng.randint(-5, 5), rng.randint(1, 5))
+                              for dg in RelationSet([(0, 5, 1)]).basis[(0, 5, 1)]})
+    expected = [(m, integrate_against_monomial(vec, m))
+                for m in smooth_monomial_basis(0, 5, 1)]
+    assert len(expected) == 6 and all(v for _, v in expected)
+    assert verify_vector(vec, 1) == expected
 
 
 def test_closure_idempotent_and_empty():
