@@ -8,7 +8,6 @@ from .frobenius import ChartExpansion, FrobeniusChart
 from .multipoly import MultiPoly
 
 V = MultiPoly.var
-C = MultiPoly.const
 
 
 def a2_chart():
@@ -23,20 +22,19 @@ def a2_expansion(trunc=6):
                           trunc=trunc)
 
 
-def family_chart(f, name=None):
+def family_chart(f):
     """Two-dimensional family with (d/dt)^2 = f(t) d/dt0 for a polynomial f."""
     t0 = V("t0")
     F = f.antiderivative("t").antiderivative("t").antiderivative("t")
     potential = t0 * t0 * V("t") / 2 + F
     return FrobeniusChart(["t0", "t"], [[0, 1], [1, 0]], potential, 0,
-                          name=name or "family")
+                          name="family")
 
 
-def family_expansion(f, base_point=0, trunc=6, name=None):
-    """Expansion of the 2d family at t = base_point (series variable t)."""
-    chart = family_chart(f, name=name)
-    shift = C(base_point) + V("t") if base_point else V("t")
-    return ChartExpansion(chart, "t", {"t0": V("t0"), "t": shift}, trunc=trunc)
+def family_expansion(f, trunc=6):
+    """Expansion of the 2d family at t = 0 (series variable t)."""
+    return ChartExpansion(family_chart(f), "t", {"t0": V("t0"), "t": V("t")},
+                          trunc=trunc)
 
 
 def a2_tilted_chart(alpha=1):

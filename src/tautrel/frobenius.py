@@ -281,9 +281,6 @@ def _initial_roots(points, coeffs, param):
     out = []
     for (i0, o0), (i1, o1) in zip(hull, hull[1:]):
         mu = Fraction(o0 - o1, i1 - i0)  # root order (slope is -mu)
-        if mu < 0:
-            # roots with negative order do not occur for our monic inputs
-            continue
         edge = [(i, coeffs[i].coeffs[min(coeffs[i].coeffs)])
                 for i, o in pts
                 if i0 <= i <= i1 and o == o0 - (i - i0) * mu and not coeffs[i].is_zero()]
@@ -392,15 +389,26 @@ def _rational_roots(poly, degree):
     return found
 
 
-def newton_puiseux_roots(coeffs, param, trunc, _depth=0):
+def newton_puiseux_roots(coeffs, param, trunc):
     """All roots of a monic polynomial with PuiseuxSeries coefficients.
 
     ``coeffs[i]`` is the coefficient of X**i; ``coeffs[-1]`` must be 1.
-    Roots are returned as PuiseuxSeries with truncation ``trunc``.
+    Roots are returned as PuiseuxSeries with truncation ``trunc``.  Raises
+    NonSemisimpleError unless the roots are pairwise distinct to truncation.
     """
-    trunc = Fraction(trunc)
+    roots = _puiseux_roots(coeffs, param, Fraction(trunc), 0)
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if (roots[i] - roots[j]).is_zero():
+                raise NonSemisimpleError(
+                    "non-semisimple direction: coincident roots to truncation")
+    return roots
+
+
+def _puiseux_roots(coeffs, param, trunc, depth):
+    """Roots of ``newton_puiseux_roots`` at recursion depth ``depth``."""
     d = len(coeffs) - 1
-    if _depth > 3 * d + 12:
+    if depth > 3 * d + 12:
         raise NonSemisimpleError("non-semisimple direction: branches do not separate")
     if d == 0:
         return []
@@ -410,7 +418,7 @@ def newton_puiseux_roots(coeffs, param, trunc, _depth=0):
             return [PuiseuxSeries.zero(param, trunc=trunc)]
         return [(-c0).truncate(trunc)]
     if coeffs[0].is_zero():
-        rest = newton_puiseux_roots(coeffs[1:], param, trunc, _depth + 1)
+        rest = _puiseux_roots(coeffs[1:], param, trunc, depth + 1)
         return [PuiseuxSeries.zero(param, trunc=trunc)] + rest
     points = [(i, c.order()) for i, c in enumerate(coeffs) if not c.is_zero()]
     roots = []
@@ -421,7 +429,7 @@ def newton_puiseux_roots(coeffs, param, trunc, _depth=0):
             roots.append(_newton_refine(coeffs, dcoeffs, x0, param, trunc))
         else:
             shifted = _shift_poly(coeffs, x0)
-            deeper = [y for y in newton_puiseux_roots(shifted, param, trunc, _depth + 1)
+            deeper = [y for y in _puiseux_roots(shifted, param, trunc, depth + 1)
                       if y.order() is None or y.order() > mu]
             if len(deeper) != mult:
                 raise NonSemisimpleError(
@@ -432,12 +440,6 @@ def newton_puiseux_roots(coeffs, param, trunc, _depth=0):
     if len(roots) != d:
         raise NonSemisimpleError(
             "found %d of %d root branches" % (len(roots), d))
-    if _depth == 0:
-        for i in range(d):
-            for j in range(i + 1, d):
-                if (roots[i] - roots[j]).is_zero():
-                    raise NonSemisimpleError(
-                        "non-semisimple direction: coincident roots to truncation")
     return roots
 
 
@@ -475,7 +477,9 @@ def _newton_refine(coeffs, dcoeffs, x0, param, trunc):
         if p_val.is_zero():
             break
         dp_val = _poly_eval(dcoeffs, y)
-        corr = p_val * dp_val.invert(trunc=trunc)
+        # the correction must be known to trunc; a residual of negative
+        # order (a root of negative order) needs the inverse that much further
+        corr = p_val * dp_val.invert(trunc=trunc - min(0, p_val.order()))
         y = (y - corr).truncate(trunc)
         guard += 1
         if guard > 200:
@@ -558,9 +562,6 @@ class IdempotentFrame:
         """Flat-basis series vector -> normalized-idempotent coordinates."""
         return self.psi_inv().apply(vec)
 
-    def to_flat(self, vec):
-        return self.psi.apply(vec)
-
     def unit_normalized(self):
         """Coordinates of the unit field in the normalized basis: Delta^{-1/2}."""
         return [self.sqrt_delta[i].invert() for i in range(self.dim)]
@@ -596,11 +597,6 @@ def idempotent_frame(expansion, probe=None):
             roots = newton_puiseux_roots(char, expansion.param, trunc)
         except NonSemisimpleError as exc:
             failures.append((cand, str(exc)))
-            continue
-        ok = all(not (roots[i] - roots[j]).is_zero()
-                 for i in range(n) for j in range(i + 1, n))
-        if not ok:
-            failures.append((cand, "coincident root expansions"))
             continue
         return _frame_from_roots(expansion, M, roots, trunc)
     raise NonSemisimpleError(

@@ -400,9 +400,10 @@ def enumerate_decorated_basis(g, n, codim):
         edge_sides = [(idx, side) for idx in range(len(graph.edges))
                       for side in (0, 1)]
         nv = graph.num_vertices
-        for leg_part in _compositions_bounded(rest, slots):
+        for leg_part in _bounded_assignments([range(rest + 1)] * slots, rest):
             rest2 = rest - sum(leg_part)
-            for side_part in _compositions_bounded(rest2, len(edge_sides)):
+            for side_part in _bounded_assignments(
+                    [range(rest2 + 1)] * len(edge_sides), rest2):
                 rest3 = rest2 - sum(side_part)
                 for kappa_combo in _kappa_assignments(rest3, nv):
                     leg_psi = {l: e for l, e in zip(legs, leg_part) if e}
@@ -415,14 +416,17 @@ def enumerate_decorated_basis(g, n, codim):
     return sorted(out.values(), key=lambda d: d.key())
 
 
-def _compositions_bounded(maxtotal, parts):
-    """All tuples of nonnegative ints of length parts with sum <= maxtotal."""
-    if parts == 0:
+def _bounded_assignments(choice_lists, budget):
+    """Lexicographic tuples from sorted int lists with total <= budget."""
+    if not choice_lists:
         yield ()
         return
-    for first in range(maxtotal + 1):
-        for rest in _compositions_bounded(maxtotal - first, parts - 1):
-            yield (first,) + rest
+    first = choice_lists[0]
+    for x in first:
+        if x > budget:
+            break
+        for rest in _bounded_assignments(choice_lists[1:], budget - x):
+            yield (x,) + rest
 
 
 def _kappa_assignments(total, nv):

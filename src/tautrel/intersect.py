@@ -60,8 +60,9 @@ def _dvv(g, exps):
     k1 = exps[-1]            # tau_{k+1} with k+1 = k1
     k = k1 - 1
     if k < 0:
-        # all exponents zero away from the base cases: dimension forces g=0,n=3
-        return Fraction(0)
+        # all exponents zero: dimension forces (g, n) = (0, 3), a base case
+        raise ValueError("DVV recursion reached all-zero exponents at "
+                         "(g, n) = (%d, %d)" % (g, len(exps)))
     total = Fraction(0)
     for j in range(len(rest)):
         dj = rest[j]

@@ -439,14 +439,8 @@ class SeriesMatrix:
         return SeriesMatrix([[PuiseuxSeries.zero(param) for _ in range(cols)]
                              for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def map(self, fn):
         return SeriesMatrix([[fn(e) for e in row] for row in self.entries])
-
-    def truncate(self, trunc):
-        return self.map(lambda e: e.truncate(trunc))
 
     def __add__(self, other):
         return SeriesMatrix([[a + b for a, b in zip(r1, r2)]

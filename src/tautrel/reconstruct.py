@@ -9,14 +9,17 @@ The engine evaluates, for a semisimple frame with R-matrix,
 with A(psi) applied at legs, the symplectic edge bivector
 (A(psi_1) A(psi_2)^t - Id)/(-(psi_1+psi_2)) at edges and the dilaton leaf
 T(psi) = psi (Id - A(psi)) 1 at the extra markings, where A(z) is the
-flatness solution of the rmatrix module.  In the symplectic-group packaging
-the element acting on the TQFT is A(z)^{-1}; the orientation (A versus its
-inverse at the legs) is pinned by two independent anchors exercised in the
-tests: genus-zero integrals must equal derivatives of the potential, and the
-exponential chart (d/dt)^2 = e^t d/dt0 must integrate the genus-one one-point
-value -1/24 of the projective line.  Coefficients are exact Puiseux series;
-the output is a StrataVector whose basis elements are raw gluing pushforwards
-(no 1/|Aut| inside basis classes).
+flatness solution of the rmatrix module.  The pushforward pi_* of the
+extra-marking psi powers into vertex kappa classes is
+``graphs.forgetful_pushforward``, the one-point rule the closure uses too.
+In the symplectic-group packaging the element acting on the TQFT is
+A(z)^{-1}; the orientation (A versus its inverse at the legs) is pinned by
+two independent anchors exercised in the tests: genus-zero integrals must
+equal derivatives of the potential, and the exponential chart
+(d/dt)^2 = e^t d/dt0 must integrate the genus-one one-point value -1/24 of
+the projective line.  Coefficients are exact Puiseux series; the output is a
+StrataVector whose basis elements are raw gluing pushforwards (no 1/|Aut|
+inside basis classes).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from fractions import Fraction
 from math import factorial
 
 from .frobenius import ChartError
-from .graphs import (DecoratedGraph, StrataVector, enumerate_stable_graphs,
-                     forgetful_pushforward)
+from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
+                     enumerate_stable_graphs, forgetful_pushforward)
 from .puiseux import PuiseuxSeries, SeriesMatrix
 
 
@@ -155,41 +158,14 @@ def dilaton_leaf(spec, bound):
     return {p: cache[p] for p in range(2, bound + 1) if cache.get(p) is not None}
 
 
-def _push_extras(powers, gv, nmark):
-    """pi_* of prod psi^(b_l) at len(powers) extra points: {kappa tuple: coeff}.
-
-    Iterated one-point rule with the kappa comparison; all b_l >= 1 so no
-    string terms arise.
-    """
-    state = {(): Fraction(1)}
-    remaining = len(powers)
-    for b in reversed(powers):
-        remaining -= 1
-        new = {}
-        for kap, coeff in state.items():
-            kap_list = list(kap)
-            m = len(kap_list)
-            for mask in itertools.product([0, 1], repeat=m):
-                taken = [kap_list[i] for i in range(m) if mask[i]]
-                kept = tuple(kap_list[i] for i in range(m) if not mask[i])
-                B = b + sum(taken)
-                if B == 1:
-                    factor = 2 * gv - 2 + nmark + remaining
-                    key = tuple(sorted(kept))
-                    val = coeff * factor
-                else:
-                    key = tuple(sorted(kept + ((B - 1),)))
-                    val = coeff
-                new[key] = new.get(key, Fraction(0)) + val
-        state = {k: v for k, v in new.items() if v != 0}
-    return state
-
-
 def vertex_contributions(spec, gv, nmark, color, budget):
     """k-summed local vertex terms: {(extra codim, kappa tuple): series}.
 
     The extra codim of a k-tuple (b_1..b_k) is sum(b_l) - k >= k; together
-    with T = O(psi^2) this makes the k-sum finite at every budget.
+    with T = O(psi^2) this makes the k-sum finite at every budget.  The kappa
+    terms of a k-tuple come from ``forgetful_pushforward`` applied k times to
+    prod psi^(b_l) at the extra points; as every b_l >= 2, no string or
+    kappa_0 term arises.
     """
     cache = spec._vertex_cache
     key = (gv, nmark, color, budget)
@@ -209,8 +185,12 @@ def vertex_contributions(spec, gv, nmark, color, budget):
             coeff = coeff * spec.delta_power(color, base + k)
             if coeff.is_zero():
                 continue
-            for kap, rat in _push_extras(list(combo), gv, nmark).items():
-                okey = (extra, kap)
+            pushed = StrataVector.single(DecoratedGraph.smooth(
+                gv, nmark + k, {nmark + l: b for l, b in enumerate(combo, 1)}))
+            for _ in range(k):
+                pushed = forgetful_pushforward(pushed)
+            for dg, rat in pushed.terms.items():
+                okey = (extra, dg.kappa[0])
                 prev = out.get(okey)
                 term = coeff * rat
                 out[okey] = term if prev is None else prev + term
@@ -367,19 +347,6 @@ def _leg_psi_weights(spec, graph, leg_psi, B, bound):
                 if dg.codim() <= bound:
                     entries.append((coloring, dg, coeff))
     return entries
-
-
-def _bounded_assignments(choice_lists, budget):
-    """Cartesian product of sorted int lists with total <= budget."""
-    if not choice_lists:
-        yield ()
-        return
-    first = choice_lists[0]
-    for x in first:
-        if x > budget:
-            break
-        for rest in _bounded_assignments(choice_lists[1:], budget - x):
-            yield (x,) + rest
 
 
 # ---------------------------------------------------------------------------

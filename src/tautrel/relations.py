@@ -178,8 +178,13 @@ def extract_relations(spec, cells):
             insertions = [units[mu] for mu in combo]
             cls = reconstruct_class(spec, g, n, insertions, dmax)
             for d in ds:
-                part = cls.codim_part(d)
-                for vector in polar_vectors(part):
+                try:
+                    vectors = list(polar_vectors(cls.codim_part(d)))
+                except ValueError as exc:
+                    raise ValueError("cell %s with trunc %s: %s"
+                                     % ((g, n, d), spec.frame.expansion.trunc,
+                                        exc)) from None
+                for vector in vectors:
                     rs.add((g, n, d), vector)
     return rs
 

@@ -316,27 +316,25 @@ def _solve_linear(eqs, unknowns):
     return sol
 
 
-def solve_2d_family(f, centers=None, n_terms=12):
+def solve_2d_family(f):
     """Gamma diagnostics of the 2d family: local series and global existence.
 
-    ``centers`` defaults to the rational roots of f plus t = 1 when regular.
+    The local series are taken to order 12 at the rational roots of f and
+    at t = 1 when it is regular.
     """
     if f.is_zero():
         raise ValueError("f = 0 has no semisimple point")
     a, b, c = gamma_ode(f)
-    if centers is None:
-        centers = []
-        poly = _coeffs_in(f, "t")
-        for root, _ in _rational_roots(poly, max(poly)):
-            centers.append(root)
-        if not any(x == 1 for x in centers):
-            centers.append(Fraction(1))
+    poly = _coeffs_in(f, "t")
+    centers = [root for root, _ in _rational_roots(poly, max(poly))]
+    if 1 not in centers:
+        centers.append(Fraction(1))
     series = {}
     for center in centers:
         try:
-            series[Fraction(center)] = ode_series_solution(a, b, c, "t", center, n_terms)
-        except ChartError as exc:
-            series[Fraction(center)] = None
+            series[center] = ode_series_solution(a, b, c, "t", center, 12)
+        except ChartError:
+            series[center] = None
     gamma_poly = rational_solution(a, b, c)
     if gamma_poly is not None:
         certificate = "global polynomial solution gamma = %s" % gamma_poly

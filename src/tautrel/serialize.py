@@ -215,10 +215,10 @@ def graph_from_json(data) -> DecoratedGraph:
                     [list(k) for k in kappa])
 
 
-def vector_to_json(vector, coeff_text=str) -> dict:
+def vector_to_json(vector) -> dict:
     terms = []
     for dg, c in vector.terms.items():
-        terms.append({"graph": graph_to_json(dg), "coefficient": coeff_text(c)})
+        terms.append({"graph": graph_to_json(dg), "coefficient": str(c)})
     terms.sort(key=lambda t: json.dumps(t["graph"], sort_keys=True))
     return {"g": vector.g, "n": vector.n, "terms": terms}
 

@@ -328,8 +328,8 @@ def test_criterion_09_extension_spans_equal():
 
 
 def test_closed_a2_ranks_pinned():
-    # closure grafts each vector with its legs as they are; these ranks are
-    # those of grafting under every leg assignment
+    # the closed ranks of the eight cells alone; at (1,2,1), (1,2,2) and
+    # (2,0,2) they fall short of the known corank
     closed = closed_span(a2_pack())
     assert {cell: closed.dim(cell) for cell in CELLS} == {
         (0, 4, 1): 7, (0, 5, 1): 11, (0, 5, 2): 126, (1, 1, 1): 2,

@@ -88,6 +88,15 @@ def test_computation_error_exit_code_1(tmp_path):
     assert run(["frame", "--chart", str(nil), "--out", str(tmp_path)]) == 1
 
 
+def test_truncation_error_names_cell_and_trunc(tmp_path, capsys):
+    # at trunc 2 the (0, 4, 1) coefficients are known only below t^(-1/2)
+    assert run(["relations", "--chart", "a2", "--gn", "0,4", "--codim", "1",
+                "--trunc", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "cell (0, 4, 1) with trunc 2:" in err
+    assert "cannot certify polar coefficients" in err
+
+
 def test_relations_and_verify_roundtrip(tmp_path):
     code = run(["relations", "--chart", "a2", "--param", "t1", "--trunc", "10",
                 "--gn", "1,1", "--codim", "1", "--out", str(tmp_path)])

@@ -119,10 +119,29 @@ def test_newton_puiseux_constant_roots():
 
 def test_newton_puiseux_non_semisimple():
     one = PS.const(1, "t")
-    # (X - t)^2 is not squarefree
-    p = [PS.unit("t", 2), PS.unit("t", 1, -2), one]
-    with pytest.raises(NonSemisimpleError):
-        newton_puiseux_roots(p, "t", F(4))
+    zero = PS.zero("t")
+    # (X - t)^2, X^2 and X (X - t)^2 are not squarefree; the last two reach
+    # their repeated roots through the zero constant coefficient
+    for p in ([PS.unit("t", 2), PS.unit("t", 1, -2), one],
+              [zero, zero, one],
+              [zero, PS.unit("t", 2), PS.unit("t", 1, -2), one]):
+        with pytest.raises(NonSemisimpleError, match="coincident roots"):
+            newton_puiseux_roots(p, "t", F(4))
+
+
+def test_newton_puiseux_negative_order():
+    # X^2 - t^-2 and X^2 - t^-2 (1 + t): roots +-t^-1 and +-t^-1 sqrt(1 + t)
+    from test_puiseux import binomial_sqrt
+    one = PS.const(1, "t")
+    inv_t = PS.unit("t", -1)
+    for c0, root in [(-PS.unit("t", -2), inv_t),
+                     (-PS.unit("t", -2) - inv_t,
+                      inv_t * binomial_sqrt("t", MP.const(1), 5))]:
+        roots = newton_puiseux_roots([c0, PS.zero("t"), one], "t", F(4))
+        assert len(roots) == 2
+        assert all(r.trunc == 4 and (r * r + c0).is_zero() for r in roots)
+        assert any((r - root).is_zero() for r in roots)
+        assert any((r + root).is_zero() for r in roots)
 
 
 # -- idempotent frames --------------------------------------------------------
