@@ -73,8 +73,10 @@ def _validate(config):
         g, n = (int(x) for x in pair)
         if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
             raise ParseError("(g, n) = (%d, %d) is not a stable type" % (g, n))
-    if int(config["codim"]) < 1:
-        raise ParseError("codim must be at least 1, got %s" % config["codim"])
+    for key, flag in (("codim", "codim"), ("z_order", "z-order"),
+                      ("cover_degree", "cover-degree")):
+        if key in config and int(config[key]) < 1:
+            raise ParseError("%s must be at least 1, got %s" % (flag, config[key]))
     if Fraction(config["trunc"]) <= 0:
         raise ParseError("trunc must be positive, got %s" % config["trunc"])
 

@@ -48,6 +48,7 @@ class NonUnitError(ArithmeticError):
     """Raised when inverting something whose leading term is not a unit."""
 
 
+@functools.lru_cache(maxsize=None)
 def _relation(symbol: str):
     """Return (n, value) with symbol**n == value, or None for free symbols."""
     if not symbol.startswith("@"):
@@ -65,9 +66,11 @@ def _reduce_monomial(pairs: Iterable[Tuple[str, Scalar]]):
 
     Integral exponents come out as ``int``, fractional ones as ``Fraction``.
     """
-    merged: Dict[str, Fraction] = {}
+    merged: Dict[str, Scalar] = {}
     for sym, exp in pairs:
-        merged[sym] = merged.get(sym, 0) + Fraction(exp)
+        if type(exp) is not int:
+            exp = Fraction(exp)
+        merged[sym] = merged.get(sym, 0) + exp
     factor = _ONE
     out = []
     for sym in sorted(merged):

@@ -1,10 +1,20 @@
 """Truncated Puiseux/Laurent series in one local parameter, and matrices.
 
-A ``PuiseuxSeries`` stores exact ``MultiPoly`` coefficients on the exponent
-grid ``k / ram`` for integer ``k`` (negative exponents allowed) together with
-an explicit ``trunc``: exponents ``>= trunc`` are unknown.  Every operation
-propagates the minimal trustworthy truncation; nothing ever silently extends
-precision.  ``trunc = INF`` marks exact data such as polynomial input.
+A ``PuiseuxSeries`` holds exact coefficients on the exponent grid ``k / ram``
+for integer ``k`` (negative exponents allowed) together with an explicit
+``trunc``: exponents ``>= trunc`` are unknown.  Every operation propagates
+the minimal trustworthy truncation; nothing ever silently extends precision.
+``trunc = INF`` marks exact data such as polynomial input.
+
+The coefficients are stored in one integer form: ``num`` maps each grid
+index ``k`` to a map from monomial id to ``int`` numerator, over one
+positive ``int`` denominator ``den`` shared by the whole series.  The form
+is normalized: no zero numerators, gcd(den, numerators) == 1 and ``ram`` the
+least index of the support, so equal series have equal forms.  Monomial ids
+intern reduced ``MultiPoly`` monomials, and products of ids are memoized
+with their integral relation factor, so arithmetic never touches a
+``Fraction`` coefficient or hashes a ``Fraction`` exponent.  ``coeffs`` is
+the derived view ``{k: MultiPoly}``.
 
 The text form, used by golden tests, lists ``coeff*param^(p/q)`` terms sorted
 by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
@@ -12,11 +22,12 @@ by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd, inf as INF
 
-from .multipoly import (MultiPoly, NonUnitError, _add_product, _from_terms,
-                        monomial_power)
+from .multipoly import (ONE_MONOMIAL, MultiPoly, NonUnitError,
+                        _reduce_monomial, monomial_power)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -29,36 +40,130 @@ def _as_poly(value) -> MultiPoly:
     return MultiPoly.const(value)
 
 
+# Interned reduced monomials: id -> monomial and monomial -> id, id 0 the
+# constant monomial.  _PRODUCTS[i][j] memoizes (id of m_i * m_j, relation
+# factor as an int).  Ids are only ever appended, under the lock, so an id
+# stays valid for the life of the process; the tables grow with the distinct
+# monomials a process meets, about a hundred on the paper's A3 chart.
+_MONOS = [ONE_MONOMIAL]
+_IDS = {ONE_MONOMIAL: 0}
+_PRODUCTS = [{}]
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(mono) -> int:
+    i = _IDS.get(mono)
+    if i is None:
+        with _INTERN_LOCK:
+            i = _IDS.get(mono)
+            if i is None:
+                i = len(_MONOS)
+                _MONOS.append(mono)
+                _PRODUCTS.append({})
+                _IDS[mono] = i
+    return i
+
+
+def _product(i: int, j: int):
+    """(id, int factor) of the product of monomials ``i`` and ``j``, memoized.
+
+    Reduced exponents of ``@i`` and ``@r<p>`` lie below their relation's
+    power, so a product wraps at most once per symbol and the factor is a
+    product of -1 and primes; anything else is an error, not a rational.
+    """
+    mono, factor = _reduce_monomial(_MONOS[i] + _MONOS[j])
+    if factor.denominator != 1:
+        raise ArithmeticError("relation factor %s of %s * %s is not integral"
+                              % (factor, _MONOS[i], _MONOS[j]))
+    out = (_intern(mono), factor.numerator)
+    _PRODUCTS[i][j] = out
+    return out
+
+
+def _poly(terms, den) -> MultiPoly:
+    """The ``MultiPoly`` of one grid index: ``terms`` over ``den``."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = {_MONOS[i]: Fraction(c, den) for i, c in terms.items()}
+    return out
+
+
+def _series(param, ram, trunc, num, den):
+    return PuiseuxSeries.__new__(PuiseuxSeries)._set(param, ram, trunc, num, den)
+
+
+def _nonzero(sums):
+    """``sums`` without zero numerators and without emptied indices."""
+    num = {}
+    for k, acc in sums.items():
+        acc = {i: c for i, c in acc.items() if c}
+        if acc:
+            num[k] = acc
+    return num
+
+
+def _kcap(trunc, ram):
+    """Least grid index ``k`` with ``k / ram >= trunc``, or INF."""
+    if trunc is INF:
+        return INF
+    return -(-trunc.numerator * ram // trunc.denominator)
+
+
 class PuiseuxSeries:
-    __slots__ = ("param", "ram", "coeffs", "trunc")
+    __slots__ = ("param", "ram", "trunc", "num", "den")
 
     def __init__(self, param, coeffs=None, ram=1, trunc=INF):
-        self.param = param
-        if isinstance(trunc, (int, Fraction)):
-            trunc = Fraction(trunc)
-        clean = {}
+        if trunc is not INF:
+            # one infinity object, so the kernel tests ``trunc is INF``
+            trunc = INF if trunc == INF else Fraction(trunc)
+        kcap = _kcap(trunc, ram)
+        polys = {}
+        den = 1
         if coeffs:
             for k, poly in coeffs.items():
                 poly = _as_poly(poly)
-                if poly.is_zero():
-                    continue
-                if Fraction(k, ram) >= trunc:
+                if not poly.terms or k >= kcap:
                     continue
                 if param is not None and param in poly.variables():
                     raise ValueError("coefficient contains the parameter %s" % param)
-                clean[k] = clean.get(k, MultiPoly()) + poly if k in clean else poly
-        # minimal ramification for the stored support
-        g = ram
-        for k in clean:
-            g = gcd(g, abs(k))
-        if clean and g > 1:
-            clean = {k // g: v for k, v in clean.items()}
-            ram //= g
-        elif not clean:
-            ram = 1
+                polys[k] = poly.terms
+                for c in poly.terms.values():
+                    den = _lcm(den, c.denominator)
+        num = {k: {_intern(m): c.numerator * (den // c.denominator)
+                   for m, c in terms.items()} for k, terms in polys.items()}
+        self._set(param, ram, trunc, num, den)
+
+    def _set(self, param, ram, trunc, num, den):
+        """Store an integer form without zero numerators, normalized: ``ram``
+        drops to the least index of the support and gcd(den, numerators) is
+        divided out, in one pass each."""
+        if not num:
+            ram = den = 1
+        else:
+            g = gcd(ram, *num)
+            if g > 1:
+                num = {k // g: t for k, t in num.items()}
+                ram //= g
+            if den > 1:
+                g = den
+                for t in num.values():
+                    g = gcd(g, *t.values())
+                    if g == 1:
+                        break
+                else:
+                    num = {k: {i: c // g for i, c in t.items()}
+                           for k, t in num.items()}
+                    den //= g
+        self.param = param
         self.ram = ram
-        self.coeffs = clean
         self.trunc = trunc
+        self.num = num
+        self.den = den
+        return self
+
+    @property
+    def coeffs(self):
+        """The coefficients as ``{k: MultiPoly}``, built on each access."""
+        return {k: _poly(t, self.den) for k, t in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -102,13 +207,13 @@ class PuiseuxSeries:
 
     def is_zero(self):
         """Zero up to the stored truncation."""
-        return not self.coeffs
+        return not self.num
 
     def order(self):
         """Least exponent with nonzero coefficient, or None if zero to trunc."""
-        if not self.coeffs:
+        if not self.num:
             return None
-        return Fraction(min(self.coeffs), self.ram)
+        return Fraction(min(self.num), self.ram)
 
     def order_or_trunc(self):
         o = self.order()
@@ -121,19 +226,32 @@ class PuiseuxSeries:
         k = exponent * self.ram
         if k.denominator != 1:
             return MultiPoly()
-        return self.coeffs.get(int(k), MultiPoly())
+        return _poly(self.num.get(int(k), {}), self.den)
 
     def support(self):
-        return sorted(Fraction(k, self.ram) for k in self.coeffs)
+        return sorted(Fraction(k, self.ram) for k in self.num)
+
+    def _leading(self) -> MultiPoly:
+        return _poly(self.num[min(self.num)], self.den)
 
     # -- helpers ---------------------------------------------------------------
 
     def _join_param(self, other):
+        """The common parameter; an operand without one must not carry it
+        in a coefficient."""
         if self.param is None:
-            return other.param
-        if other.param is None or other.param == self.param:
-            return self.param
-        raise ValueError("parameter mismatch: %s vs %s" % (self.param, other.param))
+            param = other.param
+        elif other.param is None or other.param == self.param:
+            param = self.param
+        else:
+            raise ValueError("parameter mismatch: %s vs %s" % (self.param, other.param))
+        if param is not None:
+            for s in (self, other):
+                if s.param is None and any(
+                        sym == param for t in s.num.values() for i in t
+                        for sym, _ in _MONOS[i]):
+                    raise ValueError("coefficient contains the parameter %s" % param)
+        return param
 
     @staticmethod
     def _coerce(value, param=None):
@@ -148,34 +266,71 @@ class PuiseuxSeries:
         out = PuiseuxSeries.__new__(PuiseuxSeries)
         out.param = self.param
         out.ram = ram
-        out.coeffs = {k * f: v for k, v in self.coeffs.items()}
         out.trunc = self.trunc
+        out.num = {k * f: t for k, t in self.num.items()}
+        out.den = self.den
         return out
 
     def truncate(self, trunc):
         trunc = min(self.trunc, Fraction(trunc) if trunc != INF else INF)
-        return PuiseuxSeries(self.param, self.coeffs, self.ram, trunc)
+        kcap = _kcap(trunc, self.ram)
+        return _series(self.param, self.ram, trunc,
+                       {k: t for k, t in self.num.items() if k < kcap},
+                       self.den)
+
+    def _scaled(self, c):
+        """Product with a rational ``c``: same support and truncation."""
+        if not c:
+            return PuiseuxSeries.zero(self.param)
+        c = Fraction(c)
+        n = c.numerator
+        return _series(self.param, self.ram, self.trunc,
+                       {k: {i: v * n for i, v in t.items()}
+                        for k, t in self.num.items()},
+                       self.den * c.denominator)
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """``self + sign * other`` on the common grid and the lcm of the two
+        denominators, truncated at the lesser truncation."""
         other = PuiseuxSeries._coerce(other, self.param)
         param = self._join_param(other)
         ram = _lcm(self.ram, other.ram)
-        a, b = self.rescale(ram), other.rescale(ram)
-        coeffs = dict(a.coeffs)
-        for k, v in b.coeffs.items():
-            coeffs[k] = coeffs.get(k, MultiPoly()) + v
-        return PuiseuxSeries(param, coeffs, ram, min(a.trunc, b.trunc))
+        fa, fb = ram // self.ram, ram // other.ram
+        den = _lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        trunc = min(self.trunc, other.trunc)
+        kcap = _kcap(trunc, ram)
+        sums = {}
+        for k, t in self.num.items():
+            k *= fa
+            if k < kcap:
+                sums[k] = {i: c * ma for i, c in t.items()}
+        for k, t in other.num.items():
+            k *= fb
+            if k >= kcap:
+                continue
+            acc = sums.get(k)
+            if acc is None:
+                sums[k] = {i: c * mb for i, c in t.items()}
+            else:
+                for i, c in t.items():
+                    acc[i] = acc.get(i, 0) + c * mb
+        return _series(param, ram, trunc, _nonzero(sums), den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.param, {k: -v for k, v in self.coeffs.items()},
-                             self.ram, self.trunc)
+        return _series(self.param, self.ram, self.trunc,
+                       {k: {i: -c for i, c in t.items()}
+                        for k, t in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-PuiseuxSeries._coerce(other, self.param))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -187,16 +342,16 @@ class PuiseuxSeries:
         lcm of theirs.  There the truncation becomes the integer cap
         ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
         holds exactly when ``k >= kcap``, so pairs with ``k1 + k2 >= kcap``
-        are skipped without building a ``Fraction``.  Coefficient products
-        are summed straight into one term map per output exponent.
+        are skipped without building a ``Fraction``.  Numerators multiply
+        through the memoized monomial products and sum straight into one map
+        per output index; the denominator is the product of the two.
         """
-        other = PuiseuxSeries._coerce(other, self.param)
+        if not isinstance(other, PuiseuxSeries):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
+            other = PuiseuxSeries._coerce(other, self.param)
         param = self._join_param(other)
-        for s in (self, other):
-            if s.param is None and param is not None and any(
-                    param in v.variables() for v in s.coeffs.values()):
-                raise ValueError("coefficient contains the parameter %s" % param)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         if not a or not b:
             # ord of a zero operand reads as its truncation
             return PuiseuxSeries.zero(
@@ -207,7 +362,7 @@ class PuiseuxSeries:
         # kb the least grid indices, kept as an unreduced x / y
         x = y = None
         for t, k in ((self.trunc, min(b) * fb), (other.trunc, min(a) * fa)):
-            if t != INF:
+            if t is not INF:
                 n, d = t.numerator * ram + k * t.denominator, t.denominator
                 if x is None or n * y < x * d:
                     x, y = n, d
@@ -215,41 +370,33 @@ class PuiseuxSeries:
             trunc = kcap = INF
         else:
             trunc, kcap = Fraction(x, y * ram), -(-x // y)
+        products = _PRODUCTS
         sums = {}
-        for k1, v1 in a.items():
+        for k1, t1 in a.items():
             k1 *= fa
-            for k2, v2 in b.items():
+            for k2, t2 in b.items():
                 k = k1 + k2 * fb
                 if k >= kcap:
                     continue
-                terms = sums.get(k)
-                if terms is None:
-                    terms = sums[k] = {}
-                _add_product(terms, v1.terms, v2.terms)
-        coeffs = {}
-        g = ram
-        for k, terms in sums.items():
-            poly = _from_terms(terms)
-            if poly.terms:
-                coeffs[k] = poly
-                g = gcd(g, k)
-        if not coeffs:
-            ram = 1
-        elif g > 1:
-            coeffs = {k // g: v for k, v in coeffs.items()}
-            ram //= g
-        out = PuiseuxSeries.__new__(PuiseuxSeries)
-        out.param = param
-        out.ram = ram
-        out.coeffs = coeffs
-        out.trunc = trunc
-        return out
+                acc = sums.get(k)
+                if acc is None:
+                    acc = sums[k] = {}
+                for i1, c1 in t1.items():
+                    row = products[i1]
+                    for i2, c2 in t2.items():
+                        p = row.get(i2)
+                        if p is None:
+                            p = _product(i1, i2)
+                        i, f = p
+                        acc[i] = acc.get(i, 0) + c1 * c2 * f
+        return _series(param, ram, trunc, _nonzero(sums),
+                       self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * _as_poly(Fraction(1) / Fraction(other))
+            return self._scaled(Fraction(1) / Fraction(other))
         if isinstance(other, MultiPoly):
             return self * other.inverse()
         if isinstance(other, PuiseuxSeries):
@@ -273,18 +420,18 @@ class PuiseuxSeries:
             other = PuiseuxSeries._coerce(other, self.param)
         if self.param is not None and other.param is not None and self.param != other.param:
             return False
-        return (self.ram == other.ram and self.coeffs == other.coeffs
-                and self.trunc == other.trunc)
+        return (self.ram == other.ram and self.den == other.den
+                and self.num == other.num and self.trunc == other.trunc)
 
     def invert(self, trunc=None):
         """Multiplicative inverse; the leading coefficient must be a unit."""
         o = self.order()
         if o is None:
             raise ZeroDivisionError("inversion of a series that is zero to truncation")
-        lead = self.coeffs[min(self.coeffs)]
+        lead = self._leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
-        if self.trunc == INF and len(self.coeffs) == 1:
+        if self.trunc == INF and len(self.num) == 1:
             out = PuiseuxSeries.unit(self.param, -o, lead.inverse())
             return out if trunc is None else out.truncate(trunc)
         if self.trunc == INF:
@@ -312,13 +459,13 @@ class PuiseuxSeries:
         o = self.order()
         if o is None:
             raise ValueError("root of a series that is zero to truncation")
-        lead = self.coeffs[min(self.coeffs)]
+        lead = self._leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
         root_exp = o / n
         lead_root = monomial_power(lead, Fraction(1, n))
         mono = PuiseuxSeries.unit(self.param, root_exp, lead_root)
-        if len(self.coeffs) == 1 and self.trunc == INF:
+        if len(self.num) == 1 and self.trunc == INF:
             return mono if trunc is None else mono.truncate(trunc)
         if self.trunc == INF:
             if trunc is None:
@@ -348,13 +495,11 @@ class PuiseuxSeries:
 
     def derivative(self):
         """d/d(param)."""
-        coeffs = {}
-        for k, v in self.coeffs.items():
-            if k == 0:
-                continue
-            coeffs[k - self.ram] = v * Fraction(k, self.ram)
+        ram = self.ram
+        num = {k - ram: {i: c * k for i, c in t.items()}
+               for k, t in self.num.items() if k}
         trunc = self.trunc if self.trunc == INF else self.trunc - 1
-        return PuiseuxSeries(self.param, coeffs, self.ram, trunc)
+        return _series(self.param, ram, trunc, num, self.den * ram)
 
     def derivative_sym(self, symbol):
         """Coefficient-wise derivative with respect to a background symbol."""
@@ -377,9 +522,10 @@ class PuiseuxSeries:
 
     def __str__(self):
         parts = []
-        for k in sorted(self.coeffs):
+        coeffs = self.coeffs
+        for k in sorted(coeffs):
             exp = Fraction(k, self.ram)
-            coeff = self.coeffs[k]
+            coeff = coeffs[k]
             cs = str(coeff)
             if len(coeff.terms) > 1:
                 cs = "(%s)" % cs

@@ -198,6 +198,14 @@ def test_verify_hand_written_document(tmp_path):
     (["relations", "--chart", "a2", "--codim", "0"], "codim must be at least 1"),
     (["relations", "--chart", "a2", "--codim", "-1"],
      "codim must be at least 1"),
+    (["relations", "--chart", "a2", "--z-order", "0"],
+     "z-order must be at least 1"),
+    (["rmatrix", "--chart", "a2", "--z-order", "-2"],
+     "z-order must be at least 1"),
+    (["frame", "--chart", "a2", "--cover-degree", "0"],
+     "cover-degree must be at least 1"),
+    (["frame", "--chart", "a2", "--cover-degree", "-1"],
+     "cover-degree must be at least 1"),
     (["reconstruct", "--chart", "a2", "--insertion", "7"], "out of range"),
     (["genus1", "--chart", "a2", "--insertion", "9"], "out of range"),
     (["frame", "--chart", "a2", "--param", "zz"], "not a variable of chart"),
@@ -224,7 +232,9 @@ def test_verify_hand_written_document(tmp_path):
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
-], ids=["unstable-gn", "codim-0", "codim-negative", "reconstruct-insertion",
+], ids=["unstable-gn", "codim-0", "codim-negative", "z-order-0",
+        "z-order-negative", "cover-degree-0", "cover-degree-negative",
+        "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",
         "relations-graph-outside-basis", "relations-coefficient-not-rational",

@@ -10,7 +10,12 @@ from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
 
 
 def brute_force_count(g, n, max_edges):
-    """Independent generate-and-filter enumeration over labeled data."""
+    """Independent generate-and-filter enumeration over labeled data.
+
+    A leg assignment that leaves some vertex with 2g_v - 2 + valence <= 0 is
+    skipped by counting valences on the edge list, before a graph is built;
+    every survivor still has to pass ``is_stable``.
+    """
     seen = set()
     max_v = max(1, 2 * g - 2 + n)
     for nv in range(1, max_v + 1):
@@ -23,7 +28,17 @@ def brute_force_count(g, n, max_edges):
                 if sum(genera) != total_genus:
                     continue
                 for edges in itertools.combinations_with_replacement(pairs, ne):
+                    edge_valence = [0] * nv
+                    for i, j in edges:
+                        edge_valence[i] += 1
+                        edge_valence[j] += 1
                     for assignment in itertools.product(range(nv), repeat=n):
+                        valence = list(edge_valence)
+                        for v in assignment:
+                            valence[v] += 1
+                        if any(2 * gv - 2 + k <= 0
+                               for gv, k in zip(genera, valence)):
+                            continue
                         legs = [[] for _ in range(nv)]
                         for label, v in enumerate(assignment, start=1):
                             legs[v].append(label)
@@ -44,6 +59,10 @@ def test_enumeration_counts_match_brute_force():
 
 def test_enumeration_counts_match_brute_force_14():
     assert len(enumerate_stable_graphs(1, 4, 4)) == brute_force_count(1, 4, 4)
+
+
+def test_enumeration_counts_match_brute_force_224():
+    assert len(enumerate_stable_graphs(2, 2, 4)) == brute_force_count(2, 2, 4)
 
 
 def test_known_counts():

@@ -123,6 +123,149 @@ def test_fused_product_edge_cases():
     assert (PS.zero("t") * sixth).trunc == INF
 
 
+# -- integer kernel against a Fraction reference --------------------------
+# A reference series is ({Fraction exponent: MultiPoly}, trunc), computed term
+# by term over Fraction and MultiPoly; the kernel's integer form must agree.
+
+KERNEL_SYMBOLS = [("@i", [1]), ("@r2", range(1, 12)), ("@r3", range(1, 12)),
+                  ("x", [-2, -1, 1, 2]), ("y", [F(-1, 2), F(1, 2), F(3, 2)])]
+
+
+def _ref_drop_zeros(ref):
+    return {e: p for e, p in ref.items() if not p.is_zero()}
+
+
+def _ref_ram(ref):
+    ram = 1
+    for e in ref:
+        ram = ram * e.denominator // gcd(ram, e.denominator)
+    return ram
+
+
+def _ref_mul(a, ta, b, tb):
+    oa = min(a) if a else ta
+    ob = min(b) if b else tb
+    trunc = min(ta + ob, tb + oa)
+    out = {}
+    for e1, p1 in a.items():
+        for e2, p2 in b.items():
+            if e1 + e2 >= trunc:
+                continue
+            for m1, c1 in p1.terms.items():
+                for m2, c2 in p2.terms.items():
+                    out[e1 + e2] = (out.get(e1 + e2, MP())
+                                    + MP({m1 + m2: c1 * c2}))
+    return _ref_drop_zeros(out), trunc
+
+
+def _ref_add(a, ta, b, tb, sign):
+    trunc = min(ta, tb)
+    out = {e: p for e, p in a.items() if e < trunc}
+    for e, p in b.items():
+        if e < trunc:
+            out[e] = out.get(e, MP()) + MP({m: sign * c
+                                             for m, c in p.terms.items()})
+    return _ref_drop_zeros(out), trunc
+
+
+def _ref_str(ref, trunc):
+    def exp_text(e):
+        return str(e) if e.denominator == 1 else "(%s)" % e
+    parts = []
+    for e in sorted(ref):
+        cs = str(ref[e])
+        if len(ref[e].terms) > 1:
+            cs = "(%s)" % cs
+        if e == 0:
+            parts.append(cs)
+        else:
+            base = "t^" + exp_text(e)
+            parts.append(base if cs == "1" else "%s*%s" % (cs, base))
+    if trunc != INF:
+        parts.append("O(t^%s)" % exp_text(trunc))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _ref_series(ref, trunc):
+    ram = _ref_ram(ref)
+    return PS("t", {int(e * ram): p for e, p in ref.items()}, ram, trunc)
+
+
+def _assert_kernel(got, ref, trunc):
+    ram = _ref_ram(ref)
+    assert (got.ram, got.trunc) == (ram, trunc)
+    assert got.coeffs == {int(e * ram): p for e, p in ref.items()}
+    assert str(got) == _ref_str(ref, trunc)
+    assert got == _ref_series(ref, trunc)
+    # normal form: positive denominator prime to all numerators, no zeros
+    nums = [c for t in got.num.values() for c in t.values()]
+    assert got.den > 0 and all(nums) and gcd(got.den, *nums) == 1
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(12)
+
+    def rand_poly():
+        poly = MP()
+        for _ in range(rng.randint(1, 2)):
+            pairs = [(sym, rng.choice(list(exps))) for sym, exps
+                     in KERNEL_SYMBOLS if rng.random() < 0.45]
+            coeff = F(rng.choice([-9, -4, -2, -1, 1, 3, 5, 8]),
+                      rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
+            poly = poly + MP.monomial(coeff, pairs)
+        return poly
+
+    def rand_ref():
+        ram = rng.choice([1, 2, 3])
+        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
+        ref = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
+            e = F(rng.randint(-3 * ram, 3 * ram), ram)
+            if e < trunc:
+                ref[e] = rand_poly()
+        return _ref_drop_zeros(ref), trunc
+
+    rams = set()
+    for _ in range(250):
+        (a, ta), (b, tb) = rand_ref(), rand_ref()
+        sa, sb = _ref_series(a, ta), _ref_series(b, tb)
+        rams.add(sa.ram)
+        _assert_kernel(sa * sb, *_ref_mul(a, ta, b, tb))
+        _assert_kernel(sa + sb, *_ref_add(a, ta, b, tb, 1))
+        _assert_kernel(sa - sb, *_ref_add(a, ta, b, tb, -1))
+        c = F(rng.randint(-4, 4), rng.randint(1, 6))
+        _assert_kernel(sa * c, *_ref_mul(a, ta, {F(0): MP.const(c)} if c
+                                         else {}, INF))
+        # full cancellation, against a negative built from the reference
+        neg = _ref_series({e: -p for e, p in a.items()}, ta)
+        _assert_kernel(sa + neg, {}, ta)
+        _assert_kernel(sa - sa, {}, ta)
+    assert rams == {1, 2, 3}
+
+
+def test_integer_kernel_wraps_root_symbols():
+    # @i^2 = -1, @r2^12 = 2 and @r3^12 = 3 enter as integer factors
+    i, r2, r3 = MP.var("@i"), MP.var("@r2", 7), MP.var("@r3", 11)
+    a = PS("t", {1: i * r2 * F(1, 6), 2: r3}, 2)
+    b = PS("t", {0: i * MP.var("@r2", 5), 1: MP.var("@r3", 2) * F(3, 4)}, 1)
+    prod = a * b
+    assert prod.coeffs == {1: MP.const(F(-2, 6)),
+                           2: MP.monomial(1, [("@i", 1), ("@r2", 5),
+                                              ("@r3", 11)]),
+                           3: MP.monomial(F(1, 8), [("@i", 1), ("@r2", 7),
+                                                    ("@r3", 2)]),
+                           4: MP.monomial(F(9, 4), [("@r3", 1)])}
+    assert (prod.ram, prod.den) == (2, 24)
+
+
+def test_integer_kernel_rejects_rational_relation_factor():
+    # reduced monomials never give one; an unreduced @r2^-1 would give 1/2
+    from tautrel import puiseux
+    bad = puiseux._intern((("@r2", -1),))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        puiseux._product(bad, 0)
+
+
 def test_difference_of_squares():
     a = PS.const(1, "t") + PS.unit("t", 1)
     b = PS.const(1, "t") - PS.unit("t", 1)
