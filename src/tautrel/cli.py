@@ -65,6 +65,11 @@ def _load_config(args):
     return config
 
 
+def _check_at_least_one(flag, value):
+    if int(value) < 1:
+        raise ParseError("%s must be at least 1, got %s" % (flag, value))
+
+
 def _validate(config):
     """Reject grids, codimensions and truncations no command can use."""
     for pair in config.get("gn") or []:
@@ -75,8 +80,8 @@ def _validate(config):
             raise ParseError("(g, n) = (%d, %d) is not a stable type" % (g, n))
     for key, flag in (("codim", "codim"), ("z_order", "z-order"),
                       ("cover_degree", "cover-degree")):
-        if key in config and int(config[key]) < 1:
-            raise ParseError("%s must be at least 1, got %s" % (flag, config[key]))
+        if key in config:
+            _check_at_least_one(flag, config[key])
     if Fraction(config["trunc"]) <= 0:
         raise ParseError("trunc must be positive, got %s" % config["trunc"])
 
@@ -114,6 +119,7 @@ def _make_expansion(config, default_param=None):
                          "(variables: %s)" % (param, chart.name,
                                               ", ".join(sorted(variables))))
     cover = int(config.get("cover_degree", exp_cfg.get("cover_degree", 1)))
+    _check_at_least_one("cover-degree", cover)
     return ChartExpansion(chart, param, subs, cover_degree=cover,
                           trunc=Fraction(config["trunc"]))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, lcm
 
 from .multipoly import MultiPoly, monomial_power
 from .puiseux import PuiseuxSeries, SeriesMatrix, cofactor_det
@@ -281,7 +281,7 @@ def _initial_roots(points, coeffs, param):
     out = []
     for (i0, o0), (i1, o1) in zip(hull, hull[1:]):
         mu = Fraction(o0 - o1, i1 - i0)  # root order (slope is -mu)
-        edge = [(i, coeffs[i].coeffs[min(coeffs[i].coeffs)])
+        edge = [(i, coeffs[i].leading())
                 for i, o in pts
                 if i0 <= i <= i1 and o == o0 - (i - i0) * mu and not coeffs[i].is_zero()]
         for lead in (lc for _, lc in edge):
@@ -348,9 +348,7 @@ def _divisors(n):
 
 def _rational_roots(poly, degree):
     """All rational roots with multiplicity of a Fraction-coefficient poly."""
-    denom = 1
-    for c in poly.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in poly.values()))
     ints = {e: int(c * denom) for e, c in poly.items() if c != 0}
     a0_e = min(ints)
     a0, an = ints[a0_e], ints[max(ints)]
@@ -451,16 +449,11 @@ def _shift_poly(coeffs, x0):
     x0_pow = [PuiseuxSeries.const(1, x0.param)]
     for _ in range(d):
         x0_pow.append(x0_pow[-1] * x0)
-    binom = [[0] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        binom[i][0] = 1
-        for j in range(1, i + 1):
-            binom[i][j] = binom[i - 1][j - 1] + binom[i - 1][j]
     for i, c in enumerate(coeffs):
         if c.is_zero():
             continue
         for j in range(i + 1):
-            out[j] = out[j] + c * binom[i][j] * x0_pow[i - j]
+            out[j] = out[j] + c * comb(i, j) * x0_pow[i - j]
     return out
 
 

@@ -17,9 +17,7 @@ from math import factorial
 
 
 def _is_zero(c):
-    if isinstance(c, Fraction):
-        return c == 0
-    if isinstance(c, int):
+    if type(c) in (int, Fraction):
         return c == 0
     return c.is_zero()
 
@@ -300,19 +298,8 @@ class StrataVector:
 
     def __add__(self, other):
         assert (self.g, self.n) == (other.g, other.n)
-        terms = dict(self.terms)
-        for dg, c in other.terms.items():
-            if dg in terms:
-                acc = terms[dg] + c
-                if _is_zero(acc):
-                    del terms[dg]
-                else:
-                    terms[dg] = acc
-            else:
-                terms[dg] = c
-        out = StrataVector(self.g, self.n)
-        out.terms = terms
-        return out
+        return StrataVector(self.g, self.n, itertools.chain(
+            self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -1,7 +1,11 @@
 """Exact multivariate Laurent polynomials over Q with adjoined root symbols.
 
 Coefficients everywhere in this package are ``MultiPoly`` values: finite
-Q-linear combinations of monomials in named symbols.  Free symbols (``t0``,
+Q-linear combinations of monomials in named symbols.  ``MultiPoly`` is the
+plain exact ring of the chart and frame layers: a product reduces every
+pair of monomials afresh, with no cache.  Series arithmetic does not go
+through it; the interned monomial table of ``puiseux`` is the only memo of
+monomial products.  Free symbols (``t0``,
 ``eta1``, ``zeta3``, ...) may carry arbitrary rational exponents; they live on
 a declared ramified cover, so fractional and negative powers are legitimate
 monomial data, not function evaluations.
@@ -41,8 +45,6 @@ Monomial = Tuple[Tuple[str, Scalar], ...]
 
 ONE_MONOMIAL: Monomial = ()
 
-_ONE = Fraction(1)
-
 
 class NonUnitError(ArithmeticError):
     """Raised when inverting something whose leading term is not a unit."""
@@ -71,7 +73,7 @@ def _reduce_monomial(pairs: Iterable[Tuple[str, Scalar]]):
         if type(exp) is not int:
             exp = Fraction(exp)
         merged[sym] = merged.get(sym, 0) + exp
-    factor = _ONE
+    factor = 1
     out = []
     for sym in sorted(merged):
         exp = merged[sym]
@@ -83,54 +85,13 @@ def _reduce_monomial(pairs: Iterable[Tuple[str, Scalar]]):
             if exp.denominator != 1:
                 raise ValueError("fractional power of %s" % sym)
             q, r = divmod(exp.numerator, n)
-            if q:  # else factor stays _ONE, which _add_product skips
-                factor = factor * value ** q
+            if q:
+                factor *= value ** q
             if r:
                 out.append((sym, r))
         else:
             out.append((sym, exp.numerator if exp.denominator == 1 else exp))
     return tuple(out), factor
-
-
-def _monomial_product(m1: Monomial, m2: Monomial):
-    """Product of two reduced monomials; returns (monomial, rational factor).
-
-    Every key stored in a ``MultiPoly`` is already reduced, so a constant
-    operand needs no reduction; other pairs go through a bounded cache.
-    """
-    if not m1:
-        return m2, _ONE
-    if not m2:
-        return m1, _ONE
-    return _reduced_product(m1, m2)
-
-
-@functools.lru_cache(maxsize=4096)
-def _reduced_product(m1: Monomial, m2: Monomial):
-    return _reduce_monomial(m1 + m2)
-
-
-def _add_product(terms: Dict[Monomial, Fraction], p1: Dict[Monomial, Fraction],
-                 p2: Dict[Monomial, Fraction]) -> None:
-    """Add the product of the term maps ``p1`` and ``p2`` into ``terms``.
-
-    Entries that cancel are left in place as zeros; the caller drops them
-    once, after its last addition.
-    """
-    get = terms.get
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            mono, factor = _monomial_product(m1, m2)
-            c = c1 * c2 if factor is _ONE else c1 * c2 * factor
-            acc = get(mono)
-            terms[mono] = c if acc is None else acc + c
-
-
-def _from_terms(terms: Dict[Monomial, Fraction]) -> "MultiPoly":
-    """A ``MultiPoly`` over reduced keys, dropping zero coefficients."""
-    out = MultiPoly.__new__(MultiPoly)
-    out.terms = {m: c for m, c in terms.items() if c}
-    return out
 
 
 class MultiPoly:
@@ -244,8 +205,13 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         terms: Dict[Monomial, Fraction] = {}
-        _add_product(terms, self.terms, other.terms)
-        return _from_terms(terms)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono, factor = _reduce_monomial(m1 + m2)
+                terms[mono] = terms.get(mono, 0) + c1 * c2 * factor
+        out = MultiPoly.__new__(MultiPoly)
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     __rmul__ = __mul__
 

@@ -22,16 +22,11 @@ by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import gcd, inf as INF
+from math import gcd, inf as INF, lcm
 
 from .multipoly import (ONE_MONOMIAL, MultiPoly, NonUnitError,
                         _reduce_monomial, monomial_power)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _as_poly(value) -> MultiPoly:
@@ -42,25 +37,20 @@ def _as_poly(value) -> MultiPoly:
 
 # Interned reduced monomials: id -> monomial and monomial -> id, id 0 the
 # constant monomial.  _PRODUCTS[i][j] memoizes (id of m_i * m_j, relation
-# factor as an int).  Ids are only ever appended, under the lock, so an id
-# stays valid for the life of the process; the tables grow with the distinct
-# monomials a process meets, about a hundred on the paper's A3 chart.
+# factor as an int).  Ids are only ever appended, so an id stays valid for
+# the life of the process; the tables grow with the distinct monomials a
+# process meets, about a hundred on the paper's A3 chart.
 _MONOS = [ONE_MONOMIAL]
 _IDS = {ONE_MONOMIAL: 0}
 _PRODUCTS = [{}]
-_INTERN_LOCK = threading.Lock()
 
 
 def _intern(mono) -> int:
     i = _IDS.get(mono)
     if i is None:
-        with _INTERN_LOCK:
-            i = _IDS.get(mono)
-            if i is None:
-                i = len(_MONOS)
-                _MONOS.append(mono)
-                _PRODUCTS.append({})
-                _IDS[mono] = i
+        i = _IDS[mono] = len(_MONOS)
+        _MONOS.append(mono)
+        _PRODUCTS.append({})
     return i
 
 
@@ -127,7 +117,7 @@ class PuiseuxSeries:
                     raise ValueError("coefficient contains the parameter %s" % param)
                 polys[k] = poly.terms
                 for c in poly.terms.values():
-                    den = _lcm(den, c.denominator)
+                    den = lcm(den, c.denominator)
         num = {k: {_intern(m): c.numerator * (den // c.denominator)
                    for m, c in terms.items()} for k, terms in polys.items()}
         self._set(param, ram, trunc, num, den)
@@ -189,7 +179,7 @@ class PuiseuxSeries:
         for mono in poly.terms:
             for sym, exp in mono:
                 if sym == param:
-                    ram = _lcm(ram, exp.denominator)
+                    ram = lcm(ram, exp.denominator)
         coeffs = {}
         for mono, coeff in poly.terms.items():
             exp = Fraction(0)
@@ -231,7 +221,8 @@ class PuiseuxSeries:
     def support(self):
         return sorted(Fraction(k, self.ram) for k in self.num)
 
-    def _leading(self) -> MultiPoly:
+    def leading(self) -> MultiPoly:
+        """The coefficient of the least exponent; the series must be nonzero."""
         return _poly(self.num[min(self.num)], self.den)
 
     # -- helpers ---------------------------------------------------------------
@@ -296,9 +287,9 @@ class PuiseuxSeries:
         denominators, truncated at the lesser truncation."""
         other = PuiseuxSeries._coerce(other, self.param)
         param = self._join_param(other)
-        ram = _lcm(self.ram, other.ram)
+        ram = lcm(self.ram, other.ram)
         fa, fb = ram // self.ram, ram // other.ram
-        den = _lcm(self.den, other.den)
+        den = lcm(self.den, other.den)
         ma, mb = den // self.den, sign * (den // other.den)
         trunc = min(self.trunc, other.trunc)
         kcap = _kcap(trunc, ram)
@@ -356,7 +347,7 @@ class PuiseuxSeries:
             # ord of a zero operand reads as its truncation
             return PuiseuxSeries.zero(
                 param, self.order_or_trunc() + other.order_or_trunc())
-        ram = _lcm(self.ram, other.ram)
+        ram = lcm(self.ram, other.ram)
         fa, fb = ram // self.ram, ram // other.ram
         # trunc * ram = min(a.trunc * ram + kb, b.trunc * ram + ka) with ka,
         # kb the least grid indices, kept as an unreduced x / y
@@ -428,7 +419,7 @@ class PuiseuxSeries:
         o = self.order()
         if o is None:
             raise ZeroDivisionError("inversion of a series that is zero to truncation")
-        lead = self._leading()
+        lead = self.leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
         if self.trunc == INF and len(self.num) == 1:
@@ -459,7 +450,7 @@ class PuiseuxSeries:
         o = self.order()
         if o is None:
             raise ValueError("root of a series that is zero to truncation")
-        lead = self._leading()
+        lead = self.leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
         root_exp = o / n

@@ -200,11 +200,10 @@ def polar_vectors(vector):
         if series.trunc <= 0:
             raise ValueError(
                 "truncation %s cannot certify polar coefficients" % series.trunc)
-        for k, poly in series.coeffs.items():
-            e = Fraction(k, series.ram)
+        for e in series.support():
             if e >= 0:
-                continue
-            for mono, coeff in poly.terms.items():
+                break
+            for mono, coeff in series.coefficient(e).terms.items():
                 slots.setdefault((e, mono), {})[dg] = coeff
     for _, terms in sorted(slots.items(),
                            key=lambda kv: (kv[0][0], str(kv[0][1]))):

@@ -122,7 +122,7 @@ def solve_flatness(frame, K, constants=None):
                     o = diff.order()
                     if o is None:
                         continue
-                    if not diff.coeffs[min(diff.coeffs)].is_monomial():
+                    if not diff.leading().is_monomial():
                         continue
                     entries[i][j] = rhs[a].entries[i][j] * diff.invert()
                     solved = True

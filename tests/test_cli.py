@@ -3,10 +3,10 @@ import os
 
 import pytest
 
-from tautrel.charts import a2_chart, a3_expansion
+from tautrel.charts import a2_chart, a3_chart, a3_expansion
 from tautrel.cli import main
 from tautrel.frobenius import idempotent_frame
-from tautrel.serialize import dump_chart
+from tautrel.serialize import chart_to_json, dump_chart
 
 
 def run(args):
@@ -179,6 +179,13 @@ def _relations_doc(exponent=1, coefficient="1", g=1, schema_version=1,
                        "rank": rank, "relations": [relation]}]}
 
 
+def _a3_chart_doc(cover_degree):
+    """The builtin a3 chart, its expansion point with ``cover_degree``."""
+    doc = chart_to_json(a3_chart())
+    doc["expansion_point"]["cover_degree"] = cover_degree
+    return doc
+
+
 def test_verify_hand_written_document(tmp_path):
     # the document the malformed cases below start from is read, and its
     # psi_1 is no relation
@@ -206,6 +213,8 @@ def test_verify_hand_written_document(tmp_path):
      "cover-degree must be at least 1"),
     (["frame", "--chart", "a2", "--cover-degree", "-1"],
      "cover-degree must be at least 1"),
+    (["frame", "--chart", _a3_chart_doc(0)],
+     "cover-degree must be at least 1, got 0"),
     (["reconstruct", "--chart", "a2", "--insertion", "7"], "out of range"),
     (["genus1", "--chart", "a2", "--insertion", "9"], "out of range"),
     (["frame", "--chart", "a2", "--param", "zz"], "not a variable of chart"),
@@ -234,6 +243,7 @@ def test_verify_hand_written_document(tmp_path):
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
+        "chart-file-cover-degree-0",
         "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",
@@ -247,7 +257,7 @@ def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
     args = list(args)
     for i, arg in enumerate(args):
         if isinstance(arg, dict):
-            path = tmp_path_factory.mktemp("input") / "relations.json"
+            path = tmp_path_factory.mktemp("input") / "input.json"
             path.write_text(json.dumps(arg))
             args[i] = str(path)
     assert run(args + ["--out", str(tmp_path)]) == 2

@@ -243,6 +243,47 @@ def test_integer_kernel_matches_fraction_reference():
     assert rams == {1, 2, 3}
 
 
+def test_leading_is_least_coefficient():
+    # the seeded series of test_integer_kernel_matches_fraction_reference,
+    # drawn in the same order
+    rng = random.Random(12)
+
+    def rand_poly():
+        poly = MP()
+        for _ in range(rng.randint(1, 2)):
+            pairs = [(sym, rng.choice(list(exps))) for sym, exps
+                     in KERNEL_SYMBOLS if rng.random() < 0.45]
+            coeff = F(rng.choice([-9, -4, -2, -1, 1, 3, 5, 8]),
+                      rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
+            poly = poly + MP.monomial(coeff, pairs)
+        return poly
+
+    def rand_ref():
+        ram = rng.choice([1, 2, 3])
+        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
+        ref = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
+            e = F(rng.randint(-3 * ram, 3 * ram), ram)
+            if e < trunc:
+                ref[e] = rand_poly()
+        return _ref_drop_zeros(ref), trunc
+
+    checked = 0
+    for _ in range(250):
+        (a, ta), (b, tb) = rand_ref(), rand_ref()
+        sa, sb = _ref_series(a, ta), _ref_series(b, tb)
+        for ref, s in ((a, sa), (b, sb)):
+            if ref:
+                assert s.leading() == ref[min(ref)]
+        for s in (sa, sb, sa * sb, sa + sb):
+            coeffs = s.coeffs
+            if coeffs:
+                assert s.leading() == coeffs[min(coeffs)]
+                checked += 1
+        rng.randint(-4, 4), rng.randint(1, 6)  # the scalar drawn there
+    assert checked > 500
+
+
 def test_integer_kernel_wraps_root_symbols():
     # @i^2 = -1, @r2^12 = 2 and @r3^12 = 3 enter as integer factors
     i, r2, r3 = MP.var("@i"), MP.var("@r2", 7), MP.var("@r3", 11)
