@@ -124,11 +124,24 @@ def _make_expansion(config, default_param=None):
                           trunc=Fraction(config["trunc"]))
 
 
-def _constants(config):
+def _constants(config, dim):
+    """{(i, k): v} of the ``constants`` entries [i, k, v]: the flatness solve
+    uses only an index 0 <= i < dim, an odd z-order 1 <= k <= z-order and a
+    rational v (an integer or a string such as "1/3")."""
+    items = config.get("constants") or []
+    z_order = int(config["z_order"])
     out = {}
-    for item in config.get("constants") or []:
-        i, k, v = item
-        out[(int(i), int(k))] = Fraction(v)
+    for item in items if isinstance(items, list) else [items]:
+        try:
+            i, k, v = item
+            if not (type(i) is type(k) is int and type(v) in (int, str)
+                    and 0 <= i < dim and k % 2 and 1 <= k <= z_order):
+                raise ValueError
+            out[(i, k)] = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ParseError("constants entry %s is not [i, k, value] with "
+                             "0 <= i < %d, odd 1 <= k <= %d and a rational "
+                             "value" % (json.dumps(item), dim, z_order)) from None
     return out
 
 
@@ -194,8 +207,9 @@ def cmd_rmatrix(config):
             print(diag.certificate)
         return EXIT_OK
     exp = _make_expansion(config)
+    constants = _constants(config, exp.chart.dim)
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
+    R = solve_flatness(frame, int(config["z_order"]), constants)
     payload = rmatrix_to_json(R)
     path = _write(config, "rmatrix.json", payload)
     print("R-matrix to z^%d: %s" % (R.K, path))
@@ -210,8 +224,9 @@ def cmd_reconstruct(config):
     if len(flat) != n:
         raise ParseError("need %d insertion indices" % n)
     _check_insertions(flat, exp.chart.dim)
+    constants = _constants(config, exp.chart.dim)
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
+    R = solve_flatness(frame, int(config["z_order"]), constants)
     spec = CohFTSpec(frame, R)
     units = unit_insertions(frame)
     insertions = [units[mu] for mu in flat]
@@ -234,16 +249,17 @@ def _default_cells(config):
     return cells
 
 
-def _relations_for(config, exp):
+def _relations_for(config, exp, constants):
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), _constants(config))
+    R = solve_flatness(frame, int(config["z_order"]), constants)
     spec = CohFTSpec(frame, R)
     rs = extract_relations(spec, _default_cells(config))
     return close_relations(rs)
 
 
 def cmd_relations(config):
-    rs = _relations_for(config, _make_expansion(config))
+    exp = _make_expansion(config)
+    rs = _relations_for(config, exp, _constants(config, exp.chart.dim))
     payload = relations_to_json(rs)
     path = _write(config, "relations.json", payload)
     print("relations: %s" % path)
@@ -259,8 +275,10 @@ def cmd_compare(config):
     exp1 = _make_expansion(config)
     # without --param both charts are expanded along the same coordinate
     exp2 = _make_expansion(dict(config, chart=other), default_param=exp1.param)
-    rs1 = _relations_for(config, exp1)
-    rs2 = _relations_for(config, exp2)
+    constants1 = _constants(config, exp1.chart.dim)
+    constants2 = _constants(config, exp2.chart.dim)
+    rs1 = _relations_for(config, exp1, constants1)
+    rs2 = _relations_for(config, exp2, constants2)
     verdicts = compare_spans(rs1, rs2)
     payload = {"verdicts": {"%d,%d,%d" % cell: v for cell, (v, _) in
                             sorted(verdicts.items())}}
@@ -292,8 +310,9 @@ def cmd_genus1(config):
     exp = _make_expansion(config)
     flat_idx = (config.get("insertion") or [exp.chart.dim - 1])[0]
     _check_insertions([flat_idx], exp.chart.dim)
+    constants = _constants(config, exp.chart.dim)
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, max(2, int(config["z_order"])), _constants(config))
+    R = solve_flatness(frame, max(2, int(config["z_order"])), constants)
     spec = CohFTSpec(frame, R)
     X = [Fraction(1) if k == flat_idx else Fraction(0) for k in range(frame.dim)]
     value = genus_one_correlator(spec, X)

@@ -5,6 +5,11 @@ pushforward under the gluing map of a product of psi-powers at markings and
 half-edges and kappa-monomials at vertices, with NO automorphism prefactor.
 All 1/|Aut| factors belong to reconstruction coefficients.
 
+Canonical forms and cell bases are decided here and nowhere else: one
+labeling coset (``_canonical_labeling``) gives a graph's key, its vertex
+automorphisms and its least decoration, and ``cell_basis`` fixes the basis
+order that relation rows, operator maps and the pairing matrix all index.
+
 The kappa convention is kappa_a = pi_*(psi^(a+1)) at a forgotten point.
 """
 
@@ -25,7 +30,7 @@ def _is_zero(c):
 class StableGraph:
     """Connected stable dual graph with labeled legs, in canonical form."""
 
-    __slots__ = ("genera", "legs", "edges", "_aut")
+    __slots__ = ("genera", "legs", "edges")
 
     def __init__(self, genera, legs, edges):
         genera = tuple(int(g) for g in genera)
@@ -35,7 +40,6 @@ class StableGraph:
         self.genera = genera
         self.legs = legs
         self.edges = edges
-        self._aut = None
 
     # -- structure -----------------------------------------------------------
 
@@ -78,22 +82,17 @@ class StableGraph:
         return _connected(len(self.genera), self.edges)
 
     def aut_order(self):
-        """|Aut|: vertex symmetries times parallel-edge and loop factors."""
-        if self._aut is None:
-            n_sigma = 0
-            for p in _label_preserving_perms(self.genera, self.legs):
-                if _apply_edges(self.edges, p) == self.edges:
-                    n_sigma += 1
-            factor = 1
-            mult = {}
-            for e in self.edges:
-                mult[e] = mult.get(e, 0) + 1
-            for (a, b), m in mult.items():
-                factor *= factorial(m)
-                if a == b:
-                    factor *= 2 ** m
-            self._aut = n_sigma * factor
-        return self._aut
+        """|Aut|: vertex symmetries (the coset of the canonical graph's own
+        labeling) times parallel-edge and loop factors."""
+        factor = len(_canonical_labeling(*self.key())[3])
+        mult = {}
+        for e in self.edges:
+            mult[e] = mult.get(e, 0) + 1
+        for (a, b), m in mult.items():
+            factor *= factorial(m)
+            if a == b:
+                factor *= 2 ** m
+        return factor
 
     def key(self):
         return (self.genera, self.legs, self.edges)
@@ -143,16 +142,13 @@ def _label_preserving_perms(genera, legs):
         yield tuple(p)
 
 
-def _apply_edges(edges, p):
-    return tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in edges))
-
-
 @functools.lru_cache(maxsize=4096)
 def _canonical_labeling(genera, legs, edges):
     """Canonical vertex labeling; returns (genera, legs, edges, coset).
 
     The coset is the tuple of every permutation old->new that achieves the
-    canonical form; it is used to canonicalize decorations.  Arguments are
+    canonical form: the maps a decoration is minimized over, and the vertex
+    automorphisms when the graph is already canonical.  Arguments are
     tuples and results are memoized: the closure relabels the same few
     hundred shapes tens of thousands of times.  The memo is bounded because
     brute-force graph enumeration feeds it many keys that never recur.
@@ -167,7 +163,8 @@ def _canonical_labeling(genera, legs, edges):
     for p in _label_preserving_perms(tuple(genera[v] for v in order),
                                      tuple(legs[v] for v in order)):
         full = tuple(p[base[v]] for v in range(nv))
-        e = _apply_edges(edges, full)
+        e = tuple(sorted((min(full[a], full[b]), max(full[a], full[b]))
+                         for a, b in edges))
         if best is None or e < best:
             best = e
             coset = [full]
@@ -191,14 +188,18 @@ class DecoratedGraph:
     __slots__ = ("graph", "leg_psi", "edge_psi", "kappa", "_key")
 
     def __init__(self, graph, leg_psi=None, edge_psi=None, kappa=None):
+        # the coset of the canonical graph's own labeling is its Aut
+        self._store(graph, leg_psi, _least_decoration(
+            _canonical_labeling(*graph.key())[3], graph.edges,
+            edge_psi or [(0, 0)] * len(graph.edges),
+            kappa or [()] * graph.num_vertices))
+
+    def _store(self, graph, leg_psi, decoration):
+        """Fields of a canonical graph and its least decoration."""
         self.graph = graph
         leg_psi = dict(leg_psi or {})
         self.leg_psi = tuple(sorted((l, e) for l, e in leg_psi.items() if e))
-        edge_psi = list(edge_psi or [(0, 0)] * len(graph.edges))
-        kappa = list(kappa or [()] * graph.num_vertices)
-        edge_psi, kappa = _canonical_decoration(graph, edge_psi, kappa)
-        self.edge_psi = tuple(tuple(x) for x in edge_psi)
-        self.kappa = tuple(tuple(sorted(k)) for k in kappa)
+        self.edge_psi, self.kappa = decoration
         self._key = (graph.key(), self.leg_psi, self.edge_psi, self.kappa)
 
     def codim(self):
@@ -233,18 +234,11 @@ class DecoratedGraph:
         return DecoratedGraph(graph, leg_psi=leg_psi, kappa=[tuple(kappa)])
 
 
-def _canonical_decoration(graph, edge_psi, kappa):
-    """Minimal decoration encoding over the graph's automorphism coset."""
-    _, _, _, coset = _canonical_labeling(graph.genera, graph.legs, graph.edges)
-    best = None
-    for p in coset:
-        new_edges, new_edge_psi, new_kappa = _move_decoration(
-            p, graph.edges, edge_psi, kappa)
-        assert new_edges == graph.edges
-        enc = (new_edge_psi, new_kappa)
-        if best is None or enc < best:
-            best = enc
-    return list(best[0]), list(best[1])
+def _least_decoration(coset, edges, edge_psi, kappa):
+    """The least (edge psi pairs, kappas) encoding of the decoration carried
+    along each vertex map of ``coset``, every one of which takes ``edges``
+    to the same canonical edges."""
+    return min(_move_decoration(p, edges, edge_psi, kappa)[1:] for p in coset)
 
 
 def _move_decoration(p, edges, edge_psi, kappa):
@@ -398,9 +392,19 @@ def enumerate_decorated_basis(g, n, codim):
                     for (idx, side), e in zip(edge_sides, side_part):
                         edge_psi[idx][side] = e
                     dg = DecoratedGraph(graph, leg_psi, edge_psi, kappa_combo)
-                    if dg.codim() == codim:
-                        out.setdefault(dg.key(), dg)
+                    out.setdefault(dg.key(), dg)
     return sorted(out.values(), key=lambda d: d.key())
+
+
+@functools.lru_cache(maxsize=None)
+def cell_basis(cell):
+    """(basis, index) of a (g, n, codim) cell: the sorted decorated graphs
+    and their ``key -> column`` map.  A basis depends only on the cell, so
+    relation rows, closure operator maps and the pairing matrix all read
+    this one memo."""
+    g, n, d = cell
+    basis = tuple(enumerate_decorated_basis(g, n, d))
+    return basis, {dg.key(): i for i, dg in enumerate(basis)}
 
 
 def _bounded_assignments(choice_lists, budget):
@@ -657,16 +661,18 @@ def _drop_leg(dg, v, leg_label, kappa_override=None):
 
 
 def _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa):
+    """The decorated graph of raw data.  The raw coset is Aut composed with
+    any one of its maps, so one minimization over it suffices."""
     can_g, can_l, can_e, coset = _canonical_labeling(
         tuple(genera), tuple(tuple(sorted(l)) for l in legs), tuple(edges))
-    _, new_edge_psi, new_kappa = _move_decoration(coset[0], edges, edge_psi,
-                                                  kappa)
     out_graph = StableGraph.__new__(StableGraph)
     out_graph.genera = can_g
     out_graph.legs = can_l
     out_graph.edges = can_e
-    out_graph._aut = None
-    return DecoratedGraph(out_graph, leg_psi, new_edge_psi, new_kappa)
+    out = DecoratedGraph.__new__(DecoratedGraph)
+    out._store(out_graph, leg_psi,
+               _least_decoration(coset, edges, edge_psi, kappa))
+    return out
 
 
 def _contract_vertex(graph, legs, leg_psi, edge_psi, kappa, v):

@@ -15,8 +15,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .graphs import StrataVector, enumerate_decorated_basis, \
-    multiply_kappa, multiply_psi
+from .graphs import StrataVector, cell_basis, multiply_kappa, multiply_psi
 
 _PSI_CACHE = {}
 
@@ -177,7 +176,7 @@ def smooth_monomial_basis(g, n, codim):
 
     A memoized tuple: the pairing check asks for it once per relation.
     """
-    return tuple(dg for dg in enumerate_decorated_basis(g, n, codim)
+    return tuple(dg for dg in cell_basis((g, n, codim))[0]
                  if dg.graph.num_vertices == 1 and not dg.graph.edges)
 
 
@@ -186,14 +185,14 @@ def pairing_matrix(g, n, d):
     """Partial-pairing Gram matrix between codim d and codim (dim - d).
 
     Rows run over all decorated-graph generators of codimension d, in the
-    sorted order of ``enumerate_decorated_basis``, columns over the smooth
+    order of ``graphs.cell_basis``, columns over the smooth
     psi-kappa monomials of complementary codimension.  Memoized, as tuples:
     the pairing check pairs every relation of a cell through it.
     """
     dim = 3 * g - 3 + n
     if d < 0 or d > dim:
         raise ValueError("codimension out of range")
-    rows = tuple(enumerate_decorated_basis(g, n, d))
+    rows, _ = cell_basis((g, n, d))
     cols = smooth_monomial_basis(g, n, dim - d)
     matrix = tuple(
         tuple(integrate_against_monomial(StrataVector.single(r), c)

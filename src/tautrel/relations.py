@@ -20,22 +20,26 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graphs import (DecoratedGraph, StrataVector, _rebuild,
-                     enumerate_decorated_basis, enumerate_stable_graphs,
-                     forgetful_pushforward, gluing_pushforward, multiply_kappa,
-                     multiply_psi)
+from .graphs import (DecoratedGraph, StrataVector, _rebuild, cell_basis,
+                     enumerate_stable_graphs, forgetful_pushforward,
+                     gluing_pushforward, multiply_kappa, multiply_psi)
 from .intersect import pairing_matrix
 from .reconstruct import reconstruct_class, unit_insertions
 
 
-@functools.lru_cache(maxsize=None)
-def cell_basis(cell):
-    """(basis, index) of a (g, n, codim) cell: the sorted decorated graphs
-    and their ``key -> column`` map.  A basis depends only on the cell, so
-    every RelationSet and every operator map reads this one memo."""
-    g, n, d = cell
-    basis = tuple(enumerate_decorated_basis(g, n, d))
-    return basis, {dg.key(): i for i, dg in enumerate(basis)}
+def to_row(cell, vector):
+    """The rational ``{column: Fraction}`` row of a StrataVector in the
+    basis of ``cell``; raises ValueError on a graph outside that basis."""
+    _, index = cell_basis(cell)
+    row = {}
+    for dg, c in vector.terms.items():
+        i = index.get(dg.key())
+        if i is None:
+            raise ValueError("relation in cell %s has a graph outside the "
+                             "cell's basis: %r" % (cell, dg))
+        if c:
+            row[i] = Fraction(c)
+    return row
 
 
 class RelationSet:
@@ -50,25 +54,17 @@ class RelationSet:
     """
 
     def __init__(self, cells):
-        self.cells = sorted(cells)
-        self.basis = {}
-        self.index = {}
-        self.pivots = {cell: {} for cell in self.cells}    # pivot -> row
+        self.cells = sorted(set(cells))
         for cell in self.cells:
-            self.basis[cell], self.index[cell] = cell_basis(cell)
-
-    def to_row(self, cell, vector):
-        """The rational ``{column: Fraction}`` row of a StrataVector."""
-        index = self.index[cell]
-        return {index[dg.key()]: Fraction(c)
-                for dg, c in vector.terms.items() if c}
+            cell_basis(cell)    # an unstable cell fails here
+        self.pivots = {cell: {} for cell in self.cells}    # pivot -> row
 
     def _integer_row(self, cell, vector):
         """A fresh integer row: a StrataVector with its denominators
         cleared, or a copy of an integer row without its zero entries."""
         if not isinstance(vector, StrataVector):
             return {c: x for c, x in vector.items() if x}
-        row = self.to_row(cell, vector)
+        row = to_row(cell, vector)
         m = lcm(*(x.denominator for x in row.values()))
         return {c: x.numerator * (m // x.denominator) for c, x in row.items()}
 
@@ -97,7 +93,7 @@ class RelationSet:
 
     def vectors(self, cell):
         out = []
-        basis = self.basis[cell]
+        basis, _ = cell_basis(cell)
         pivots = self.pivots[cell]
         for piv in sorted(pivots):
             row = pivots[piv]
@@ -115,11 +111,8 @@ class RelationSet:
         return not self._reduce(cell, self._integer_row(cell, vector))
 
     def copy(self):
-        # basis and index are read-only after __init__, so they are shared
         out = RelationSet([])
         out.cells = self.cells
-        out.basis = self.basis
-        out.index = self.index
         out.pivots = {cell: {p: dict(r) for p, r in pivots.items()}
                       for cell, pivots in self.pivots.items()}
         return out
@@ -170,7 +163,7 @@ def extract_relations(spec, cells):
     rs = RelationSet(cells)
     units = unit_insertions(spec.frame)
     by_gn = {}
-    for g, n, d in cells:
+    for g, n, d in rs.cells:
         by_gn.setdefault((g, n), []).append(d)
     for (g, n), ds in sorted(by_gn.items()):
         dmax = max(ds)
@@ -292,11 +285,9 @@ def operator_map(source, op, target):
     row, in the target cell's basis, of the operation applied to source basis
     element j.  Memoized: it does not depend on the chart, so every closure
     of a run shares it."""
-    basis, _ = cell_basis(source)
-    _, index = cell_basis(target)
     return tuple(
-        _integral_row(index, _graph_operation(op, StrataVector.single(dg)))
-        for dg in basis)
+        _integral_row(target, _graph_operation(op, StrataVector.single(dg)))
+        for dg in cell_basis(source)[0])
 
 
 def _graph_operation(op, vec):
@@ -319,15 +310,13 @@ def _graph_operation(op, vec):
         for w in range(graph.num_vertices)])
 
 
-def _integral_row(index, vector):
-    row = {}
-    for dg, c in vector.terms.items():
-        c = Fraction(c)
+def _integral_row(cell, vector):
+    row = to_row(cell, vector)
+    for c in row.values():
         if c.denominator != 1:
             raise ValueError("closure operation has a non-integral "
                              "coefficient %s" % c)
-        row[index[dg.key()]] = c.numerator
-    return row
+    return {i: c.numerator for i, c in row.items()}
 
 
 def _apply_map(opmap, row):
@@ -386,14 +375,7 @@ def verify_vector(vector, codim):
     """
     g, n = vector.g, vector.n
     _, cols, matrix = pairing_matrix(g, n, codim)
-    _, index = cell_basis((g, n, codim))
-    row = []
-    for dg, c in vector.terms.items():
-        i = index.get(dg.key())
-        if i is None:
-            raise ValueError("%r is not a codimension-%d generator of "
-                             "(g, n) = (%d, %d)" % (dg, codim, g, n))
-        row.append((matrix[i], c))
+    row = [(matrix[i], c) for i, c in to_row((g, n, codim), vector).items()]
     out = []
     for j, mono in enumerate(cols):
         val = sum(pairings[j] * c for pairings, c in row)

@@ -100,6 +100,11 @@ def solve_flatness(frame, K, constants=None):
     n = frame.dim
     param = frame.param
     constants = dict(constants or {})
+    for i, k in constants:
+        if not (0 <= i < n and k % 2 and 1 <= k <= K):
+            raise ValueError("integration constant (%s, %s) is unused: it "
+                             "needs an index below %d and an odd z-order "
+                             "up to %d" % (i, k, n, K))
     orders = [SeriesMatrix.identity(n, param)]
     nvars = len(frame.vars)
     W = [frame.psi_connection(a) for a in range(nvars)]
@@ -283,37 +288,23 @@ def rational_solution(a, b, c, var="t"):
         if lead == 0:
             deg_bound = max(deg_bound, d)
     deg_bound = max(deg_bound, dc - top if top >= 0 else dc, 0)
-    # solve the linear system for y = sum y_d t^d by brute force
-    unknowns = ["__y%d" % d for d in range(deg_bound + 1)]
-    y = MultiPoly()
-    for d, u in enumerate(unknowns):
-        y = y + MultiPoly.var(u) * MultiPoly.var(var) ** d
-    resid = a * y.derivative(var) + b * y + c
-    # one linear equation per power of t: {unknown or None: coefficient}
-    eqs = {tpow: {(mono[0][0] if mono else None): coef
-                  for mono, coef in poly.terms.items()}
-           for tpow, poly in PuiseuxSeries.from_poly(resid, var).coeffs.items()}
-    sol = _solve_linear(eqs, unknowns)
-    if sol is None:
+    # y = sum_d y_d t^d; the t^j coefficient of the residual is
+    # sum_d y_d (d a_{j-d+1} + b_{j-d}) + c_j, one linear equation per j
+    ds = range(deg_bound + 1)
+    powers = sorted({i + d - 1 for i in ca for d in ds if d}
+                    | {i + d for i in cb for d in ds} | set(cc))
+    rows, pivots = rref([[d * ca.get(j - d + 1, 0) + cb.get(j - d, 0)
+                          for d in ds] + [cc.get(j, 0)] for j in powers],
+                        len(ds))
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
         return None
+    sol = [Fraction(0)] * len(ds)
+    for row, d in zip(rows, pivots):
+        sol[d] = -row[-1]
     out = MultiPoly()
-    for d, u in enumerate(unknowns):
-        out = out + MultiPoly.const(sol[u]) * MultiPoly.var(var) ** d
+    for d, y in enumerate(sol):
+        out = out + MultiPoly.const(y) * MultiPoly.var(var) ** d
     return out
-
-
-def _solve_linear(eqs, unknowns):
-    """Solve {const + sum coef*u = 0 per equation}; None if inconsistent."""
-    m = len(unknowns)
-    rows, pivots = rref([[eqs[tpow].get(u, Fraction(0)) for u in unknowns] +
-                         [eqs[tpow].get(None, Fraction(0))]
-                         for tpow in sorted(eqs)], m)
-    if any(row[m] != 0 for row in rows[len(pivots):]):
-        return None
-    sol = {u: Fraction(0) for u in unknowns}
-    for row, c in zip(rows, pivots):
-        sol[unknowns[c]] = -row[m]
-    return sol
 
 
 def solve_2d_family(f):

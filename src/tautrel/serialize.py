@@ -278,10 +278,10 @@ def relations_from_json(data):
             if (vec.g, vec.n) != cell[:2]:
                 raise ParseError("relation on (g, n) = (%d, %d) in cell %s"
                                  % (vec.g, vec.n, cell))
-            if any(dg.key() not in rs.index[cell] for dg in vec.terms):
-                raise ParseError("relation in cell %s has a graph outside "
-                                 "the cell's basis" % (cell,))
-            rs.add(cell, vec)
+            try:
+                rs.add(cell, vec)
+            except ValueError as exc:   # a graph outside the cell's basis
+                raise ParseError(str(exc)) from None
         if rank != rs.dim(cell):
             raise ParseError("cell %s claims rank %d but its relations span "
                              "%d" % (cell, rank, rs.dim(cell)))

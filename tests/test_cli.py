@@ -238,6 +238,18 @@ def test_verify_hand_written_document(tmp_path):
      "malformed relations document"),
     (["verify", "--relations-file", _relations_doc(rank=5)],
      "claims rank 5 but its relations span 1"),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "2",
+      "--constants", "[[0,1]]"], "constants entry [0, 1] is not [i, k, value]"),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "2",
+      "--constants", '{"a":1}'], 'constants entry {"a": 1} is not'),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "2",
+      "--constants", '[[0,1,"x"]]'], "and a rational value"),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "2",
+      "--constants", "[[0,2,5]]"], "odd 1 <= k <= 2"),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "2",
+      "--constants", "[[7,1,5]]"], "0 <= i < 2"),
+    (["compare", "--chart", "a2xa1", "--chart2", "a2", "--param", "t1",
+      "--constants", "[[2,1,5]]"], "constants entry [2, 1, 5] is not"),
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
@@ -250,7 +262,9 @@ def test_verify_hand_written_document(tmp_path):
         "relations-graph-outside-basis", "relations-coefficient-not-rational",
         "relations-coefficient-zero-denominator", "relations-unstable-cell",
         "relations-edge-out-of-range", "relations-rank-mismatch",
-        "family-not-in-t", "family-zero", "family-zero-times-t"])
+        "constants-pair", "constants-object", "constants-value-not-rational",
+        "constants-even-order", "constants-index-out-of-range",
+        "constants-index-out-of-range-second-chart", "family-not-in-t", "family-zero", "family-zero-times-t"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory
@@ -264,6 +278,14 @@ def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
     assert not list(tmp_path.iterdir())
+
+
+def test_duplicate_gn_entries_give_one_cell(tmp_path, capsys):
+    assert run(["relations", "--chart", "a2", "--param", "t1", "--gn",
+                "1,1;1,1", "--codim", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "relations.json").read_text())
+    assert [(c["g"], c["n"], c["codim"]) for c in doc["cells"]] == [(1, 1, 1)]
+    assert capsys.readouterr().out.count("(g,n,codim)") == 1
 
 
 def test_jobs_flag_is_gone(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import itertools
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
-                            enumerate_decorated_basis, enumerate_stable_graphs,
-                            forgetful_pushforward, gluing_pushforward,
-                            multiply_kappa, multiply_psi)
+                            _rebuild, cell_basis, enumerate_decorated_basis,
+                            enumerate_stable_graphs, forgetful_pushforward,
+                            gluing_pushforward, multiply_kappa, multiply_psi)
 
 
 def brute_force_count(g, n, max_edges):
@@ -90,6 +92,73 @@ def test_automorphism_orders():
     assert two_loops.aut_order() == 8
     marked = StableGraph([0, 1], [[1, 2], []], [(0, 1)])
     assert marked.aut_order() == 1
+
+
+def _vertex_symmetries(graph):
+    """Every vertex permutation that keeps the genera, the leg sets and the
+    edge multiset, found by trying all of them."""
+    nv = graph.num_vertices
+    return [p for p in itertools.permutations(range(nv))
+            if all(graph.genera[p[v]] == graph.genera[v]
+                   and graph.legs[p[v]] == graph.legs[v] for v in range(nv))
+            and sorted(tuple(sorted((p[a], p[b]))) for a, b in graph.edges)
+            == list(graph.edges)]
+
+
+def test_aut_order_matches_brute_force():
+    # vertex symmetries times m! per m parallel edges and 2^m per m loops
+    for g, n in [(0, 5), (1, 2), (1, 3), (2, 0), (2, 1)]:
+        for graph in enumerate_stable_graphs(g, n, 3 * g - 3 + n):
+            want = len(_vertex_symmetries(graph))
+            for e in set(graph.edges):
+                m = graph.edges.count(e)
+                want *= factorial(m) * (2 ** m if e[0] == e[1] else 1)
+            assert graph.aut_order() == want, graph
+
+
+def _raw_copy(dg, rng, perms):
+    """Raw data of ``dg`` moved by a vertex permutation drawn from ``perms``:
+    edges in random order and orientation, each psi pair swapped with its
+    edge, kappas in random order."""
+    graph = dg.graph
+    p = rng.choice(perms)
+    nv = graph.num_vertices
+    genera, legs, kappa = [None] * nv, [None] * nv, [None] * nv
+    for v in range(nv):
+        genera[p[v]] = graph.genera[v]
+        legs[p[v]] = list(graph.legs[v])
+        kappa[p[v]] = rng.sample(dg.kappa[v], len(dg.kappa[v]))
+    moved = []
+    for (a, b), (xa, xb) in zip(graph.edges, dg.edge_psi):
+        if rng.random() < 0.5:
+            a, b, xa, xb = b, a, xb, xa
+        moved.append(((p[a], p[b]), (xa, xb)))
+    rng.shuffle(moved)
+    return (genera, legs, [e for e, _ in moved], dict(dg.leg_psi),
+            [x for _, x in moved], kappa)
+
+
+def test_canonical_key_independent_of_labeling():
+    # a basis element rebuilt from relabeled raw data keeps its key; so does
+    # the constructor fed the decoration moved by a graph automorphism
+    rng = random.Random(1505)
+    for cell in [(0, 5, 2), (1, 2, 2), (2, 0, 2)]:
+        basis, _ = cell_basis(cell)
+        for dg in rng.sample(basis, min(40, len(basis))):
+            everything = list(itertools.permutations(range(
+                dg.graph.num_vertices)))
+            for _ in range(3):
+                assert _rebuild(*_raw_copy(dg, rng, everything)).key() \
+                    == dg.key()
+            _, _, edges, leg_psi, edge_psi, kappa = _raw_copy(
+                dg, rng, _vertex_symmetries(dg.graph))
+            aligned = sorted(((min(e), max(e)), rng.random(),
+                              x if e[0] <= e[1] else x[::-1])
+                             for e, x in zip(edges, edge_psi))
+            assert [e for e, _, _ in aligned] == list(dg.graph.edges)
+            again = DecoratedGraph(dg.graph, leg_psi,
+                                   [x for _, _, x in aligned], kappa)
+            assert again.key() == dg.key()
 
 
 def test_canonical_idempotence():

@@ -2,18 +2,20 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from tautrel.charts import a2_expansion, a2x_a1_expansion
 from tautrel.frobenius import idempotent_frame
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
-                            forgetful_pushforward, gluing_pushforward,
-                            multiply_kappa, multiply_psi)
+                            cell_basis, forgetful_pushforward,
+                            gluing_pushforward, multiply_kappa, multiply_psi)
 from tautrel.intersect import integrate_against_monomial, smooth_monomial_basis
 from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
                                closure_operations, compare_spans,
                                extract_relations, operator_map, relabel_legs,
-                               verify_relations, verify_vector)
+                               to_row, verify_relations, verify_vector)
 from tautrel.rmatrix import RMatrix, solve_flatness
 from tautrel.serialize import relations_from_json, relations_to_json
 
@@ -70,11 +72,28 @@ def test_corrupted_vector_flagged():
     # the pairing matrix gives what multiplying by each monomial gives
     rng = random.Random(11)
     vec = StrataVector(0, 5, {dg: F(rng.randint(-5, 5), rng.randint(1, 5))
-                              for dg in RelationSet([(0, 5, 1)]).basis[(0, 5, 1)]})
+                              for dg in cell_basis((0, 5, 1))[0]})
     expected = [(m, integrate_against_monomial(vec, m))
                 for m in smooth_monomial_basis(0, 5, 1)]
     assert len(expected) == 6 and all(v for _, v in expected)
     assert verify_vector(vec, 1) == expected
+
+
+def test_basis_rows_and_duplicate_cells():
+    # a cell listed twice is one cell; a graph outside the cell's basis is
+    # refused by every reader of basis coordinates
+    rs = RelationSet([(1, 1, 1), (0, 4, 1), (1, 1, 1)])
+    assert rs.cells == [(0, 4, 1), (1, 1, 1)]
+    psi = DecoratedGraph.smooth(1, 1, leg_psi={1: 1})
+    _, index = cell_basis((1, 1, 1))
+    assert to_row((1, 1, 1), StrataVector.single(psi, F(1, 2))) \
+        == {index[psi.key()]: F(1, 2)}
+    psi2 = StrataVector.single(DecoratedGraph.smooth(1, 1, leg_psi={1: 2}))
+    for check in (lambda: to_row((1, 1, 1), psi2),
+                  lambda: rs.add((1, 1, 1), psi2),
+                  lambda: verify_vector(psi2, 1)):
+        with pytest.raises(ValueError, match="outside the cell's basis"):
+            check()
 
 
 def test_closure_idempotent_and_empty():
@@ -292,9 +311,7 @@ def dense_reduce(rows, pivots, vec):
 
 def test_sparse_rref_matches_dense_reference():
     cell = (0, 5, 2)
-    template = RelationSet([cell])
-    basis = template.basis[cell]
-    index = template.index[cell]
+    basis, index = cell_basis(cell)
     ncols = len(basis)
     assert ncols == 127
 
@@ -398,12 +415,11 @@ def test_closure_maps_match_graph_operations():
     grafted = [(0, 5, 2), (1, 2, 2), (2, 0, 2)]
     forgotten = [(0, 3, 0), (0, 4, 0), (1, 1, 0)]
     cells = sources + grafted + forgotten
-    rs = RelationSet(cells)
     rng = random.Random(1505)
     kinds = set()
     glued = set()
     for source in sources:
-        basis = rs.basis[source]
+        basis, _ = cell_basis(source)
         for op, target in closure_operations(source, cells):
             kinds.add(op[0])
             if op[0] == "glue":
@@ -421,7 +437,7 @@ def test_closure_maps_match_graph_operations():
                 image = {t: x for t, x in image.items() if x}
                 vec = StrataVector(source[0], source[1],
                                    {basis[i]: x for i, x in row.items()})
-                assert image == rs.to_row(
+                assert image == to_row(
                     target, reference_operation(op, vec)), (source, op)
     assert kinds == {"swap", "psi", "kappa", "forget", "glue"}
     assert glued == {((0, 4, 1), (0, 5, 2)), ((0, 4, 1), (1, 2, 2)),

@@ -73,6 +73,18 @@ def test_gamma_ode_solutions():
         solve_2d_family(MP())
 
 
+def test_rational_solution_recovers_polynomials():
+    # with c made from a chosen polynomial y, the solve gives y back; the
+    # homogeneous solution f^(1/2) of each family equation is no polynomial
+    t = V("t")
+    for f in (t, t * (t + 1), t * t + 3 * t, t ** 3 - t, 2 * t ** 4 + t):
+        a, b, _ = gamma_ode(f)
+        for y in (MP(), MP.const(F(2, 3)), t * F(-1, 5) + 1,
+                  t ** 3 * 4 - t * t):
+            c = -(a * y.derivative("t") + b * y)
+            assert rational_solution(a, b, c) == y, (f, y)
+
+
 def test_no_meromorphic_solution_for_cubic():
     t = V("t")
     diag = solve_2d_family(t * (t * t - 1))
@@ -228,6 +240,16 @@ def _strip_w(series):
         if not p.is_zero():
             coeffs[key] = p
     return PuiseuxSeries(series.param, coeffs, series.ram, series.trunc)
+
+
+def test_unused_constant_is_rejected():
+    # only odd z-orders up to K at an idempotent index are free constants
+    frame = idempotent_frame(a2_expansion(trunc=8))
+    for key in [(0, 2), (0, 5), (2, 1), (-1, 1), (0, 0)]:
+        with pytest.raises(ValueError, match="integration constant"):
+            solve_flatness(frame, K=3, constants={key: F(5)})
+    R = solve_flatness(frame, K=3, constants={(1, 3): F(5)})
+    assert R.constants == {(1, 3): F(5)}
 
 
 def test_quotient_flags_flipped_odd_constant():
