@@ -127,7 +127,7 @@ def _make_expansion(config, default_param=None):
 def _constants(config, dim):
     """{(i, k): v} of the ``constants`` entries [i, k, v]: the flatness solve
     uses only an index 0 <= i < dim, an odd z-order 1 <= k <= z-order and a
-    rational v (an integer or a string such as "1/3")."""
+    rational v (an integer or a string such as "1/3"), one per (i, k)."""
     items = config.get("constants") or []
     z_order = int(config["z_order"])
     out = {}
@@ -137,11 +137,15 @@ def _constants(config, dim):
             if not (type(i) is type(k) is int and type(v) in (int, str)
                     and 0 <= i < dim and k % 2 and 1 <= k <= z_order):
                 raise ValueError
-            out[(i, k)] = Fraction(v)
+            value = Fraction(v)
         except (TypeError, ValueError, ZeroDivisionError):
             raise ParseError("constants entry %s is not [i, k, value] with "
                              "0 <= i < %d, odd 1 <= k <= %d and a rational "
                              "value" % (json.dumps(item), dim, z_order)) from None
+        if (i, k) in out:
+            raise ParseError("constants entry %s repeats (i, k) = (%d, %d)"
+                             % (json.dumps(item), i, k))
+        out[(i, k)] = value
     return out
 
 
@@ -219,6 +223,8 @@ def cmd_rmatrix(config):
 def cmd_reconstruct(config):
     exp = _make_expansion(config)
     gn = config.get("gn") or [[1, 1]]
+    if len(gn) != 1:
+        raise ParseError("reconstruct takes one --gn pair, got %d" % len(gn))
     g, n = gn[0]
     flat = config.get("insertion") or [0] * n
     if len(flat) != n:

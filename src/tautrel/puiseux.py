@@ -98,6 +98,67 @@ def _kcap(trunc, ram):
     return -(-trunc.numerator * ram // trunc.denominator)
 
 
+def _truncation(pairs, ram):
+    """``(trunc, kcap)`` of a sum of products ``a * b`` over ``pairs``, read
+    on the grid of ``ram``: the least of the products' truncations, and the
+    least grid index ``kcap`` with ``kcap / ram >= trunc``.
+
+    A product is known below ``min(a.trunc + ord b, b.trunc + ord a)``, where
+    the order of a zero operand reads as its truncation.  Each candidate is
+    kept as an unreduced ``x / y`` equal to ``trunc * ram`` and compared as
+    integers; on the grid the order of a nonzero series is its least index
+    carried over, so only the least truncation becomes a ``Fraction``.
+    """
+    x = y = None
+    for a, b in pairs:
+        for t, s in ((a.trunc, b), (b.trunc, a)):
+            if t is INF:
+                continue
+            tn, d = t.numerator, t.denominator
+            if s.num:
+                n = tn * ram + min(s.num) * (ram // s.ram) * d
+            elif s.trunc is INF:
+                continue
+            else:
+                u = s.trunc
+                n = (tn * u.denominator + u.numerator * d) * ram
+                d *= u.denominator
+            if x is None or n * y < x * d:
+                x, y = n, d
+    if x is None:
+        return INF, INF
+    return Fraction(x, y * ram), -(-x // y)
+
+
+def _add_product(sums, a, fa, b, fb, kcap, scale):
+    """Add ``scale`` times the product of the integer forms ``a`` and ``b``
+    into ``sums``, read on a common grid through the factors ``fa``, ``fb``.
+
+    Pairs with ``k1 + k2 >= kcap`` are skipped.  Numerators multiply through
+    the memoized monomial products and sum straight into one map per output
+    index.
+    """
+    products = _PRODUCTS
+    for k1, t1 in a.items():
+        k1 *= fa
+        for k2, t2 in b.items():
+            k = k1 + k2 * fb
+            if k >= kcap:
+                continue
+            acc = sums.get(k)
+            if acc is None:
+                acc = sums[k] = {}
+            for i1, c1 in t1.items():
+                row = products[i1]
+                c1 *= scale
+                for i2, c2 in t2.items():
+                    p = row.get(i2)
+                    if p is None:
+                        p = _product(i1, i2)
+                    i, f = p
+                    acc[i] = acc.get(i, 0) + c1 * c2 * f
+
+
 class PuiseuxSeries:
     __slots__ = ("param", "ram", "trunc", "num", "den")
 
@@ -333,57 +394,51 @@ class PuiseuxSeries:
         lcm of theirs.  There the truncation becomes the integer cap
         ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
         holds exactly when ``k >= kcap``, so pairs with ``k1 + k2 >= kcap``
-        are skipped without building a ``Fraction``.  Numerators multiply
-        through the memoized monomial products and sum straight into one map
-        per output index; the denominator is the product of the two.
+        are skipped without building a ``Fraction`` (``_truncation``,
+        ``_add_product``).  The denominator is the product of the two.
         """
         if not isinstance(other, PuiseuxSeries):
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             other = PuiseuxSeries._coerce(other, self.param)
         param = self._join_param(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            # ord of a zero operand reads as its truncation
-            return PuiseuxSeries.zero(
-                param, self.order_or_trunc() + other.order_or_trunc())
         ram = lcm(self.ram, other.ram)
-        fa, fb = ram // self.ram, ram // other.ram
-        # trunc * ram = min(a.trunc * ram + kb, b.trunc * ram + ka) with ka,
-        # kb the least grid indices, kept as an unreduced x / y
-        x = y = None
-        for t, k in ((self.trunc, min(b) * fb), (other.trunc, min(a) * fa)):
-            if t is not INF:
-                n, d = t.numerator * ram + k * t.denominator, t.denominator
-                if x is None or n * y < x * d:
-                    x, y = n, d
-        if x is None:
-            trunc = kcap = INF
-        else:
-            trunc, kcap = Fraction(x, y * ram), -(-x // y)
-        products = _PRODUCTS
+        trunc, kcap = _truncation(((self, other),), ram)
+        if not self.num or not other.num:
+            return _series(param, 1, trunc, {}, 1)
         sums = {}
-        for k1, t1 in a.items():
-            k1 *= fa
-            for k2, t2 in b.items():
-                k = k1 + k2 * fb
-                if k >= kcap:
-                    continue
-                acc = sums.get(k)
-                if acc is None:
-                    acc = sums[k] = {}
-                for i1, c1 in t1.items():
-                    row = products[i1]
-                    for i2, c2 in t2.items():
-                        p = row.get(i2)
-                        if p is None:
-                            p = _product(i1, i2)
-                        i, f = p
-                        acc[i] = acc.get(i, 0) + c1 * c2 * f
+        _add_product(sums, self.num, ram // self.ram, other.num,
+                     ram // other.ram, kcap, 1)
         return _series(param, ram, trunc, _nonzero(sums),
                        self.den * other.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs, param):
+        """The sum of ``a * b`` over the (a, b) in ``pairs``, formed at once.
+
+        Every product is read on one grid, ``ram`` the lcm of all operand
+        ``ram``s, and over one denominator, the lcm of the ``a.den * b.den``.
+        The numerators of every pair go straight into one map per output
+        index, and the result is normalized once.  Its truncation is the
+        least of the products' truncations (each as ``__mul__`` takes it),
+        compared as integers: a sum of products that cancel still carries
+        their truncation.
+        """
+        ram = den = 1
+        for a, b in pairs:
+            join = a._join_param(b)
+            if join is not None and join != param:
+                raise ValueError("parameter mismatch: %s vs %s" % (join, param))
+            ram = lcm(ram, a.ram, b.ram)
+            den = lcm(den, a.den * b.den)
+        trunc, kcap = _truncation(pairs, ram)
+        sums = {}
+        for a, b in pairs:
+            _add_product(sums, a.num, ram // a.ram, b.num, ram // b.ram, kcap,
+                         den // (a.den * b.den))
+        return _series(param, ram, trunc, _nonzero(sums), den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

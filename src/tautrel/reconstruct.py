@@ -228,6 +228,14 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     power, color) of its legs, where legs with equal insertions share a
     class.  It is keyed by that sorted tuple and formed once per call, as
     the factor of its longest proper prefix times one component.
+
+    The (leg factor, weight) pairs of the sum are grouped by decorated graph,
+    and each graph's coefficient is formed once, by
+    ``PuiseuxSeries.sum_of_products``: every product adds its numerators
+    straight into one integer accumulator, and no series is built per term.
+    The coefficient is known below the least truncation of its products, so
+    products that cancel still bound it.  A coefficient that cancels
+    completely is left out of the class.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
@@ -245,7 +253,7 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     class_data = [leg_series(spec, v, w, bound) for v, w in distinct]
     leg_choices = [sorted(class_data[c]) for c in leg_class]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
-    pairs = []
+    groups = {}     # decorated graph -> [(leg factor, weight)]
     B, graphs = graph_weights(spec, g, n, bound)
     for graph, leg_vertex, table in graphs:
         for leg_psi in _bounded_assignments(leg_choices,
@@ -259,10 +267,17 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
                 key = tuple(sorted([(c, p, coloring[v]) for c, p, v in legs]))
                 factor = _leg_factor(memo, key, class_data)
                 if not factor.is_zero():
-                    pairs.append((dg, factor * weight))
-    # summed in the order of the graph sum: a partial sum that cancels to
-    # zero is dropped together with its truncation
-    return StrataVector(g, n, pairs)
+                    pairs = groups.get(dg)
+                    if pairs is None:
+                        groups[dg] = [(factor, weight)]
+                    else:
+                        pairs.append((factor, weight))
+    out = StrataVector(g, n)
+    for dg, pairs in groups.items():
+        coeff = PuiseuxSeries.sum_of_products(pairs, spec.param)
+        if not coeff.is_zero():
+            out.terms[dg] = coeff
+    return out
 
 
 def _leg_factor(memo, key, class_data):
@@ -326,11 +341,13 @@ def _leg_psi_weights(spec, graph, leg_psi, B, bound):
         # per-vertex budgets are coupled only through rem
         rem = rem1 - sum(edge_assign)
         for coloring in itertools.product(range(spec.dim), repeat=nv):
-            factor = inv_aut
-            for mat, (a, b) in zip(mats, graph.edges):
-                factor = factor * mat.entries[coloring[a]][coloring[b]]
-            if factor.is_zero():
+            edge_entries = [mat.entries[coloring[a]][coloring[b]]
+                            for mat, (a, b) in zip(mats, graph.edges)]
+            if any(e.is_zero() for e in edge_entries):
                 continue
+            factor = inv_aut
+            for e in edge_entries:
+                factor = factor * e
             vertex_terms = [sorted(vertex_contributions(
                 spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
                 for v in range(nv)]

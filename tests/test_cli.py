@@ -250,6 +250,12 @@ def test_verify_hand_written_document(tmp_path):
       "--constants", "[[7,1,5]]"], "0 <= i < 2"),
     (["compare", "--chart", "a2xa1", "--chart2", "a2", "--param", "t1",
       "--constants", "[[2,1,5]]"], "constants entry [2, 1, 5] is not"),
+    (["rmatrix", "--chart", "a2", "--param", "t1", "--z-order", "1",
+      "--constants", '[[0,1,"1"],[0,1,"2"]]'],
+     'constants entry [0, 1, "2"] repeats (i, k) = (0, 1)'),
+    (["reconstruct", "--chart", "a2", "--param", "t1", "--gn", "1,1;0,4",
+      "--codim", "1", "--insertion", "1"],
+     "reconstruct takes one --gn pair, got 2"),
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
@@ -264,7 +270,8 @@ def test_verify_hand_written_document(tmp_path):
         "relations-edge-out-of-range", "relations-rank-mismatch",
         "constants-pair", "constants-object", "constants-value-not-rational",
         "constants-even-order", "constants-index-out-of-range",
-        "constants-index-out-of-range-second-chart", "family-not-in-t", "family-zero", "family-zero-times-t"])
+        "constants-index-out-of-range-second-chart", "constants-repeated-pair",
+        "reconstruct-two-gn-pairs", "family-not-in-t", "family-zero", "family-zero-times-t"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

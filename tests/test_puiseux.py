@@ -243,6 +243,71 @@ def test_integer_kernel_matches_fraction_reference():
     assert rams == {1, 2, 3}
 
 
+def test_sum_of_products_matches_products_and_sums():
+    # Each list of 1-6 pairs is summed once by the kernel, and pair by pair
+    # both through __mul__ and + and through the Fraction reference.
+    rng = random.Random(15)
+
+    def rand_poly():
+        poly = MP()
+        for _ in range(rng.randint(1, 2)):
+            pairs = [(sym, rng.choice(list(exps))) for sym, exps
+                     in KERNEL_SYMBOLS if rng.random() < 0.45]
+            coeff = F(rng.choice([-9, -4, -2, -1, 1, 3, 5, 8]),
+                      rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
+            poly = poly + MP.monomial(coeff, pairs)
+        return poly
+
+    def rand_ref():
+        ram = rng.choice([1, 2, 3])
+        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
+        ref = {}
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
+            e = F(rng.randint(-3 * ram, 3 * ram), ram)
+            if e < trunc:
+                ref[e] = rand_poly()
+        return _ref_drop_zeros(ref), trunc
+
+    def negated(ref):
+        return {e: -p for e, p in ref[0].items()}, ref[1]
+
+    seen = {"cancelled": 0, "zero product": 0, "rams": set()}
+    for _ in range(200):
+        refs = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = rand_ref(), rand_ref()
+            refs.append((a, b))
+            if rng.random() < 0.2:
+                # cancels the pair just drawn
+                refs.append((negated(a), b))
+        if rng.random() < 0.25:
+            # zero to a finite truncation: the product is zero below
+            # t + ord b, and that bounds the sum
+            zero = {}, F(rng.randint(-6, 12), 6)
+            refs.insert(rng.randint(0, len(refs)), (zero, rand_ref()))
+        pairs = [(_ref_series(*a), _ref_series(*b)) for a, b in refs]
+        got = PS.sum_of_products(pairs, "t")
+        want, ref = PS.zero("t"), ({}, INF)
+        for (x, y), (a, b) in zip(pairs, refs):
+            prod = x * y
+            want = want + prod
+            ref = _ref_add(*ref, *_ref_mul(*a, *b), 1)
+            assert got.trunc <= prod.trunc
+            seen["zero product"] += prod.is_zero() and prod.trunc != INF
+            seen["rams"].add(x.ram)
+        assert got.trunc == min(x.trunc for x in (x * y for x, y in pairs))
+        assert (got.ram, got.den, got.num, got.trunc) == (
+            want.ram, want.den, want.num, want.trunc)
+        assert got == want and str(got) == str(want)
+        _assert_kernel(got, *ref)
+        seen["cancelled"] += got.is_zero() and all(
+            not (x * y).is_zero() for x, y in pairs)
+    assert seen["cancelled"] and seen["zero product"]
+    assert seen["rams"] == {1, 2, 3}
+    # no pairs: the exact zero in the given parameter
+    assert PS.sum_of_products([], "t") == PS.zero("t")
+
+
 def test_leading_is_least_coefficient():
     # the seeded series of test_integer_kernel_matches_fraction_reference,
     # drawn in the same order

@@ -14,8 +14,9 @@ from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
                                closure_operations, compare_spans,
-                               extract_relations, operator_map, relabel_legs,
-                               to_row, verify_relations, verify_vector)
+                               extract_relations, operator_map, polar_vectors,
+                               relabel_legs, to_row, verify_relations,
+                               verify_vector)
 from tautrel.rmatrix import RMatrix, solve_flatness
 from tautrel.serialize import relations_from_json, relations_to_json
 
@@ -194,6 +195,25 @@ def test_holomorphic_action_preserves_closed_span():
         span = close_relations(extract_relations(acted, cells))
         verdicts = compare_spans(base, span)
         assert all(v[0] == "equal" for v in verdicts.values()), (trial, verdicts)
+
+
+def test_cancelled_products_keep_their_truncation():
+    # The first two products cancel below O(t^0); the third is t^-1 + O(t^5).
+    # Summed at once as the graph sum sums a coefficient, the t^-1 term is
+    # known only below t^0, so its polar part cannot be certified.
+    psi = DecoratedGraph.smooth(1, 1, {1: 1})
+    x = PS("t", {-2: 1}, 1, trunc=0)
+    one = PS.const(1, "t")
+    pairs = [(x, one), (-x, one), (PS("t", {-1: 1}, 1, trunc=5), one)]
+    coeff = PS.sum_of_products(pairs, "t")
+    assert str(coeff) == "t^-1 + O(t^0)"
+    with pytest.raises(ValueError, match="cannot certify polar coefficients"):
+        list(polar_vectors(StrataVector(1, 1, {psi: coeff})))
+    # summed pair by pair into a StrataVector, the cancelled partial sum is
+    # dropped with its truncation and t^-1 + O(t^5) would certify
+    pairwise = StrataVector(1, 1, [(psi, a * b) for a, b in pairs])
+    assert str(pairwise.terms[psi]) == "t^-1 + O(t^5)"
+    assert len(list(polar_vectors(pairwise))) == 1
 
 
 def test_extraction_empty_on_zero_dimensional_moduli():
