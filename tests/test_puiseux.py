@@ -202,9 +202,10 @@ def _assert_kernel(got, ref, trunc):
     assert got.den > 0 and all(nums) and gcd(got.den, *nums) == 1
 
 
-def test_integer_kernel_matches_fraction_reference():
-    rng = random.Random(12)
-
+def _rand_kernel_ref(rng):
+    """A seeded reference series: ram 1, 2 or 3, up to five coefficients of
+    one or two monomials over KERNEL_SYMBOLS, denominators up to 35, and a
+    finite truncation one time in three."""
     def rand_poly():
         poly = MP()
         for _ in range(rng.randint(1, 2)):
@@ -215,19 +216,21 @@ def test_integer_kernel_matches_fraction_reference():
             poly = poly + MP.monomial(coeff, pairs)
         return poly
 
-    def rand_ref():
-        ram = rng.choice([1, 2, 3])
-        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
-        ref = {}
-        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
-            e = F(rng.randint(-3 * ram, 3 * ram), ram)
-            if e < trunc:
-                ref[e] = rand_poly()
-        return _ref_drop_zeros(ref), trunc
+    ram = rng.choice([1, 2, 3])
+    trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
+    ref = {}
+    for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
+        e = F(rng.randint(-3 * ram, 3 * ram), ram)
+        if e < trunc:
+            ref[e] = rand_poly()
+    return _ref_drop_zeros(ref), trunc
 
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(12)
     rams = set()
     for _ in range(250):
-        (a, ta), (b, tb) = rand_ref(), rand_ref()
+        (a, ta), (b, tb) = _rand_kernel_ref(rng), _rand_kernel_ref(rng)
         sa, sb = _ref_series(a, ta), _ref_series(b, tb)
         rams.add(sa.ram)
         _assert_kernel(sa * sb, *_ref_mul(a, ta, b, tb))
@@ -248,26 +251,6 @@ def test_sum_of_products_matches_products_and_sums():
     # both through __mul__ and + and through the Fraction reference.
     rng = random.Random(15)
 
-    def rand_poly():
-        poly = MP()
-        for _ in range(rng.randint(1, 2)):
-            pairs = [(sym, rng.choice(list(exps))) for sym, exps
-                     in KERNEL_SYMBOLS if rng.random() < 0.45]
-            coeff = F(rng.choice([-9, -4, -2, -1, 1, 3, 5, 8]),
-                      rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
-            poly = poly + MP.monomial(coeff, pairs)
-        return poly
-
-    def rand_ref():
-        ram = rng.choice([1, 2, 3])
-        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
-        ref = {}
-        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
-            e = F(rng.randint(-3 * ram, 3 * ram), ram)
-            if e < trunc:
-                ref[e] = rand_poly()
-        return _ref_drop_zeros(ref), trunc
-
     def negated(ref):
         return {e: -p for e, p in ref[0].items()}, ref[1]
 
@@ -275,7 +258,7 @@ def test_sum_of_products_matches_products_and_sums():
     for _ in range(200):
         refs = []
         for _ in range(rng.randint(1, 6)):
-            a, b = rand_ref(), rand_ref()
+            a, b = _rand_kernel_ref(rng), _rand_kernel_ref(rng)
             refs.append((a, b))
             if rng.random() < 0.2:
                 # cancels the pair just drawn
@@ -284,7 +267,8 @@ def test_sum_of_products_matches_products_and_sums():
             # zero to a finite truncation: the product is zero below
             # t + ord b, and that bounds the sum
             zero = {}, F(rng.randint(-6, 12), 6)
-            refs.insert(rng.randint(0, len(refs)), (zero, rand_ref()))
+            refs.insert(rng.randint(0, len(refs)),
+                        (zero, _rand_kernel_ref(rng)))
         pairs = [(_ref_series(*a), _ref_series(*b)) for a, b in refs]
         got = PS.sum_of_products(pairs, "t")
         want, ref = PS.zero("t"), ({}, INF)
@@ -295,7 +279,7 @@ def test_sum_of_products_matches_products_and_sums():
             assert got.trunc <= prod.trunc
             seen["zero product"] += prod.is_zero() and prod.trunc != INF
             seen["rams"].add(x.ram)
-        assert got.trunc == min(x.trunc for x in (x * y for x, y in pairs))
+        assert got.trunc == min((x * y).trunc for x, y in pairs)
         assert (got.ram, got.den, got.num, got.trunc) == (
             want.ram, want.den, want.num, want.trunc)
         assert got == want and str(got) == str(want)
@@ -312,30 +296,9 @@ def test_leading_is_least_coefficient():
     # the seeded series of test_integer_kernel_matches_fraction_reference,
     # drawn in the same order
     rng = random.Random(12)
-
-    def rand_poly():
-        poly = MP()
-        for _ in range(rng.randint(1, 2)):
-            pairs = [(sym, rng.choice(list(exps))) for sym, exps
-                     in KERNEL_SYMBOLS if rng.random() < 0.45]
-            coeff = F(rng.choice([-9, -4, -2, -1, 1, 3, 5, 8]),
-                      rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
-            poly = poly + MP.monomial(coeff, pairs)
-        return poly
-
-    def rand_ref():
-        ram = rng.choice([1, 2, 3])
-        trunc = rng.choice([INF, INF, F(rng.randint(-12, 24), 6)])
-        ref = {}
-        for _ in range(rng.choice([0, 1, 2, 3, 4, 5])):
-            e = F(rng.randint(-3 * ram, 3 * ram), ram)
-            if e < trunc:
-                ref[e] = rand_poly()
-        return _ref_drop_zeros(ref), trunc
-
     checked = 0
     for _ in range(250):
-        (a, ta), (b, tb) = rand_ref(), rand_ref()
+        (a, ta), (b, tb) = _rand_kernel_ref(rng), _rand_kernel_ref(rng)
         sa, sb = _ref_series(a, ta), _ref_series(b, tb)
         for ref, s in ((a, sa), (b, sb)):
             if ref:
