@@ -515,8 +515,15 @@ def test_reconstruct_artifact_pinned(tmp_path):
     (["reconstruct", "--chart", "a2xa1", "--param", "t1", "--gn", "0,5",
       "--codim", "2", "--insertion", "0,1,1,0,1"], "reconstruct.json",
      "738b876450b244733e786d0a090dd28c7232728d2026aea36e5870de279da34c"),
+    (["frame", "--chart", "a3"], "frame.json",
+     "6893c1f7826effe70a0a254ec1200647383d880265d6f3eead48bf2706bf57c9"),
+    (["rmatrix", "--chart", "a3", "--z-order", "3"], "rmatrix.json",
+     "a35907ff37a90c80ddc70055fd7f9ec85b2df71129b9c7fe7140614baacc7de7"),
+    (["genus1", "--chart", "a3"], "genus1.json",
+     "43428a5a5a3248816dc28b6ccfd8c2cad39c79c7a20be4372c38d4b3ab95d9a8"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
-        "genus1-a2xa1", "reconstruct-a2xa1-repeated"])
+        "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
+        "rmatrix-a3", "genus1-a3"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
     from tautrel.cli import main
