@@ -189,31 +189,19 @@ class ChartExpansion:
 
     def pairing(self, x, y):
         """Metric pairing of two flat-basis series vectors."""
-        acc = PuiseuxSeries.zero(self.param)
         eta = self.chart.metric
-        for i in range(self.chart.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.chart.dim):
-                if eta[i][j]:
-                    acc = acc + x[i] * y[j] * eta[i][j]
-        return acc
+        n = self.chart.dim
+        return PuiseuxSeries.sum_of_products(
+            [(x[i], y[j] * eta[i][j]) for i in range(n) for j in range(n)
+             if eta[i][j]], self.param)
 
     def mult_matrix_series(self, vec):
         """Multiplication operator by a series vector, as a SeriesMatrix."""
         n = self.chart.dim
         C = self.structure_series()
-        rows = []
-        for k in range(n):
-            row = []
-            for nu in range(n):
-                acc = PuiseuxSeries.zero(self.param)
-                for mu in range(n):
-                    if not vec[mu].is_zero():
-                        acc = acc + vec[mu] * C[mu][nu][k]
-                row.append(acc)
-            rows.append(row)
-        return SeriesMatrix(rows)
+        return SeriesMatrix([[PuiseuxSeries.sum_of_products(
+            [(vec[mu], C[mu][nu][k]) for mu in range(n)], self.param)
+            for nu in range(n)] for k in range(n)])
 
     def tD_order(self, series):
         """Order along the discriminant: param-order / cover_degree."""
@@ -239,10 +227,10 @@ class ChartExpansion:
                                  % (len(self.vars), n))
             self._jacobian_inv = self.jacobian().inverse(trunc=self.trunc)
         chart_dir = self._jacobian_inv.apply(direction)  # components along vars
-        out = series.derivative() * chart_dir[0]
-        for a, v in enumerate(self.background):
-            out = out + series.derivative_sym(v) * chart_dir[a + 1]
-        return out
+        partials = [series.derivative()] + [series.derivative_sym(v)
+                                            for v in self.background]
+        return PuiseuxSeries.sum_of_products(list(zip(partials, chart_dir)),
+                                             self.param)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +430,13 @@ def _puiseux_roots(coeffs, param, trunc, depth):
 
 
 def _shift_poly(coeffs, x0):
-    """Coefficients of p(x0 + Y)."""
-    d = len(coeffs) - 1
-    out = [PuiseuxSeries.zero(x0.param) for _ in range(d + 1)]
-    # binomial expansion per power
+    """Coefficients of p(x0 + Y): Y^j has sum_i c_i C(i, j) x0^(i - j)."""
     x0_pow = [PuiseuxSeries.const(1, x0.param)]
-    for _ in range(d):
+    for _ in range(len(coeffs) - 1):
         x0_pow.append(x0_pow[-1] * x0)
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        for j in range(i + 1):
-            out[j] = out[j] + c * comb(i, j) * x0_pow[i - j]
-    return out
+    return [PuiseuxSeries.sum_of_products(
+        [(c * comb(i, j), x0_pow[i - j]) for i, c in enumerate(coeffs) if i >= j],
+        x0.param) for j in range(len(coeffs))]
 
 
 def _newton_refine(coeffs, dcoeffs, x0, param, trunc):

@@ -388,29 +388,15 @@ class PuiseuxSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product, known below ``min(a.trunc + ord b, b.trunc + ord a)``.
-
-        Both operands are read on the common grid ``k / ram``, ``ram`` the
-        lcm of theirs.  There the truncation becomes the integer cap
-        ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
-        holds exactly when ``k >= kcap``, so pairs with ``k1 + k2 >= kcap``
-        are skipped without building a ``Fraction`` (``_truncation``,
-        ``_add_product``).  The denominator is the product of the two.
-        """
+        """Product, known below ``min(a.trunc + ord b, b.trunc + ord a)``: the
+        one-pair case of ``sum_of_products``.  A rational factor keeps the
+        support and truncation (``_scaled``)."""
         if not isinstance(other, PuiseuxSeries):
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             other = PuiseuxSeries._coerce(other, self.param)
-        param = self._join_param(other)
-        ram = lcm(self.ram, other.ram)
-        trunc, kcap = _truncation(((self, other),), ram)
-        if not self.num or not other.num:
-            return _series(param, 1, trunc, {}, 1)
-        sums = {}
-        _add_product(sums, self.num, ram // self.ram, other.num,
-                     ram // other.ram, kcap, 1)
-        return _series(param, ram, trunc, _nonzero(sums),
-                       self.den * other.den)
+        param = self.param if self.param is not None else other.param
+        return PuiseuxSeries.sum_of_products(((self, other),), param)
 
     __rmul__ = __mul__
 
@@ -418,13 +404,18 @@ class PuiseuxSeries:
     def sum_of_products(pairs, param):
         """The sum of ``a * b`` over the (a, b) in ``pairs``, formed at once.
 
-        Every product is read on one grid, ``ram`` the lcm of all operand
-        ``ram``s, and over one denominator, the lcm of the ``a.den * b.den``.
-        The numerators of every pair go straight into one map per output
-        index, and the result is normalized once.  Its truncation is the
-        least of the products' truncations (each as ``__mul__`` takes it),
-        compared as integers: a sum of products that cancel still carries
-        their truncation.
+        Every product is read on one grid ``k / ram``, ``ram`` the lcm of all
+        operand ``ram``s, and over one denominator, the lcm of the
+        ``a.den * b.den``.  There the truncation becomes the integer cap
+        ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
+        holds exactly when ``k >= kcap``, so pairs of indices with
+        ``k1 + k2 >= kcap`` are skipped without building a ``Fraction``.  The
+        numerators of every pair go straight into one map per output index,
+        and the result is normalized once.  Its truncation is the least of
+        the products' truncations, each ``min(a.trunc + ord b, b.trunc +
+        ord a)`` with the order of a zero operand read as its truncation,
+        compared as integers (``_truncation``): a zero operand keeps its
+        truncation, and a sum of products that cancel still carries theirs.
         """
         ram = den = 1
         for a, b in pairs:
@@ -596,6 +587,15 @@ class PuiseuxSeries:
 # matrices over PuiseuxSeries
 
 
+def _param_of(rows):
+    """The parameter of the first series in ``rows`` that has one, or None."""
+    for row in rows:
+        for e in row:
+            if e.param is not None:
+                return e.param
+    return None
+
+
 def cofactor_det(rows):
     """Determinant of a nonempty square list of rows by cofactor expansion
     along the first row; the entries may come from any commutative ring."""
@@ -652,27 +652,19 @@ class SeriesMatrix:
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = self.entries[i][0] * other.entries[0][j]
-                    for k in range(1, self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return SeriesMatrix(out)
+            param = _param_of(self.entries + other.entries)
+            cols = list(zip(*other.entries))
+            return SeriesMatrix([[PuiseuxSeries.sum_of_products(
+                list(zip(row, col)), param) for col in cols]
+                for row in self.entries])
         return self.scale(other)
 
     def apply(self, vector):
         """Matrix times a list of series."""
-        out = []
-        for i in range(self.rows):
-            acc = self.entries[i][0] * vector[0]
-            for k in range(1, self.cols):
-                acc = acc + self.entries[i][k] * vector[k]
-            out.append(acc)
-        return out
+        param = _param_of(self.entries + [vector])
+        return [PuiseuxSeries.sum_of_products(
+            list(zip(row, vector, strict=True)), param)
+                for row in self.entries]
 
     def transpose(self):
         return SeriesMatrix([[self.entries[i][j] for i in range(self.rows)]

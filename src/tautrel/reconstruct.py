@@ -282,13 +282,18 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
 
 def _leg_factor(memo, key, class_data):
     """Product of the leg components named by the sorted ``key``, memoized
-    with every prefix; a one-leg factor is the component itself."""
+    with every prefix; a one-leg factor is the component itself.
+
+    A zero component or prefix is returned as it is, without the product:
+    ``reconstruct_class`` leaves out a zero factor, so its truncation is
+    never read."""
     factor = memo.get(key)
     if factor is None:
         c, p, color = key[-1]
-        comp = class_data[c][p][color]
-        factor = (comp if len(key) == 1
-                  else _leg_factor(memo, key[:-1], class_data) * comp)
+        factor = class_data[c][p][color]
+        if len(key) > 1 and not factor.is_zero():
+            prefix = _leg_factor(memo, key[:-1], class_data)
+            factor = prefix if prefix.is_zero() else prefix * factor
         memo[key] = factor
     return factor
 
@@ -410,10 +415,10 @@ def genus_one_correlator(spec, flat_field):
     X = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
          for c in flat_field]
     du = frame.einv.apply(X)
-    total = PuiseuxSeries.zero(param)
+    pairs = []
     for i in range(frame.dim):
-        dlog = exp.derivative_along(frame.delta[i], X) * frame.delta_inv[i]
-        total = total + dlog * Fraction(1, 48)
-        total = total - spec.R[1].entries[i][i] * du[i] * Fraction(1, 2)
-    return total
+        pairs.append((exp.derivative_along(frame.delta[i], X),
+                      frame.delta_inv[i] * Fraction(1, 48)))
+        pairs.append((spec.R[1].entries[i][i], du[i] * Fraction(-1, 2)))
+    return PuiseuxSeries.sum_of_products(pairs, param)
 

@@ -43,16 +43,15 @@ class RMatrix:
     def symplectic_defect(self, k):
         """z^k coefficient of R(z) R^t(-z) - Id."""
         n = self.frame.dim
-        acc = SeriesMatrix.zero(n, n, self.frame.param)
-        for p in range(0, k + 1):
-            q = k - p
-            term = self.orders[p] * self.orders[q].transpose()
-            if q % 2:
-                term = -term
-            acc = acc + term
+        param = self.frame.param
+        R = self.orders
+        defect = SeriesMatrix([[PuiseuxSeries.sum_of_products(
+            [(-a if (k - p) % 2 else a, b) for p in range(k + 1)
+             for a, b in zip(R[p].entries[i], R[k - p].entries[j])], param)
+            for j in range(n)] for i in range(n)])
         if k == 0:
-            acc = acc - SeriesMatrix.identity(n, self.frame.param)
-        return acc
+            defect = defect - SeriesMatrix.identity(n, param)
+        return defect
 
     def check_symplectic(self):
         for k in range(1, self.K + 1):
@@ -140,30 +139,18 @@ def solve_flatness(frame, K, constants=None):
             # pinned by the symplectic condition:
             # 2 R^k_jj = -[sum_{p+q=k, p,q>=1} (-1)^q R^p (R^q)^t]_jj
             for j in range(n):
-                acc = PuiseuxSeries.zero(param)
-                for p in range(1, k):
-                    q = k - p
-                    Rp = orders[p]
-                    Rq = orders[q]
-                    term = sum((Rp.entries[j][m] * Rq.entries[j][m] for m in range(n)),
-                               PuiseuxSeries.zero(param))
-                    if q % 2:
-                        term = -term
-                    acc = acc + term
-                entries[j][j] = acc * Fraction(-1, 2)
+                entries[j][j] = PuiseuxSeries.sum_of_products(
+                    [(-a if (k - p) % 2 else a, b) for p in range(1, k)
+                     for a, b in zip(orders[p].entries[j],
+                                     orders[k - p].entries[j])],
+                    param) * Fraction(-1, 2)
         else:
-            # integrate d R^k_jj = (R^k W_a)_jj over the chart
-            partial = SeriesMatrix(
-                [[entries[i][j] if i != j else PuiseuxSeries.zero(param)
-                  for j in range(n)] for i in range(n)])
+            # integrate d R^k_jj = (R^k W_a)_jj over the chart; W_a is
+            # antisymmetric, so the unknown R^k_jj has no share in it
             for j in range(n):
-                comps = []
-                for a in range(nvars):
-                    acc = PuiseuxSeries.zero(param)
-                    for m in range(n):
-                        if m != j:
-                            acc = acc + partial.entries[j][m] * W[a].entries[m][j]
-                    comps.append(acc)
+                comps = [PuiseuxSeries.sum_of_products(
+                    [(entries[j][m], W[a].entries[m][j]) for m in range(n)
+                     if m != j], param) for a in range(nvars)]
                 prim = integrate_oneform(comps, param, frame.expansion.background)
                 entries[j][j] = prim + Fraction(constants.get((j, k), 0))
         orders.append(SeriesMatrix(entries))

@@ -7,8 +7,9 @@ from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
                             a2x_a1_expansion, a3_chart, a3_expansion,
                             extend_chart, family_expansion)
 from tautrel.frobenius import (ChartError, FrobeniusChart, NonSemisimpleError,
-                               idempotent_frame, local_structure_probe,
-                               newton_puiseux_roots, psi0_frame, verify_frame)
+                               _shift_poly, idempotent_frame,
+                               local_structure_probe, newton_puiseux_roots,
+                               psi0_frame, verify_frame)
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
 
@@ -34,6 +35,20 @@ def test_a2_quantum_product():
     for X in (e1, [PS.const(F(2, 3), "t1"), PS.unit("t1", 1)]):
         res = exp.product(X, e0)
         assert all((res[m] - X[m]).is_zero() for m in range(2))
+
+
+def test_zero_operand_keeps_its_truncation():
+    # x_0 is zero only below t1^2: every product with it is unknown from
+    # t1^2 + ord on, and dropping x_0 would certify terms that are unknown
+    exp = a2_expansion()
+    x = [PS.zero("t1", trunc=2), PS.const(1, "t1")]
+    y = [PS.unit("t1", -3), PS.const(1, "t1")]
+    assert str(exp.pairing(x, y)) == "t1^-3 + O(t1^2)"
+    assert str(exp.product(x, y)) == "[O(t1^-1), t1^-3 + O(t1^2)]"
+    # p(X) = X^2 + O(t1) X + 3 at X = t1^-1 + Y
+    p = [PS.const(3, "t1"), PS.zero("t1", trunc=1), PS.const(1, "t1")]
+    assert str(_shift_poly(p, PS.unit("t1", -1))) == (
+        "[t1^-2 + O(t1^0), 2*t1^-1 + O(t1^1), 1]")
 
 
 def test_a3_milnor_ring_product():
