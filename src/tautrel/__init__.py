@@ -14,7 +14,7 @@ from .intersect import (integrate_against_monomial, integrate_strata,
                         kappa_psi_integral, pairing_matrix, psi_integral)
 from .reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift, edge_series,
                           genus_one_correlator, leg_series, reconstruct_class,
-                          to_normalized_insertion, tqft_value)
+                          to_normalized_insertion)
 from .relations import (RelationSet, close_relations, compare_spans,
                         extract_relations, verify_relations)
 from .charts import extend_chart

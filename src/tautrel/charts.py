@@ -37,17 +37,16 @@ def family_expansion(f, trunc=6):
                           trunc=trunc)
 
 
-def a2_tilted_chart(alpha=1):
-    """A2-like chart with eta(1,1) = alpha, so eta_0 != 0 on the t-frame."""
+def a2_tilted_chart():
+    """A2-like chart with eta(1,1) = 1, so eta_0 != 0 on the t-frame."""
     t0, t1 = V("t0"), V("t1")
-    alpha = Fraction(alpha)
-    potential = t0 ** 3 * alpha / 6 + t0 * t0 * t1 / 2 + t1 ** 4 / 24
-    return FrobeniusChart(["t0", "t1"], [[alpha, 1], [1, 0]], potential, 0,
+    potential = t0 ** 3 / 6 + t0 * t0 * t1 / 2 + t1 ** 4 / 24
+    return FrobeniusChart(["t0", "t1"], [[1, 1], [1, 0]], potential, 0,
                           name="A2-tilted")
 
 
-def a2_tilted_expansion(alpha=1, trunc=6):
-    return ChartExpansion(a2_tilted_chart(alpha), "t1",
+def a2_tilted_expansion(trunc=6):
+    return ChartExpansion(a2_tilted_chart(), "t1",
                           {"t0": V("t0"), "t1": V("t1")}, trunc=trunc)
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: frame, rmatrix, reconstruct, relations, compare, verify, genus1.
 A JSON config file provides defaults and is echoed into every artifact;
-command-line flags override config fields.  Exit codes: 0 success, 1
-computation error, 2 input error.
+command-line flags override config fields.  A subcommand takes only the
+flags of the fields it reads.  Exit codes: 0 success, 1 computation error,
+2 input error.
 """
 
 from __future__ import annotations
@@ -331,41 +332,52 @@ def cmd_genus1(config):
     return EXIT_OK
 
 
+# every flag with its argparse options; its config key is its dest
+FLAGS = {
+    "config": dict(help="JSON config file"),
+    "chart": dict(help="chart file or builtin name"),
+    "chart2": dict(help="second chart"),
+    "param": dict(help="local parameter symbol"),
+    "cover_degree": dict(type=int),
+    "trunc": dict(type=int, help="series truncation order"),
+    "z_order": dict(type=int),
+    "codim": dict(type=int),
+    "gn": dict(help="grid like '1,1;0,4'"),
+    "insertion": dict(help="flat indices like '0,1'"),
+    "constants": dict(help="JSON list of [i, k, value]"),
+    "family": dict(help="polynomial f(t) for the 2d family"),
+    "relations_file": dict(),
+    "out": dict(help="output directory"),
+}
+
+# the flags of each subcommand, besides --config and --out: the config keys
+# its command reads (those of _make_expansion, then of the flatness solve)
+_EXPANSION = ("chart", "param", "cover_degree", "trunc")
+_SOLVE = _EXPANSION + ("z_order", "constants")
 COMMANDS = {
-    "frame": cmd_frame,
-    "rmatrix": cmd_rmatrix,
-    "reconstruct": cmd_reconstruct,
-    "relations": cmd_relations,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
-    "genus1": cmd_genus1,
+    "frame": (cmd_frame, _EXPANSION),
+    "rmatrix": (cmd_rmatrix, _SOLVE + ("family",)),
+    "reconstruct": (cmd_reconstruct, _SOLVE + ("codim", "gn", "insertion")),
+    "relations": (cmd_relations, _SOLVE + ("codim", "gn")),
+    "compare": (cmd_compare, _SOLVE + ("codim", "gn", "chart2")),
+    "verify": (cmd_verify, ("relations_file",)),
+    "genus1": (cmd_genus1, _SOLVE + ("insertion",)),
 }
 
 
 def build_parser():
+    """One subparser per command, holding only the flags that command reads;
+    argparse rejects any other flag with exit code 2."""
     parser = argparse.ArgumentParser(
         prog="tautrel",
         description="Frobenius charts, R-matrices and tautological relations")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, reads) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--chart", help="chart file or builtin name")
-        p.add_argument("--param", help="local parameter symbol")
-        p.add_argument("--cover-degree", dest="cover_degree", type=int)
-        p.add_argument("--trunc", type=int, help="series truncation order")
-        p.add_argument("--z-order", dest="z_order", type=int)
-        p.add_argument("--codim", type=int)
-        p.add_argument("--gn", help="grid like '1,1;0,4'")
-        p.add_argument("--insertion", help="flat indices like '0,1'")
-        p.add_argument("--constants", help="JSON list of [i, k, value]")
-        p.add_argument("--out", help="output directory")
-        if name == "rmatrix":
-            p.add_argument("--family", help="polynomial f(t) for the 2d family")
-        if name == "compare":
-            p.add_argument("--chart2", help="second chart")
-        if name == "verify":
-            p.add_argument("--relations-file", dest="relations_file")
+        for dest, options in FLAGS.items():
+            if dest in reads or dest in ("config", "out"):
+                p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                               **options)
     return parser
 
 
@@ -378,7 +390,7 @@ def main(argv=None):
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     try:
-        return COMMANDS[args.command](config)
+        return COMMANDS[args.command][0](config)
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -687,16 +687,15 @@ def series_rational_power(series, exponent, trunc=None):
 
 
 class LocalStructureReport:
-    def __init__(self, m, singular, u_diff_order, basis_orders, holomorphic_ok):
+    def __init__(self, m, singular, u_diff_order, basis_orders):
         self.m = m
         self.singular = singular
         self.u_diff_order = u_diff_order
         self.basis_orders = basis_orders
-        self.holomorphic_ok = holomorphic_ok
 
     def __repr__(self):
-        return ("LocalStructureReport(m=%s, singular=%s, order(u1-u2)=%s, ok=%s)"
-                % (self.m, self.singular, self.u_diff_order, self.holomorphic_ok))
+        return ("LocalStructureReport(m=%s, singular=%s, order(u1-u2)=%s)"
+                % (self.m, self.singular, self.u_diff_order))
 
 
 def local_structure_probe(frame):
@@ -731,11 +730,10 @@ def local_structure_probe(frame):
             fields.append(frame.eps[i])
     basis_orders = [min(c.order_or_trunc() for c in f) / exp.cover_degree
                     for f in fields]
-    ok = all(o >= 0 for o in basis_orders)
-    if not ok:
+    if any(o < 0 for o in basis_orders):
         raise ChartError("structure-theorem basis fields fail to extend: %s"
                          % basis_orders)
-    return LocalStructureReport(m, singular, o, basis_orders, ok)
+    return LocalStructureReport(m, singular, o, basis_orders)
 
 
 # ---------------------------------------------------------------------------

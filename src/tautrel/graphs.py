@@ -309,11 +309,6 @@ class StrataVector:
     def is_zero(self):
         return not self.terms
 
-    def drop_above_codim(self, bound):
-        out = StrataVector(self.g, self.n)
-        out.terms = {dg: c for dg, c in self.terms.items() if dg.codim() <= bound}
-        return out
-
     def codim_part(self, d):
         out = StrataVector(self.g, self.n)
         out.terms = {dg: c for dg, c in self.terms.items() if dg.codim() == d}
@@ -632,13 +627,13 @@ def _string_terms(dg, v, leg_label, kept_kappa):
                 yield _drop_leg(lowered, v, leg_label, new_kappa)
 
 
-def _drop_leg(dg, v, leg_label, kappa_override=None):
-    """Remove the leg; stabilize if the vertex becomes unstable.
+def _drop_leg(dg, v, leg_label, kappa):
+    """Remove the leg, with ``kappa`` the vertex kappa lists of the image;
+    stabilize if the vertex becomes unstable.
 
     Returns the decorated graph, or None when the class is zero.
     """
     graph = dg.graph
-    kappa = kappa_override if kappa_override is not None else [list(k) for k in dg.kappa]
     legs = [list(l) for l in graph.legs]
     legs[v].remove(leg_label)
     leg_psi = {l: e for l, e in dg.leg_psi if l != leg_label}

@@ -311,18 +311,6 @@ class PuiseuxSeries:
             return value
         return PuiseuxSeries.const(_as_poly(value), param)
 
-    def rescale(self, ram):
-        """Re-key to a ramification index that is a multiple of the current."""
-        assert ram % self.ram == 0
-        f = ram // self.ram
-        out = PuiseuxSeries.__new__(PuiseuxSeries)
-        out.param = self.param
-        out.ram = ram
-        out.trunc = self.trunc
-        out.num = {k * f: t for k, t in self.num.items()}
-        out.den = self.den
-        return out
-
     def truncate(self, trunc):
         trunc = min(self.trunc, Fraction(trunc) if trunc != INF else INF)
         kcap = _kcap(trunc, self.ram)

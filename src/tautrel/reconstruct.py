@@ -30,22 +30,19 @@ from math import factorial
 
 from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
-                     enumerate_stable_graphs, forgetful_pushforward)
+                     enumerate_stable_graphs, forgetful_pushforward,
+                     multiply_psi)
 from .puiseux import PuiseuxSeries, SeriesMatrix
 
 
 class CohFTSpec:
-    """Frame + R-matrix (+ optional overrides used by the dilaton shift)."""
+    """Frame + R-matrix, with the graph-sum caches built on them."""
 
-    def __init__(self, frame, R, sqrt_delta=None, dilaton_vector=None):
+    def __init__(self, frame, R):
         self.frame = frame
         self.R = R
-        self.sqrt_delta = sqrt_delta if sqrt_delta is not None else frame.sqrt_delta
-        # the vector inside T(psi), in normalized coordinates; defaults to 1
-        self.dilaton_vector = (dilaton_vector if dilaton_vector is not None
-                               else frame.unit_normalized())
         self._leg_cache = []        # see leg_series
-        self._leaf_cache = {}       # see dilaton_leaf
+        self._leaf_cache = None     # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
         self._weight_cache = {}     # see graph_weights
 
@@ -59,28 +56,14 @@ class CohFTSpec:
 
     def delta_power(self, i, m):
         """Delta_i^(m/2) as a series, for integer m of either sign."""
-        s = self.sqrt_delta[i]
+        s = self.frame.sqrt_delta[i]
         if m >= 0:
             return s ** m
         return s.invert() ** (-m)
 
 
-def tqft_value(spec, g, colors):
-    """TQFT value on normalized idempotents: the displayed case split."""
-    if len(colors) == 0:
-        acc = None
-        for i in range(spec.dim):
-            term = spec.delta_power(i, 2 * (g - 1))
-            acc = term if acc is None else acc + term
-        return acc
-    first = colors[0]
-    if any(c != first for c in colors):
-        return PuiseuxSeries.zero(spec.param)
-    return spec.delta_power(first, 2 * g - 2 + len(colors))
-
-
-def leg_series(spec, vector_normalized, psi_weight, bound):
-    """The leg insertion A(psi) v in normalized coordinates, times psi^w.
+def leg_series(spec, vector_normalized, bound):
+    """The leg insertion A(psi) v in normalized coordinates.
 
     Returns {psi power p: component list over colors}.  The components
     A[p] v are formed once per spec and vector: ``spec._leg_cache`` lists
@@ -92,8 +75,7 @@ def leg_series(spec, vector_normalized, psi_weight, bound):
     else:
         comps = [a.apply(vector_normalized) for a in spec.R.orders]
         spec._leg_cache.append((list(vector_normalized), comps))
-    return {p + psi_weight: comps[p]
-            for p in range(min(len(comps), bound + 1 - psi_weight))}
+    return {p: comps[p] for p in range(min(len(comps), bound + 1))}
 
 
 def edge_series(spec, bound):
@@ -138,21 +120,21 @@ def edge_series(spec, bound):
 
 
 def dilaton_leaf(spec, bound):
-    """T(psi) = psi (Id - A(psi)) v as {power: component list}; O(psi^2).
+    """T(psi) = psi (Id - A(psi)) 1 as {power: component list}; O(psi^2).
 
-    Each power is formed once per spec: ``spec._leaf_cache`` maps it to its
-    components, or to None where they vanish.
+    The powers are formed once per spec, on the first call: ``spec._leaf_cache``
+    maps each power to its components, or to None where they vanish.
     """
-    A = spec.R.orders
-    v = spec.dilaton_vector
     cache = spec._leaf_cache
-    if not cache:
-        # psi^1 term: (Id - A[0]) v = 0
-        if any(not (a - b).is_zero() for a, b in zip(v, A[0].apply(v))):
+    if cache is None:
+        A = spec.R.orders
+        unit = spec.frame.unit_normalized()
+        # psi^1 term: (Id - A[0]) 1 = 0
+        if any(not (a - b).is_zero() for a, b in zip(unit, A[0].apply(unit))):
             raise ChartError("dilaton leaf has a nonzero psi^1 term")
-    for p in range(2, min(bound, len(A)) + 1):
-        if p not in cache:
-            comp = A[p - 1].apply(v)
+        cache = spec._leaf_cache = {}
+        for p in range(2, len(A) + 1):
+            comp = A[p - 1].apply(unit)
             cache[p] = ([-c for c in comp] if any(not c.is_zero() for c in comp)
                         else None)
     return {p: cache[p] for p in range(2, bound + 1) if cache.get(p) is not None}
@@ -200,12 +182,12 @@ def vertex_contributions(spec, gv, nmark, color, budget):
     return out
 
 
-def to_normalized_insertion(frame, flat_vector, psi_weight=0):
+def to_normalized_insertion(frame, flat_vector):
     """Convert a flat vector (rationals or series) into normalized coords."""
     param = frame.param
     vec = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
            for c in flat_vector]
-    return (frame.to_normalized(vec), psi_weight)
+    return frame.to_normalized(vec)
 
 
 def unit_insertions(frame):
@@ -218,8 +200,10 @@ def unit_insertions(frame):
 def reconstruct_class(spec, g, n, insertions, codim_bound):
     """The reconstruction as a StrataVector with Puiseux-series coefficients.
 
-    ``insertions`` is a list of (normalized-coordinate vector, psi weight),
-    one per marking; see ``to_normalized_insertion``.  The class is
+    ``insertions`` is a list of normalized-coordinate vectors, one per
+    marking; see ``to_normalized_insertion``.  A psi class on a leg is not an
+    insertion: multiply the class by it with ``graphs.multiply_psi``, as
+    ``dilaton_shift`` does.  The class is
     multilinear in the insertions: the leg-independent weights of each graph
     and leg-psi assignment are built once per spec (``graph_weights``), and
     only the leg components are formed here and contracted against them.
@@ -242,15 +226,15 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     bound = min(codim_bound, 3 * g - 3 + n)
     distinct = []
     leg_class = []
-    for v, w in insertions:
-        for c, (cv, cw) in enumerate(distinct):
-            if cw == w and cv == v:
+    for v in insertions:
+        for c, cv in enumerate(distinct):
+            if cv == v:
                 break
         else:
             c = len(distinct)
-            distinct.append((v, w))
+            distinct.append(v)
         leg_class.append(c)
-    class_data = [leg_series(spec, v, w, bound) for v, w in distinct]
+    class_data = [leg_series(spec, v, bound) for v in distinct]
     leg_choices = [sorted(class_data[c]) for c in leg_class]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
     groups = {}     # decorated graph -> [(leg factor, weight)]
@@ -379,18 +363,22 @@ def dilaton_shift(spec, g, n, insertions, codim_bound, v_flat, v_degree):
     """The shifted class: extra psi*v legs summed with 1/k!, pushed forward.
 
     ``v_flat`` is a flat vector with MultiPoly/series entries (typically
-    formal symbols); the k-sum is truncated at ``v_degree`` extra legs.
+    formal symbols); the k-sum is truncated at ``v_degree`` extra legs.  The
+    (g, n+k) class of the insertions and k copies of v is reconstructed to
+    codim ``min(codim_bound, 3g-3+n)``, the bound of the result; each extra
+    leg then takes its psi from ``graphs.multiply_psi``, which raises the
+    codim by k, and the k forgetful pushforwards lower it by k again.
     """
-    frame = spec.frame
-    v_norm, _ = to_normalized_insertion(frame, v_flat)
-    total = reconstruct_class(spec, g, n, insertions, codim_bound)
+    v = to_normalized_insertion(spec.frame, v_flat)
+    bound = min(codim_bound, 3 * g - 3 + n)
+    total = reconstruct_class(spec, g, n, insertions, bound)
     for k in range(1, v_degree + 1):
-        extra = insertions + [(v_norm, 1)] * k
-        cls = reconstruct_class(spec, g, n + k, extra, codim_bound + k)
+        cls = reconstruct_class(spec, g, n + k, insertions + [v] * k, bound)
+        for label in range(n + 1, n + k + 1):
+            cls = multiply_psi(cls, label)
         for _ in range(k):
             cls = forgetful_pushforward(cls)
-        total = total + cls.scale(Fraction(1, factorial(k))).drop_above_codim(
-            min(codim_bound, 3 * g - 3 + n))
+        total = total + cls.scale(Fraction(1, factorial(k)))
     return total
 
 

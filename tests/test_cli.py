@@ -295,13 +295,27 @@ def test_duplicate_gn_entries_give_one_cell(tmp_path, capsys):
     assert capsys.readouterr().out.count("(g,n,codim)") == 1
 
 
-def test_jobs_flag_is_gone(tmp_path, capsys):
-    # extraction is serial; argparse rejects the removed flag with exit 2
+@pytest.mark.parametrize("args, flag", [
+    # extraction is serial: --jobs is gone from every subcommand
+    (["relations", "--chart", "a2", "--jobs", "2"], "--jobs"),
+    (["frame", "--chart", "a2", "--z-order", "3"], "--z-order"),
+    (["rmatrix", "--chart", "a2", "--codim", "1"], "--codim"),
+    (["reconstruct", "--chart", "a2", "--chart2", "a3"], "--chart2"),
+    (["relations", "--chart", "a2", "--insertion", "1"], "--insertion"),
+    (["compare", "--chart", "a2", "--chart2", "a2xa1", "--family", "t"],
+     "--family"),
+    (["verify", "--chart", "a2"], "--chart"),
+    (["genus1", "--chart", "a2", "--gn", "1,1"], "--gn"),
+], ids=["relations-jobs", "frame-z-order", "rmatrix-codim",
+        "reconstruct-chart2", "relations-insertion", "compare-family",
+        "verify-chart", "genus1-gn"])
+def test_unread_flag_exit_code_2(tmp_path, capsys, args, flag):
+    # a subcommand takes only the flags it reads; argparse rejects the rest
     with pytest.raises(SystemExit) as exc:
-        run(["relations", "--chart", "a2", "--jobs", "2",
-             "--out", str(tmp_path)])
+        run(args + ["--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_genus1_command(tmp_path):

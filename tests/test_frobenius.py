@@ -231,7 +231,7 @@ def test_a3_frame_golden_values():
 
 def test_frame_invariants_randomized_charts():
     # verify_frame runs in the constructor; exercise several charts
-    for exp in (a2_expansion(trunc=5), a2_tilted_expansion(1, trunc=5),
+    for exp in (a2_expansion(trunc=5), a2_tilted_expansion(trunc=5),
                 family_expansion(V("t") * (V("t") + 1), trunc=5),
                 a2x_a1_expansion(2, trunc=5)):
         fr = idempotent_frame(exp)
@@ -253,7 +253,6 @@ def test_local_structure_probe_m_half():
         assert rep.m == F(1, 2)
         assert len(rep.singular) == 2
         assert rep.u_diff_order == F(3, 2)
-        assert rep.holomorphic_ok
 
 
 def test_a2xa1_third_idempotent_holomorphic():
@@ -276,7 +275,7 @@ def test_one_dimensional_trivial_chart():
 
 
 def test_psi0_frame_identities():
-    for exp in (a2_expansion(trunc=6), a2_tilted_expansion(1, trunc=6)):
+    for exp in (a2_expansion(trunc=6), a2_tilted_expansion(trunc=6)):
         fr = idempotent_frame(exp)
         p0 = psi0_frame(fr)
         # eta(dt, dt) = t eta0 is asserted inside; check Psi-tilde holomorphy
@@ -293,7 +292,7 @@ def test_a2_psi0_values():
 
 
 def test_lemma32_expansions_with_nonzero_eta0():
-    p0 = psi0_frame(idempotent_frame(a2_tilted_expansion(1, trunc=6)))
+    p0 = psi0_frame(idempotent_frame(a2_tilted_expansion(trunc=6)))
     assert not p0.eta0.is_zero()
     a, c, _ = p0.lemma32_ac()
     r = p0.eta0 * p0.eta1.invert(trunc=4)

@@ -42,11 +42,12 @@ def schoolbook_mul(a, b):
     truncation test per pair, and coefficient products summed monomial by
     monomial through the normalizing constructors."""
     ram = a.ram * b.ram // gcd(a.ram, b.ram)
-    a, b = a.rescale(ram), b.rescale(ram)
+    a_coeffs = {k * (ram // a.ram): v for k, v in a.coeffs.items()}
+    b_coeffs = {k * (ram // b.ram): v for k, v in b.coeffs.items()}
     trunc = min(a.trunc + b.order_or_trunc(), b.trunc + a.order_or_trunc())
     coeffs = {}
-    for k1, v1 in a.coeffs.items():
-        for k2, v2 in b.coeffs.items():
+    for k1, v1 in a_coeffs.items():
+        for k2, v2 in b_coeffs.items():
             if trunc != INF and F(k1 + k2, ram) >= trunc:
                 continue
             for m1, c1 in v1.terms.items():

@@ -10,7 +10,7 @@ import pytest
 from tautrel.charts import (a2_expansion, a2x_a1_expansion, extend_chart,
                             a2_chart, family_expansion)
 from tautrel.frobenius import ChartExpansion, idempotent_frame
-from tautrel.graphs import DecoratedGraph, StableGraph, StrataVector
+from tautrel.graphs import StrataVector, multiply_psi
 from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
@@ -18,8 +18,7 @@ from tautrel import reconstruct
 from tautrel.reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift,
                                  edge_series, genus_one_correlator,
                                  leg_series, reconstruct_class,
-                                 to_normalized_insertion, tqft_value,
-                                 unit_insertions)
+                                 to_normalized_insertion, unit_insertions)
 from tautrel.rmatrix import RMatrix, solve_flatness
 
 V = MP.var
@@ -32,23 +31,21 @@ def family_spec(f, K=2, trunc=9):
 
 
 def test_tqft_case_split():
+    # the TQFT value of n legs of color i in genus g is Delta_i^((2g-2+n)/2)
     spec = family_spec(V("t"))
-    # mixed colors vanish
-    assert tqft_value(spec, 0, [0, 1, 0]).is_zero()
-    # n = 3, all color i, g = 0: Delta_i^(1/2)
     for i in range(2):
-        got = tqft_value(spec, 0, [i, i, i])
-        assert (got - spec.sqrt_delta[i]).is_zero()
-    # n = 0, g = 2: sum_i Delta_i
-    got = tqft_value(spec, 2, [])
-    want = spec.frame.delta[0] + spec.frame.delta[1]
-    assert (got - want).is_zero()
+        # n = 3, g = 0: Delta_i^(1/2)
+        got = spec.delta_power(i, 1)
+        assert (got - spec.frame.sqrt_delta[i]).is_zero()
+        # n = 0, g = 2: Delta_i
+        got = spec.delta_power(i, 2)
+        assert (got - spec.frame.delta[i]).is_zero()
 
 
 def test_leg_term_basics():
     spec = family_spec(V("t"))
-    v, _ = to_normalized_insertion(spec.frame, [1, 0])
-    legs = leg_series(spec, v, 0, 2)
+    v = to_normalized_insertion(spec.frame, [1, 0])
+    legs = leg_series(spec, v, 2)
     for i in range(2):
         assert (legs[0][i] - v[i]).is_zero()  # z^0 term is the vector itself
     assert max(legs) <= 2  # truncation keeps the object finite
@@ -140,7 +137,7 @@ def test_degree_zero_part_is_tqft():
     ins = [to_normalized_insertion(spec.frame, [0, 1])]
     cls = reconstruct_class(spec, 1, 1, ins, 1)
     part = cls.codim_part(0)
-    v, _ = ins[0]
+    v = ins[0]
     want = sum((spec.delta_power(i, 1) * v[i] for i in range(2)), PS.zero("t"))
     got = PS.zero("t")
     for dg, c in part.terms.items():
@@ -247,7 +244,7 @@ def test_gluing_axiom_shadow_delta0():
     delta_raw = next(c for dg, c in cls.codim_part(1).terms.items()
                      if dg.graph.edges)
     B = edge_series(spec, 0)[(0, 0)]  # now -R^1
-    v, _ = ins
+    v = ins
     acc = PS.zero("t")
     for i in range(2):
         for j in range(2):
@@ -292,12 +289,13 @@ def test_dilaton_shift_formal_vector_resums():
 
 def test_specialized_shift_matches_target_theory():
     """The Delta-shift specialization: with v_i = Delta2^{-1/2} - Delta1^{-1/2}
-    the shifted vertex data equals the target theory's reconstruction."""
+    the shifted vertex data is the target theory's own: the shifted Delta^{1/2}
+    is the frame's, and the dilaton vector 1_{Omega2} - v is its unit, so the
+    target's spec of frame and R reconstructs the shifted class."""
     exp1 = a2x_a1_expansion(1, trunc=9)
     exp2 = a2x_a1_expansion(2, trunc=9)
     fr1 = idempotent_frame(exp1)
     fr2 = idempotent_frame(exp2)
-    R = solve_flatness(fr1, K=2)
     # identify normalized idempotents: both frames share the A2 block and a
     # constant third direction; vi = Delta2i^{-1/2} - Delta1i^{-1/2}
     match = []
@@ -316,16 +314,8 @@ def test_specialized_shift_matches_target_theory():
     unit2 = d2_half_inv
     v = [unit2[i] - d1_half_inv[i] for i in range(3)]
     kernel = [unit2[i] - v[i] for i in range(3)]
-    spec_shifted = CohFTSpec(fr1, R, sqrt_delta=shifted_sqrt_delta,
-                             dilaton_vector=kernel)
-    spec_direct = CohFTSpec(fr1, R)
-    ins = [to_normalized_insertion(fr1, [0, 1, 0])]
-    a = reconstruct_class(spec_shifted, 1, 1, ins, 1)
-    b = reconstruct_class(spec_direct, 1, 1, ins, 1)
-    keys = set(a.terms) | set(b.terms)
-    for dg in keys:
-        diff = a.terms.get(dg, PS.zero("t1")) - b.terms.get(dg, PS.zero("t1"))
-        assert diff.is_zero()
+    for got, want in zip(kernel, fr1.unit_normalized()):
+        assert (got - want).is_zero()
 
 
 def _drop_w_terms(series):
@@ -390,40 +380,32 @@ def test_class_symmetry_under_leg_permutation():
         assert diff.is_zero()
 
 
-def _a2_insertions(frame, combo, psi_weights=None):
-    weights = psi_weights or [0] * len(combo)
-    return [to_normalized_insertion(
-        frame, [F(int(k == mu)) for k in range(frame.dim)], psi_weight=w)
-        for mu, w in zip(combo, weights)]
-
-
 def test_cached_graph_weights_do_not_change_the_class():
     """A spec whose weight cache other cells and tuples have filled gives
     the same classes, truncations included, as a fresh spec."""
     frame = idempotent_frame(a2_expansion(trunc=10))
     R = solve_flatness(frame, K=3)
     warm = CohFTSpec(frame, R)
+    units = unit_insertions(frame)
     combos = list(itertools.combinations_with_replacement(range(2), 5))
-    cases = [(c, None) for c in combos] + [((0, 1, 1, 1, 1), [0, 1, 0, 0, 0])]
-    reconstruct_class(warm, 0, 4, _a2_insertions(frame, (0, 1, 1, 1)), 1)
-    reconstruct_class(warm, 1, 2, _a2_insertions(frame, (1, 1)), 2)
-    for combo, weights in reversed(cases):
-        reconstruct_class(warm, 0, 5, _a2_insertions(frame, combo, weights), 2)
+    reconstruct_class(warm, 0, 4, [units[mu] for mu in (0, 1, 1, 1)], 1)
+    reconstruct_class(warm, 1, 2, [units[1], units[1]], 2)
+    for combo in reversed(combos):
+        reconstruct_class(warm, 0, 5, [units[mu] for mu in combo], 2)
     sizes = []
-    for combo, weights in cases:
-        insertions = _a2_insertions(frame, combo, weights)
+    for combo in combos:
+        insertions = [units[mu] for mu in combo]
         a = reconstruct_class(CohFTSpec(frame, R), 0, 5, insertions, 2)
         b = reconstruct_class(warm, 0, 5, insertions, 2)
-        assert a.terms.keys() == b.terms.keys()
-        for dg, c in a.terms.items():
-            assert c == b.terms[dg] and c.trunc == b.terms[dg].trunc
+        _assert_same_class(a, b)
         sizes.append(len(a.terms))
     assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
 
 
 def _leg_order_class(spec, g, n, insertions, codim_bound):
-    """The graph sum with every leg factor multiplied in label order, from
-    leg components formed afresh for each leg."""
+    """The graph sum of legs (v, w), whose leg factor is psi^w A(psi) v,
+    with every leg factor multiplied in label order, from leg components
+    formed afresh for each leg."""
     bound = min(codim_bound, 3 * g - 3 + n)
     A = spec.R.orders
     legs_data = [{p + w: A[p].apply(v)
@@ -457,33 +439,46 @@ def _assert_same_class(a, b):
 
 def test_shared_leg_products_match_leg_order(monkeypatch):
     """Leg factors shared through their sorted (class, psi, color) prefixes
-    give the class of the label-order products, truncations included."""
+    give the class of the label-order products, truncations included.  A leg
+    (v, w) of the oracle carries psi^w: the class of the plain vectors,
+    reconstructed to the codim left after the weights and multiplied by
+    psi^w on each weighted leg, is the oracle's class of the weighted legs."""
     frame = idempotent_frame(a2x_a1_expansion(1, trunc=8))
     spec = CohFTSpec(frame, solve_flatness(frame, K=3))
-    e0, e1, e2 = [v for v, _ in unit_insertions(frame)]
-    m02, _ = to_normalized_insertion(frame, [1, 0, 1])
-    m12, _ = to_normalized_insertion(frame, [0, 1, 1])
+    e0, e1, e2 = unit_insertions(frame)
+    m02 = to_normalized_insertion(frame, [1, 0, 1])
+    m12 = to_normalized_insertion(frame, [0, 1, 1])
+    a2_frame = idempotent_frame(a2_expansion(trunc=10))
+    a2_spec = CohFTSpec(a2_frame, solve_flatness(a2_frame, K=3))
+    a0, a1 = unit_insertions(a2_frame)
     cases = [
         # repeated insertions
-        (0, 5, [(e0, 0), (e1, 0), (e1, 0), (e0, 0), (e1, 0)], 2),
+        (spec, 0, 5, [(e0, 0), (e1, 0), (e1, 0), (e0, 0), (e1, 0)], 2),
         # one vector with psi weights 0 and 1
-        (0, 5, [(e1, 0), (e1, 1), (e1, 0), (e1, 0), (e0, 0)], 2),
+        (spec, 0, 5, [(e1, 0), (e1, 1), (e1, 0), (e1, 0), (e0, 0)], 2),
+        (a2_spec, 0, 5, [(a0, 0), (a1, 1), (a1, 0), (a1, 0), (a1, 0)], 2),
         # non-unit vectors, repeated and psi-weighted
-        (0, 5, [(m02, 0), (e1, 0), (m02, 0), (e1, 0), (e1, 0)], 2),
-        (0, 5, [(m02, 0), (e1, 0), (m02, 1), (e1, 0), (m02, 0)], 2),
-        (1, 3, [(m12, 0), (e1, 0), (m12, 0)], 2),
+        (spec, 0, 5, [(m02, 0), (e1, 0), (m02, 0), (e1, 0), (e1, 0)], 2),
+        (spec, 0, 5, [(m02, 0), (e1, 0), (m02, 1), (e1, 0), (m02, 0)], 2),
+        (spec, 1, 3, [(m12, 0), (e1, 0), (m12, 0)], 2),
     ]
     sizes = []
-    for g, n, insertions, codim in cases:
-        got = reconstruct_class(spec, g, n, insertions, codim)
-        _assert_same_class(
-            got, _leg_order_class(spec, g, n, insertions, codim))
+    for sp, g, n, legs, codim in cases:
+        got = reconstruct_class(sp, g, n, [v for v, _ in legs],
+                                codim - sum(w for _, w in legs))
+        for label, (_, w) in enumerate(legs, start=1):
+            if w:
+                got = multiply_psi(got, label, w)
+        _assert_same_class(got, _leg_order_class(sp, g, n, legs, codim))
         sizes.append(len(got.terms))
     assert min(sizes) > 0
-    # the dilaton shift repeats one (v, 1) insertion k times
-    ins = [(m02, 0)]
+    # the dilaton shift repeats one insertion k times
+    ins = [m02]
     shifted = dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2)
-    monkeypatch.setattr(reconstruct, "reconstruct_class", _leg_order_class)
+    monkeypatch.setattr(
+        reconstruct, "reconstruct_class",
+        lambda sp, g, n, vectors, codim: _leg_order_class(
+            sp, g, n, [(v, 0) for v in vectors], codim))
     _assert_same_class(shifted, dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2))
     assert shifted.terms
 

@@ -276,7 +276,7 @@ def test_tilted_chart_relations_match_a2():
     # a second two-dimensional chart with eta0 != 0: same closed spans
     from tautrel.charts import a2_tilted_expansion
     cells = [(1, 1, 1), (0, 4, 1)]
-    frame = idempotent_frame(a2_tilted_expansion(1, trunc=12))
+    frame = idempotent_frame(a2_tilted_expansion(trunc=12))
     spec = CohFTSpec(frame, solve_flatness(frame, K=3))
     rs = extract_relations(spec, cells)
     assert verify_relations(rs) == {}

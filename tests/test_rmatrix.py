@@ -177,7 +177,7 @@ def test_matrix_solver_agrees_with_family_gamma():
 
 def test_psi_tilde_connection_block_structure():
     # first block of PsiTilde^{-1} d PsiTilde is diag(x, -x), rest antisymmetric
-    for exp in (a2_tilted_expansion(1, trunc=7), a2x_a1_expansion(2, trunc=7)):
+    for exp in (a2_tilted_expansion(trunc=7), a2x_a1_expansion(2, trunc=7)):
         frame = idempotent_frame(exp)
         p0 = psi0_frame(frame)
         pt = p0.psi_tilde
