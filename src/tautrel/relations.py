@@ -16,6 +16,7 @@ type, iterated to a fixed point within the configured bounds.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -109,13 +110,6 @@ class RelationSet:
     def contains(self, cell, vector):
         """Whether a StrataVector or an integer row lies in the span."""
         return not self._reduce(cell, self._integer_row(cell, vector))
-
-    def copy(self):
-        out = RelationSet([])
-        out.cells = self.cells
-        out.pivots = {cell: {p: dict(r) for p, r in pivots.items()}
-                      for cell, pivots in self.pivots.items()}
-        return out
 
 
 def _eliminate(row, c, other):
@@ -224,30 +218,48 @@ def relabel_legs(vector, perm):
 def close_relations(rs):
     """Smallest stable system containing rs, within its cells.
 
-    Worklist closure on basis coordinates: every integer row accepted is
-    processed once against all operations, each a column map from its
-    cell's basis to the target cell's basis (``operator_map``).  Adjacent
-    leg transpositions generate the full relabeling action on spans, so only
-    those are applied.  For the same reason a row is grafted with its legs as
-    they are: every relabeling lies in its cell's closed span, and grafting
-    is linear, so grafting the relabelings adds nothing the identity grafts
-    of the span's rows do not already give.
+    Priority closure on basis coordinates, starting from an empty
+    RelationSet.  The frontier is a heap of integer rows keyed by (bit length
+    of the largest entry, number of entries, insertion order), seeded with
+    the rows of ``rs``.  The smallest row goes to ``add`` first, and only a
+    row that ``add`` accepts has its images pushed, one per operation, each a
+    column map from its cell's basis to the target cell's basis
+    (``operator_map``).  A rejected row lies in the span of the rows accepted
+    before it, so its images lie in the span of theirs.  The closed span, and
+    with it the RREF, does not depend on the order; taking small rows first
+    keeps the large integers of extracted rows out of the back-substitution
+    of every later row.
+
+    Adjacent leg transpositions generate the full relabeling action on spans,
+    so only those are applied.  For the same reason a row is grafted with its
+    legs as they are: every relabeling lies in its cell's closed span, and
+    grafting is linear, so grafting the relabelings adds nothing the identity
+    grafts of the span's rows do not already give.
     """
-    out = rs.copy()
-    cells = out.cells
-    # copies: back-substitution changes the stored rows in place
-    frontier = [(cell, dict(row)) for cell in cells
-                for row in out.pivots[cell].values()]
+    cells = rs.cells
+    out = RelationSet(cells)
+    frontier = []
+    order = itertools.count()
+
+    def push(cell, row):
+        size = max(abs(x) for x in row.values()).bit_length()
+        heapq.heappush(frontier, (size, len(row), next(order), cell, row))
+
+    for cell in cells:
+        for row in rs.pivots[cell].values():
+            push(cell, row)
     maps = {}     # source cell -> [(target cell, operator map)]
     while frontier:
-        cell, row = frontier.pop()
+        *_, cell, row = heapq.heappop(frontier)
+        if not out.add(cell, row):
+            continue
         if cell not in maps:
             maps[cell] = [(target, operator_map(cell, op, target))
                           for op, target in closure_operations(cell, cells)]
         for target, opmap in maps[cell]:
             image = _apply_map(opmap, row)
-            if image and out.add(target, image):
-                frontier.append((target, image))
+            if image:
+                push(target, image)
     return out
 
 
@@ -320,12 +332,13 @@ def _integral_row(cell, vector):
 
 
 def _apply_map(opmap, row):
-    """The integer row image of ``row`` under a column map."""
+    """The integer row image of ``row`` under a column map, without the
+    entries that cancel."""
     out = {}
     for c, x in row.items():
         for t, y in opmap[c].items():
             out[t] = out.get(t, 0) + x * y
-    return out
+    return {t: x for t, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------

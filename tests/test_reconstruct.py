@@ -244,16 +244,11 @@ def test_gluing_axiom_shadow_delta0():
     delta_raw = next(c for dg, c in cls.codim_part(1).terms.items()
                      if dg.graph.edges)
     B = edge_series(spec, 0)[(0, 0)]  # now -R^1
-    v = ins
-    acc = PS.zero("t")
-    for i in range(2):
-        for j in range(2):
-            # omega_{0,3} with colors (color(v)=i twice? insertion v at leg):
-            # vertex color c: contributions only when all three slots share c
-            pass
+    # omega_{0,3} of vertex colour c is nonzero only when all three slots
+    # (the leg and both half-edges) carry colour c
     total = PS.zero("t")
     for c in range(2):
-        total = total + spec.delta_power(c, 1) * v[c] * B.entries[c][c]
+        total = total + spec.delta_power(c, 1) * ins[c] * B.entries[c][c]
     total = total * F(1, 2)
     assert (delta_raw - total).is_zero()
 

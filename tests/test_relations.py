@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction as F
@@ -246,30 +247,43 @@ def test_compare_spans_symmetric():
     assert v21[(0, 4, 1)][0] == "left in right"
 
 
+# The eight default cells, and the sources (1,3,1..3) and (2,1,2..3) whose
+# closure reaches generators - dim R^d on all eight.
+CELLS8 = [(0, 4, 1), (0, 5, 1), (0, 5, 2), (1, 1, 1),
+          (1, 2, 1), (1, 2, 2), (2, 0, 1), (2, 0, 2)]
+SOURCES = [(1, 3, 1), (1, 3, 2), (1, 3, 3), (2, 1, 2), (2, 1, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def driver_a2():
+    """A2 (trunc 12, K 4) on the eight cells and the sources: the extracted
+    relations and their closure, shared by the tests that use them."""
+    rs = extract_relations(a2_spec(K=4, trunc=12), CELLS8 + SOURCES)
+    return rs, close_relations(rs)
+
+
 def test_a3_chart_relations_match_a2():
     """Relations from the 3-dimensional quartic chart (series in phi with
     Laurent coefficients in zeta3) span the same spaces as the cubic chart:
     a cross-chart instance of the span-equality theorem on honestly
-    different geometry (cuspidal discriminant, double-cover parameter)."""
+    different geometry (cuspidal discriminant, double-cover parameter).
+    Closed over the eight cells alone, a3 already reaches the ranks
+    generators - dim R^d that A2 needs the source cells for."""
     from tautrel.charts import a3_expansion
-    cells = [(1, 1, 1), (0, 4, 1)]
-    exp = a3_expansion(trunc=10)
-    frame = idempotent_frame(exp, probe=[0, 1, 0])
-    spec3 = CohFTSpec(frame, solve_flatness(frame, K=3))
-    rs3 = extract_relations(spec3, cells)
-    assert verify_relations(rs3) == {}
-    a3 = close_relations(rs3)
-    assert a3.dim((1, 1, 1)) == 2 and a3.dim((0, 4, 1)) == 7
+    frame = idempotent_frame(a3_expansion(trunc=12), probe=[0, 1, 0])
+    spec3 = CohFTSpec(frame, solve_flatness(frame, K=4))
+    a3 = close_relations(extract_relations(spec3, CELLS8))
+    assert [a3.dim(cell) for cell in CELLS8] == [7, 11, 126, 2, 3, 18, 1, 6]
+    assert verify_relations(a3) == {}
 
-    spec2 = a2_spec(K=4, trunc=12)
-    big = [(1, 1, 1), (0, 4, 1), (1, 2, 1), (1, 2, 2)]
-    a2big = close_relations(extract_relations(spec2, big))
-    a2 = RelationSet(cells)
-    for cell in cells:
+    _, a2big = driver_a2()
+    a2 = RelationSet(CELLS8)
+    for cell in CELLS8:
         for v in a2big.vectors(cell):
             a2.add(cell, v)
     verdicts = compare_spans(a2, a3)
-    assert all(v[0] == "equal" for v in verdicts.values()), verdicts
+    assert {cell: v[0] for cell, v in verdicts.items()} == \
+        {cell: "equal" for cell in CELLS8}
 
 
 def test_tilted_chart_relations_match_a2():
@@ -396,11 +410,6 @@ def test_sparse_rref_matches_dense_reference():
             assert rs.contains(cell, strata(vec)) == expected
         assert all(rs.contains(cell, strata(vec)) for vec in inside)
 
-        copy = rs.copy()
-        assert copy.pivots[cell] == rs.pivots[cell]
-        copy.add(cell, strata(outside[0]))
-        assert dense_rows(rs) == rows
-
         back = relations_from_json(relations_to_json(rs))
         assert back.pivots[cell] == rs.pivots[cell]
 
@@ -510,3 +519,59 @@ def test_canonical_labeling_memoized_tuple_coset():
     assert all(isinstance(p, tuple) for p in coset)
     assert _canonical_labeling(*args) is first
     assert _canonical_labeling.__wrapped__(*args) == first
+
+
+def _worklist_closure(rs):
+    """The closure in its earlier order, kept as an oracle: start from the
+    rows of ``rs`` and process every accepted image once, last in first
+    out.  The rows of ``rs`` are added one by one, so a set whose rows are
+    not reduced is closed as well."""
+    out = RelationSet(rs.cells)
+    frontier = []
+    for cell in rs.cells:
+        for row in rs.pivots[cell].values():
+            out.add(cell, row)
+            frontier.append((cell, dict(row)))
+    maps = {}
+    while frontier:
+        cell, row = frontier.pop()
+        if cell not in maps:
+            maps[cell] = [(target, operator_map(cell, op, target))
+                          for op, target in closure_operations(cell, rs.cells)]
+        for target, opmap in maps[cell]:
+            image = {}
+            for c, x in row.items():
+                for t, y in opmap[c].items():
+                    image[t] = image.get(t, 0) + x * y
+            if any(image.values()) and out.add(target, image):
+                frontier.append((target, image))
+    return out
+
+
+def test_priority_closure_matches_worklist_oracle():
+    # driver A2 as extracted, then with every cell's rows replaced by random
+    # integer combinations with 40- to 60-bit coefficients: the same spans,
+    # so the same RREF pivots from either order
+    rs, closed = driver_a2()
+    assert closed.pivots == _worklist_closure(rs).pivots
+    rng = random.Random(1518)
+    mixed = RelationSet(rs.cells)
+    for cell in rs.cells:
+        rows = list(rs.pivots[cell].values())
+        combos = []
+        for i in range(len(rows)):
+            combo = {}
+            picks = {i} | set(rng.sample(range(len(rows)),
+                                         min(2, len(rows))))
+            for j in picks:
+                k = rng.choice((-1, 1)) * rng.randrange(2 ** 40, 2 ** 60)
+                for c, x in rows[j].items():
+                    combo[c] = combo.get(c, 0) + k * x
+            combos.append({c: x for c, x in combo.items() if x})
+        mixed.pivots[cell] = dict(enumerate(combos))    # rows not reduced
+        same = RelationSet([cell])
+        for row in combos:
+            same.add(cell, row)
+        assert same.pivots[cell] == rs.pivots[cell]
+    assert close_relations(mixed).pivots == closed.pivots
+    assert _worklist_closure(mixed).pivots == closed.pivots
