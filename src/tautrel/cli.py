@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import charts as chartlib
-from .frobenius import (ChartError, ChartExpansion, NonSemisimpleError,
-                        idempotent_frame, local_structure_probe, psi0_frame)
+from .frobenius import (ChartError, NonSemisimpleError, idempotent_frame,
+                        local_structure_probe, psi0_frame)
 from .intersect import integrate_strata
 from .multipoly import NonUnitError
 from .reconstruct import (CohFTSpec, genus_one_correlator, reconstruct_class,
@@ -66,11 +66,6 @@ def _load_config(args):
     return config
 
 
-def _check_at_least_one(flag, value):
-    if int(value) < 1:
-        raise ParseError("%s must be at least 1, got %s" % (flag, value))
-
-
 def _validate(config):
     """Reject grids, codimensions and truncations no command can use."""
     for pair in config.get("gn") or []:
@@ -81,8 +76,9 @@ def _validate(config):
             raise ParseError("(g, n) = (%d, %d) is not a stable type" % (g, n))
     for key, flag in (("codim", "codim"), ("z_order", "z-order"),
                       ("cover_degree", "cover-degree")):
-        if key in config:
-            _check_at_least_one(flag, config[key])
+        if key in config and int(config[key]) < 1:
+            raise ParseError("%s must be at least 1, got %s"
+                             % (flag, config[key]))
     if Fraction(config["trunc"]) <= 0:
         raise ParseError("trunc must be positive, got %s" % config["trunc"])
 
@@ -94,35 +90,15 @@ def _check_insertions(flat, dim):
                              "%d-dimensional chart" % (mu, dim))
 
 
-def _make_expansion(config, default_param=None):
-    """The chart expansion of ``config``.
-
-    The expansion point is the config's ``expansion``, else the chart's own.
-    Without an explicit parameter (``--param`` or the expansion point),
-    ``default_param`` is used when the chart has it as a variable, and the
-    last chart coordinate otherwise.
-    """
+def _make_expansion(config):
+    """The chart expansion of ``config``: ``charts.expand`` of its chart at
+    the config's ``expansion``, ``param`` and ``cover_degree``."""
     name = config.get("chart")
     if not name:
         raise ParseError("no chart given (config 'chart' or --chart)")
     chart = BUILTIN_CHARTS[name]() if name in BUILTIN_CHARTS else load_chart(name)
-    exp_cfg = dict(config.get("expansion") or chart.expansion_point or {})
-    subs_cfg = exp_cfg.get("subs") or {}
-    subs = {}
-    for c in chart.coords:
-        subs[c] = parse_poly(subs_cfg.get(c, c))
-    variables = set().union(*(p.variables() for p in subs.values()))
-    param = config.get("param") or exp_cfg.get("param")
-    if not param:
-        param = default_param if default_param in variables else chart.coords[-1]
-    if param not in variables:
-        raise ParseError("local parameter %r is not a variable of chart %s "
-                         "(variables: %s)" % (param, chart.name,
-                                              ", ".join(sorted(variables))))
-    cover = int(config.get("cover_degree", exp_cfg.get("cover_degree", 1)))
-    _check_at_least_one("cover-degree", cover)
-    return ChartExpansion(chart, param, subs, cover_degree=cover,
-                          trunc=Fraction(config["trunc"]))
+    return chartlib.expand(chart, config["trunc"], config.get("expansion"),
+                           config.get("param"), config.get("cover_degree"))
 
 
 def _constants(config, dim):
@@ -280,8 +256,7 @@ def cmd_compare(config):
     if not other:
         raise ParseError("compare needs 'chart2'")
     exp1 = _make_expansion(config)
-    # without --param both charts are expanded along the same coordinate
-    exp2 = _make_expansion(dict(config, chart=other), default_param=exp1.param)
+    exp2 = _make_expansion(dict(config, chart=other))
     constants1 = _constants(config, exp1.chart.dim)
     constants2 = _constants(config, exp2.chart.dim)
     rs1 = _relations_for(config, exp1, constants1)
@@ -314,12 +289,15 @@ def cmd_verify(config):
 
 
 def cmd_genus1(config):
+    if int(config["z_order"]) < 2:
+        raise ParseError("genus1 needs the R-matrix to z^2: z-order must be "
+                         "at least 2, got %s" % config["z_order"])
     exp = _make_expansion(config)
     flat_idx = (config.get("insertion") or [exp.chart.dim - 1])[0]
     _check_insertions([flat_idx], exp.chart.dim)
     constants = _constants(config, exp.chart.dim)
     frame = idempotent_frame(exp)
-    R = solve_flatness(frame, max(2, int(config["z_order"])), constants)
+    R = solve_flatness(frame, int(config["z_order"]), constants)
     spec = CohFTSpec(frame, R)
     X = [Fraction(1) if k == flat_idx else Fraction(0) for k in range(frame.dim)]
     value = genus_one_correlator(spec, X)

@@ -70,9 +70,9 @@ def _mat_inv_rational(m):
 class FrobeniusChart:
     """Flat coordinates, constant metric, potential; checked on construction.
 
-    ``expansion_point`` optionally names the transversal the command line
-    expands the chart along: a dict with ``param``, ``cover_degree`` and
-    ``subs`` (coordinate -> polynomial text), as in a chart file.
+    ``expansion_point`` names the transversal ``charts.expand`` expands the
+    chart along: a dict with ``param``, ``cover_degree`` and ``subs``
+    (coordinate -> polynomial text), as in a chart file.
     """
 
     def __init__(self, coords, metric, potential, unit, name=None,

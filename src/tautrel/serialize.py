@@ -10,8 +10,9 @@ Polynomial grammar (also the output of MultiPoly.__str__):
 
 Series text lists ``coeff*param^(p/q)`` terms sorted by exponent and ends
 with ``O(param^T)`` for a finite truncation.  Chart files are JSON with
-fields ``dimension``, ``coords``, ``metric``, ``potential``, ``unit_index``;
-the writer reproduces its input bit-exactly.
+fields ``dimension``, ``coords``, ``metric``, ``potential``, ``unit_index``
+and an optional ``expansion_point``; the writer reproduces its input
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -161,18 +162,72 @@ def chart_to_json(chart) -> dict:
 
 
 def chart_from_json(data) -> FrobeniusChart:
-    dim = int(data["dimension"])
-    coords = list(data.get("coords") or ["t%d" % i for i in range(dim)])
+    """The chart of a chart document.  Raises ParseError on a malformed one:
+    a missing key, a metric that is not dimension x dimension, a unit index
+    out of range or a malformed ``expansion_point``."""
+    if not isinstance(data, dict):
+        raise ParseError("chart document is not a JSON object")
+    try:
+        dim = int(data["dimension"])
+        coords = list(data.get("coords") or ["t%d" % i for i in range(dim)])
+        metric = [[Fraction(x) for x in row] for row in data["metric"]]
+        potential = parse_poly(data["potential"])
+        if data.get("unit") is not None:
+            unit = [Fraction(x) for x in data["unit"]]
+        else:
+            unit = int(data["unit_index"])
+    except KeyError as exc:
+        raise ParseError("chart document lacks key %s" % exc) from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError("malformed chart document: %s" % exc) from None
     if len(coords) != dim:
         raise ParseError("coords length != dimension")
-    metric = [[Fraction(x) for x in row] for row in data["metric"]]
-    potential = parse_poly(data["potential"])
-    if data.get("unit") is not None:
-        unit = [Fraction(x) for x in data["unit"]]
-    else:
-        unit = int(data["unit_index"])
+    rows = data["metric"]
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+        raise ParseError("metric is not a %d x %d matrix" % (dim, dim))
+    if isinstance(unit, int) and not 0 <= unit < dim:
+        raise ParseError("unit_index %d is out of range for a %d-dimensional "
+                         "chart" % (unit, dim))
+    if isinstance(unit, list) and len(unit) != dim:
+        raise ParseError("unit has %d entries, not %d" % (len(unit), dim))
+    point = data.get("expansion_point")
+    if point is not None:
+        read_expansion_point(point, coords)
     return FrobeniusChart(coords, metric, potential, unit, name=data.get("name"),
-                          expansion_point=data.get("expansion_point"))
+                          expansion_point=point)
+
+
+def read_expansion_point(point, coords):
+    """``(param, cover_degree, subs)`` of an expansion point on ``coords``:
+    ``param`` is None and ``cover_degree`` 1 where the point names none, and
+    ``subs`` maps every coordinate to a MultiPoly, itself where the point
+    substitutes nothing.  Raises ParseError on a malformed point."""
+    if not isinstance(point, dict):
+        raise ParseError("expansion_point %s is not an object"
+                         % json.dumps(point))
+    unknown = sorted(set(point) - {"param", "cover_degree", "subs"})
+    if unknown:
+        raise ParseError("expansion_point has keys %s besides param, "
+                         "cover_degree and subs" % ", ".join(unknown))
+    cover = point.get("cover_degree", 1)
+    if type(cover) is not int:
+        raise ParseError("expansion_point cover_degree %s is not an integer"
+                         % json.dumps(cover))
+    if cover < 1:
+        raise ParseError("expansion_point: cover-degree must be at least 1, "
+                         "got %d" % cover)
+    subs = point.get("subs") or {}
+    if not isinstance(subs, dict):
+        raise ParseError("expansion_point subs %s is not an object"
+                         % json.dumps(subs))
+    unknown = sorted(set(subs) - set(coords))
+    if unknown:
+        raise ParseError("expansion_point substitutes %s, which are not "
+                         "coordinates (%s)" % (", ".join(unknown),
+                                               ", ".join(coords)))
+    return (point.get("param"), cover,
+            {c: parse_poly(subs.get(c, c)) for c in coords})
 
 
 def load_chart(path) -> FrobeniusChart:

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from tautrel.charts import a2_chart, a3_chart, a3_expansion
-from tautrel.cli import main
+from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
+                            a2x_a1_expansion, a3_chart, a3_expansion)
+from tautrel.cli import BUILTIN_CHARTS, _make_expansion, main
 from tautrel.frobenius import idempotent_frame
 from tautrel.serialize import chart_to_json, dump_chart
 
@@ -59,14 +60,42 @@ def test_frame_report_a3(tmp_path):
         assert data["order_u1_minus_u2"] == "3/2"
 
 
-def test_builtin_a3_uses_its_expansion_point(tmp_path, capsys):
-    # the builtin a3 carries the double cover of charts.a3_expansion
-    assert run(["frame", "--chart", "a3", "--out", str(tmp_path)]) == 0
+# the library helper of each builtin chart
+LIBRARY_EXPANSIONS = {"a2": a2_expansion, "a2_tilted": a2_tilted_expansion,
+                      "a3": a3_expansion, "a2xa1": a2x_a1_expansion}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CHARTS))
+def test_builtin_chart_uses_its_expansion_point(tmp_path, capsys, name):
+    # without --param every builtin is expanded at its own point, and the
+    # command line expands it exactly as the library helper does
+    assert run(["frame", "--chart", name, "--out", str(tmp_path)]) == 0
     assert "(m = 1/2)" in capsys.readouterr().out
     data = json.loads((tmp_path / "frame.json").read_text())
     assert data["m"] == "1/2"
-    frame = idempotent_frame(a3_expansion(trunc=8))
+    exp = _make_expansion({"chart": name, "trunc": 8})
+    lib = LIBRARY_EXPANSIONS[name](trunc=8)
+    assert (exp.param, exp.cover_degree, exp.subs) == \
+        (lib.param, lib.cover_degree, lib.subs)
+    frame = idempotent_frame(lib)
     assert data["idempotents"] == [[str(c) for c in eps] for eps in frame.eps]
+
+
+@pytest.mark.parametrize("args", [
+    ["frame"], ["relations", "--gn", "1,1", "--codim", "1"], ["genus1"]],
+    ids=["frame", "relations", "genus1"])
+def test_a2xa1_expands_along_t1_without_param(tmp_path, args):
+    # a2xa1 carries the point of a2: no --param is the same run as --param t1
+    docs = []
+    for param in ([], ["--param", "t1"]):
+        out = tmp_path / ("param" if param else "point")
+        assert run(args + ["--chart", "a2xa1", "--out", str(out)] + param) == 0
+        doc = json.loads(next(out.iterdir()).read_text())
+        del doc["config"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    if args[0] == "relations":
+        assert [cell["rank"] for cell in docs[0]["cells"]] == [1]
 
 
 def test_malformed_chart_exit_code_2(tmp_path):
@@ -179,6 +208,12 @@ def _relations_doc(exponent=1, coefficient="1", g=1, schema_version=1,
                        "rank": rank, "relations": [relation]}]}
 
 
+def _a2_chart_doc(**fields):
+    """The builtin a2 chart with ``fields`` replaced, a field None dropped."""
+    doc = dict(chart_to_json(a2_chart()), **fields)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
 def _a3_chart_doc(cover_degree):
     """The builtin a3 chart, its expansion point with ``cover_degree``."""
     doc = chart_to_json(a3_chart())
@@ -215,6 +250,28 @@ def test_verify_hand_written_document(tmp_path):
      "cover-degree must be at least 1"),
     (["frame", "--chart", _a3_chart_doc(0)],
      "cover-degree must be at least 1, got 0"),
+    (["frame", "--chart", _a3_chart_doc("x")],
+     'expansion_point cover_degree "x" is not an integer'),
+    (["frame", "--chart", _a2_chart_doc(metric=None)],
+     "chart document lacks key 'metric'"),
+    (["frame", "--chart", _a2_chart_doc(unit=None, unit_index=5)],
+     "unit_index 5 is out of range for a 2-dimensional chart"),
+    (["frame", "--chart", _a2_chart_doc(unit=["1"])],
+     "unit has 1 entries, not 2"),
+    (["frame", "--chart", _a2_chart_doc(metric=[["0", "1"]])],
+     "metric is not a 2 x 2 matrix"),
+    (["frame", "--chart", _a2_chart_doc(metric=["01", "10"])],
+     "metric is not a 2 x 2 matrix"),
+    (["frame", "--chart", _a2_chart_doc(expansion_point={"subs": {"t9": "t1"}})],
+     "expansion_point substitutes t9, which are not coordinates (t0, t1)"),
+    (["frame", "--chart", _a2_chart_doc(expansion_point=["t1"])],
+     'expansion_point ["t1"] is not an object'),
+    (["frame", "--chart", _a2_chart_doc(expansion_point={"parm": "t1"})],
+     "expansion_point has keys parm besides param, cover_degree and subs"),
+    (["frame", "--config", {"chart": "a2", "expansion": ["t1"]}],
+     'expansion_point ["t1"] is not an object'),
+    (["genus1", "--chart", "a2", "--z-order", "1"],
+     "genus1 needs the R-matrix to z^2: z-order must be at least 2, got 1"),
     (["reconstruct", "--chart", "a2", "--insertion", "7"], "out of range"),
     (["genus1", "--chart", "a2", "--insertion", "9"], "out of range"),
     (["frame", "--chart", "a2", "--param", "zz"], "not a variable of chart"),
@@ -261,7 +318,12 @@ def test_verify_hand_written_document(tmp_path):
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
 ], ids=["unstable-gn", "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
-        "chart-file-cover-degree-0",
+        "chart-file-cover-degree-0", "chart-file-cover-degree-text",
+        "chart-file-no-metric", "chart-file-unit-index", "chart-file-unit-length",
+        "chart-file-metric-shape", "chart-file-metric-rows-text",
+        "chart-file-subs-not-coordinate",
+        "chart-file-point-list", "chart-file-point-unknown-key",
+        "config-expansion-list", "genus1-z-order-1",
         "reconstruct-insertion",
         "genus1-insertion", "unknown-param", "trunc-0", "relations-missing-key",
         "relations-schema-version", "relations-wrong-gn",

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
-                            a2x_a1_expansion, a3_chart, a3_expansion,
+                            a2x_a1_expansion, a3_chart, a3_expansion, expand,
                             extend_chart, family_expansion)
 from tautrel.frobenius import (ChartError, FrobeniusChart, NonSemisimpleError,
                                _shift_poly, idempotent_frame,
@@ -318,6 +318,13 @@ def test_extend_chart_block_structure():
     ((mono, coeff),) = val.terms.items()
     assert mono == (("t1", F(1)),)
     assert coeff != 0
+
+
+def test_extended_a3_is_expanded_at_the_a3_point():
+    # the A1 direction leaves the discriminant branch of a3 as it is
+    exp = expand(extend_chart(a3_chart(), 1), 6)
+    assert (exp.param, exp.cover_degree) == ("phi", 2)
+    assert local_structure_probe(idempotent_frame(exp)).m == F(1, 2)
 
 
 def test_newton_puiseux_product_reproduces_polynomial():

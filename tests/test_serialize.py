@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautrel.charts import a2_chart, a3_chart, extend_chart
+from tautrel.charts import a2_chart, a3_chart, expand, extend_chart
 from tautrel.graphs import DecoratedGraph, StableGraph, StrataVector
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.serialize import (ParseError, chart_from_json, chart_to_json,
-                               graph_from_json, graph_to_json, parse_poly,
+                               dump_chart, graph_from_json, graph_to_json,
+                               load_chart, parse_poly,
                                rational_vector_from_json, vector_to_json)
 
 
@@ -45,6 +46,24 @@ def test_chart_json_roundtrip():
         # bit-exact: serializing again gives the identical document
         assert json.dumps(chart_to_json(back), sort_keys=True) == \
             json.dumps(data, sort_keys=True)
+
+
+def test_extended_chart_keeps_its_point(tmp_path):
+    # the extension of a3 is expanded along phi, with its double cover, also
+    # after a round trip through a chart file
+    chart = extend_chart(a3_chart(), 2)
+    path = str(tmp_path / "ext.json")
+    dump_chart(chart, path)
+    back = load_chart(path)
+    assert back.expansion_point == chart.expansion_point == \
+        a3_chart().expansion_point
+    exp = expand(back, 4)
+    assert (exp.param, exp.cover_degree) == ("phi", 2)
+    assert exp.subs["w3"] == MP.var("w3")
+    # a chart without a point passes on the parameter it is expanded along
+    bare = a2_chart()
+    bare.expansion_point = None
+    assert extend_chart(bare, 1).expansion_point == {"param": "t1"}
 
 
 def test_graph_json_roundtrip():
