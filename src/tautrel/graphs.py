@@ -202,6 +202,14 @@ class DecoratedGraph:
         self.edge_psi, self.kappa = decoration
         self._key = (graph.key(), self.leg_psi, self.edge_psi, self.kappa)
 
+    def with_leg_psi(self, leg_psi):
+        """This decorated graph with the leg psi exponents ``leg_psi`` in
+        place of its own.  Its least decoration is kept as it is: every map
+        of the coset it was minimized over fixes the legs."""
+        out = DecoratedGraph.__new__(DecoratedGraph)
+        out._store(self.graph, leg_psi, (self.edge_psi, self.kappa))
+        return out
+
     def codim(self):
         total = len(self.graph.edges)
         total += sum(e for _, e in self.leg_psi)

@@ -407,9 +407,11 @@ class PuiseuxSeries:
         """
         ram = den = 1
         for a, b in pairs:
-            join = a._join_param(b)
-            if join is not None and join != param:
-                raise ValueError("parameter mismatch: %s vs %s" % (join, param))
+            if a.param != param or b.param != param:
+                join = a._join_param(b)
+                if join is not None and join != param:
+                    raise ValueError("parameter mismatch: %s vs %s"
+                                     % (join, param))
             ram = lcm(ram, a.ram, b.ram)
             den = lcm(den, a.den * b.den)
         trunc, kcap = _truncation(pairs, ram)

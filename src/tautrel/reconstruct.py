@@ -211,7 +211,10 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     A leg factor depends only on the multiset of (insertion class, psi
     power, color) of its legs, where legs with equal insertions share a
     class.  It is keyed by that sorted tuple and formed once per call, as
-    the factor of its longest proper prefix times one component.
+    the factor of its longest proper prefix times one component.  The
+    weights of a (graph, leg psi) pair come grouped by the colors of the
+    legs' vertices, so the key is built and the factor looked up once per
+    group, and a zero factor leaves out the whole group.
 
     The (leg factor, weight) pairs of the sum are grouped by decorated graph,
     and each graph's coefficient is formed once, by
@@ -238,19 +241,22 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     leg_choices = [sorted(class_data[c]) for c in leg_class]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
     groups = {}     # decorated graph -> [(leg factor, weight)]
-    B, graphs = graph_weights(spec, g, n, bound)
-    for graph, leg_vertex, table in graphs:
-        for leg_psi in _bounded_assignments(leg_choices,
-                                            bound - len(graph.edges)):
-            entries = table.get(leg_psi)
-            if entries is None:
-                entries = _leg_psi_weights(spec, graph, leg_psi, B, bound)
-                table[leg_psi] = entries
-            legs = list(zip(leg_class, leg_psi, leg_vertex))
-            for coloring, dg, weight in entries:
-                key = tuple(sorted([(c, p, coloring[v]) for c, p, v in legs]))
+    for graph, leg_vertex, terms, table in graph_weights(spec, g, n, bound):
+        budget = bound - len(graph.edges)
+        for leg_psi in _bounded_assignments(leg_choices, budget):
+            by_colors = table.get(leg_psi)
+            if by_colors is None:
+                by_colors = table[leg_psi] = {}
+                for coloring, dg, weight in _leg_psi_weights(terms, leg_psi,
+                                                             budget):
+                    colors = tuple(coloring[v] for v in leg_vertex)
+                    by_colors.setdefault(colors, []).append((dg, weight))
+            for colors, weights in by_colors.items():
+                key = tuple(sorted(zip(leg_class, leg_psi, colors)))
                 factor = _leg_factor(memo, key, class_data)
-                if not factor.is_zero():
+                if factor.is_zero():
+                    continue
+                for dg, weight in weights:
                     pairs = groups.get(dg)
                     if pairs is None:
                         groups[dg] = [(factor, weight)]
@@ -285,50 +291,58 @@ def _leg_factor(memo, key, class_data):
 def graph_weights(spec, g, n, bound):
     """Leg-independent data of the graph sum of type (g, n), cached on the spec.
 
-    Returns (B, graphs): the edge bivector coefficients to ``bound`` and, per
-    stable graph, (graph, vertex of each leg in label order, table).  The
-    table maps a tuple of leg psi exponents to its weights (see
-    ``_leg_psi_weights``); it is filled as insertion tuples ask for them, so
-    every (graph, leg psi) pair is summed once per spec.
+    Returns, per stable graph, (graph, vertex of each leg in label order,
+    terms, table).  The terms are the graph's terms at leg psi zero, formed
+    once per spec (``_graph_terms``).  The table maps a tuple of leg psi
+    exponents to its weights (see ``_leg_psi_weights``) grouped by the
+    colors of the legs' vertices, as a map from leg colors to a list of
+    (decorated graph, series); it is filled as insertion tuples ask for it.
     """
     cache = spec._weight_cache
     key = (g, n, bound)
     if key not in cache:
+        B = edge_series(spec, bound)
         graphs = []
         for graph in enumerate_stable_graphs(g, n, bound):
             leg_vertex = [None] * n
             for v, legs in enumerate(graph.legs):
                 for label in legs:
                     leg_vertex[label - 1] = v
-            graphs.append((graph, leg_vertex, {}))
-        cache[key] = (edge_series(spec, bound), graphs)
+            graphs.append((graph, leg_vertex, _graph_terms(spec, graph, B, bound),
+                           {}))
+        cache[key] = graphs
     return cache[key]
 
 
-def _leg_psi_weights(spec, graph, leg_psi, B, bound):
-    """Terms of one graph with leg psi exponents ``leg_psi``, legs left out.
+def _graph_terms(spec, graph, B, bound):
+    """Terms of one graph with no leg psi, legs left out.
 
-    A list of (coloring, DecoratedGraph, series), in the order of the sum,
-    with series 1/|Aut| * prod edge bivector entries * prod vertex k-sums;
-    times the leg components of the coloring it is a term of the class.
+    A list of (coloring, DecoratedGraph, extra codim, series), in the order
+    of the sum, with series 1/|Aut| * prod edge bivector entries * prod
+    vertex k-sums; times the leg components of the coloring it is a term of
+    the class.  The extra codim is that of the edge psi and kappa
+    decoration, and a term is kept when it is at most ``bound - E``.  A
+    vertex k-sum term of extra codim ``x`` is the same series at every
+    budget of at least ``x``, so the terms of a leg psi assignment are the
+    terms of extra codim at most its budget (``_leg_psi_weights``).
     """
     E = len(graph.edges)
     nv = graph.num_vertices
     nmarks = [len(graph.vertex_markings(v)) for v in range(nv)]
-    psi_by_label = dict(enumerate(leg_psi, start=1))
     inv_aut = PuiseuxSeries.const(Fraction(1, graph.aut_order()), spec.param)
-    rem1 = bound - E - sum(leg_psi)
+    budget = bound - E
     p_values = sorted({p for p, q in B})
     q_values = sorted({q for p, q in B})
-    entries = []
+    terms = []
     for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
-                                            rem1):
+                                            budget):
         edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
         mats = [B.get(pq) for pq in edge_psi]
         if None in mats:
             continue
         # per-vertex budgets are coupled only through rem
-        rem = rem1 - sum(edge_assign)
+        edge_codim = sum(edge_assign)
+        rem = budget - edge_codim
         for coloring in itertools.product(range(spec.dim), repeat=nv):
             edge_entries = [mat.entries[coloring[a]][coloring[b]]
                             for mat, (a, b) in zip(mats, graph.edges)]
@@ -341,18 +355,32 @@ def _leg_psi_weights(spec, graph, leg_psi, B, bound):
                 spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
                 for v in range(nv)]
             for combo in itertools.product(*vertex_terms):
-                if sum(key[0] for key, _ in combo) > rem:
+                vertex_codim = sum(key[0] for key, _ in combo)
+                if vertex_codim > rem:
                     continue
                 coeff = factor
                 for _, series in combo:
                     coeff = coeff * series
                 if coeff.is_zero():
                     continue
-                dg = DecoratedGraph(graph, psi_by_label, edge_psi,
+                dg = DecoratedGraph(graph, None, edge_psi,
                                     [key[1] for key, _ in combo])
-                if dg.codim() <= bound:
-                    entries.append((coloring, dg, coeff))
-    return entries
+                terms.append((coloring, dg, edge_codim + vertex_codim, coeff))
+    return terms
+
+
+def _leg_psi_weights(terms, leg_psi, budget):
+    """Terms of one graph with leg psi exponents ``leg_psi``, legs left out.
+
+    A list of (coloring, DecoratedGraph, series): the ``terms`` of the graph
+    (``_graph_terms``) of extra codim at most what ``leg_psi`` leaves of
+    ``budget``, the graph's codim bound less its edges, in their order, each
+    with the leg psi put on its decorated graph.
+    """
+    budget -= sum(leg_psi)
+    psi_by_label = dict(enumerate(leg_psi, start=1))
+    return [(coloring, dg.with_leg_psi(psi_by_label), series)
+            for coloring, dg, extra, series in terms if extra <= budget]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import json
 import re
 from fractions import Fraction
 
-from .frobenius import FrobeniusChart
+from .frobenius import ChartError, FrobeniusChart
 from .graphs import DecoratedGraph, StrataVector
 from .multipoly import MultiPoly
 
@@ -164,7 +164,8 @@ def chart_to_json(chart) -> dict:
 def chart_from_json(data) -> FrobeniusChart:
     """The chart of a chart document.  Raises ParseError on a malformed one:
     a missing key, a metric that is not dimension x dimension, a unit index
-    out of range or a malformed ``expansion_point``."""
+    out of range, a malformed ``expansion_point``, or a chart that fails
+    its own checks (a singular metric, the unit axiom or WDVV)."""
     if not isinstance(data, dict):
         raise ParseError("chart document is not a JSON object")
     try:
@@ -194,8 +195,12 @@ def chart_from_json(data) -> FrobeniusChart:
     point = data.get("expansion_point")
     if point is not None:
         read_expansion_point(point, coords)
-    return FrobeniusChart(coords, metric, potential, unit, name=data.get("name"),
-                          expansion_point=point)
+    try:
+        return FrobeniusChart(coords, metric, potential, unit,
+                              name=data.get("name"), expansion_point=point)
+    except ChartError as exc:
+        raise ParseError("chart document is not a Frobenius chart: %s"
+                         % exc) from None
 
 
 def read_expansion_point(point, coords):

@@ -262,6 +262,10 @@ def test_verify_hand_written_document(tmp_path):
      "metric is not a 2 x 2 matrix"),
     (["frame", "--chart", _a2_chart_doc(metric=["01", "10"])],
      "metric is not a 2 x 2 matrix"),
+    (["frame", "--chart", _a2_chart_doc(metric=[["0", "0"], ["0", "0"]])],
+     "chart document is not a Frobenius chart: metric is singular"),
+    (["frame", "--chart", _a2_chart_doc(unit=["0", "1"])],
+     "chart document is not a Frobenius chart: unit axiom fails at (0,0)"),
     (["frame", "--chart", _a2_chart_doc(expansion_point={"subs": {"t9": "t1"}})],
      "expansion_point substitutes t9, which are not coordinates (t0, t1)"),
     (["frame", "--chart", _a2_chart_doc(expansion_point=["t1"])],
@@ -321,6 +325,7 @@ def test_verify_hand_written_document(tmp_path):
         "chart-file-cover-degree-0", "chart-file-cover-degree-text",
         "chart-file-no-metric", "chart-file-unit-index", "chart-file-unit-length",
         "chart-file-metric-shape", "chart-file-metric-rows-text",
+        "chart-file-metric-singular", "chart-file-unit-axiom",
         "chart-file-subs-not-coordinate",
         "chart-file-point-list", "chart-file-point-unknown-key",
         "config-expansion-list", "genus1-z-order-1",

@@ -293,6 +293,22 @@ def test_sum_of_products_matches_products_and_sums():
     assert PS.sum_of_products([], "t") == PS.zero("t")
 
 
+def test_sum_of_products_checks_parameters():
+    # pairs whose operands all carry the target parameter skip the check;
+    # every other pair is still checked
+    t, s = PS.unit("t", 1), PS.unit("s", 1)
+    assert PS.sum_of_products([(t, t)], "t") == PS.unit("t", 2)
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        PS.sum_of_products([(t, t), (t, s)], "t")
+    with pytest.raises(ValueError, match="parameter mismatch"):
+        PS.sum_of_products([(t, t)], "s")
+    # a series without a parameter must not carry it in a coefficient
+    bare = PS.const(MP.var("t"))
+    with pytest.raises(ValueError, match="coefficient contains the param"):
+        PS.sum_of_products([(t, t), (bare, t)], "t")
+    assert PS.sum_of_products([(PS.const(2), t)], "t") == PS.unit("t", 1, 2)
+
+
 def test_leading_is_least_coefficient():
     # the seeded series of test_integer_kernel_matches_fraction_reference,
     # drawn in the same order

@@ -1,16 +1,19 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from operator import mul
 
 import pytest
 
-from tautrel.charts import (a2_expansion, a2x_a1_expansion, extend_chart,
+from tautrel.charts import (a2_expansion, a2x_a1_expansion, a3_expansion,
+                            extend_chart,
                             a2_chart, family_expansion)
 from tautrel.frobenius import ChartExpansion, idempotent_frame
-from tautrel.graphs import StrataVector, multiply_psi
+from tautrel.graphs import (DecoratedGraph, StrataVector,
+                            enumerate_stable_graphs, multiply_psi)
 from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
@@ -397,10 +400,58 @@ def test_cached_graph_weights_do_not_change_the_class():
     assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
 
 
+def _direct_leg_psi_weights(spec, graph, leg_psi, B, bound):
+    """The terms of one graph with leg psi ``leg_psi``, formed directly: a
+    list of (coloring, DecoratedGraph, series), every vertex k-sum read at
+    the budget left after the legs and edges, every product chained afresh
+    and every decorated graph minimized from its raw decoration."""
+    E = len(graph.edges)
+    nv = graph.num_vertices
+    nmarks = [len(graph.vertex_markings(v)) for v in range(nv)]
+    psi_by_label = dict(enumerate(leg_psi, start=1))
+    inv_aut = PS.const(F(1, graph.aut_order()), spec.param)
+    rem1 = bound - E - sum(leg_psi)
+    p_values = sorted({p for p, q in B})
+    q_values = sorted({q for p, q in B})
+    entries = []
+    for edge_assign in reconstruct._bounded_assignments(
+            [p_values] * E + [q_values] * E, rem1):
+        edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
+        mats = [B.get(pq) for pq in edge_psi]
+        if None in mats:
+            continue
+        rem = rem1 - sum(edge_assign)
+        for coloring in itertools.product(range(spec.dim), repeat=nv):
+            edge_entries = [mat.entries[coloring[a]][coloring[b]]
+                            for mat, (a, b) in zip(mats, graph.edges)]
+            if any(e.is_zero() for e in edge_entries):
+                continue
+            factor = inv_aut
+            for e in edge_entries:
+                factor = factor * e
+            vertex_terms = [sorted(reconstruct.vertex_contributions(
+                spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
+                for v in range(nv)]
+            for combo in itertools.product(*vertex_terms):
+                if sum(key[0] for key, _ in combo) > rem:
+                    continue
+                coeff = factor
+                for _, series in combo:
+                    coeff = coeff * series
+                if coeff.is_zero():
+                    continue
+                dg = DecoratedGraph(graph, psi_by_label, edge_psi,
+                                    [key[1] for key, _ in combo])
+                if dg.codim() <= bound:
+                    entries.append((coloring, dg, coeff))
+    return entries
+
+
 def _leg_order_class(spec, g, n, insertions, codim_bound):
     """The graph sum of legs (v, w), whose leg factor is psi^w A(psi) v,
     with every leg factor multiplied in label order, from leg components
-    formed afresh for each leg."""
+    formed afresh for each leg and graph terms formed directly for each leg
+    psi (``_direct_leg_psi_weights``)."""
     bound = min(codim_bound, 3 * g - 3 + n)
     A = spec.R.orders
     legs_data = [{p + w: A[p].apply(v)
@@ -408,18 +459,17 @@ def _leg_order_class(spec, g, n, insertions, codim_bound):
                  for v, w in insertions]
     one = PS.const(1, spec.param)
     pairs = []
-    B, graphs = reconstruct.graph_weights(spec, g, n, bound)
-    for graph, leg_vertex, table in graphs:
+    B = edge_series(spec, bound)
+    for graph in enumerate_stable_graphs(g, n, bound):
+        leg_vertex = {label: v for v, legs in enumerate(graph.legs)
+                      for label in legs}
         for leg_psi in reconstruct._bounded_assignments(
                 [sorted(data) for data in legs_data], bound - len(graph.edges)):
-            entries = table.get(leg_psi)
-            if entries is None:
-                entries = reconstruct._leg_psi_weights(spec, graph, leg_psi, B,
-                                                       bound)
-                table[leg_psi] = entries
             comps = [data[p] for data, p in zip(legs_data, leg_psi)]
-            for coloring, dg, weight in entries:
-                parts = [comp[coloring[v]] for comp, v in zip(comps, leg_vertex)]
+            for coloring, dg, weight in _direct_leg_psi_weights(
+                    spec, graph, leg_psi, B, bound):
+                parts = [comp[coloring[leg_vertex[label]]]
+                         for label, comp in enumerate(comps, start=1)]
                 factor = reduce(mul, parts) if parts else one
                 if not factor.is_zero():
                     pairs.append((dg, factor * weight))
@@ -476,6 +526,43 @@ def test_shared_leg_products_match_leg_order(monkeypatch):
             sp, g, n, [(v, 0) for v in vectors], codim))
     _assert_same_class(shifted, dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2))
     assert shifted.terms
+
+
+def _entry_key(entry):
+    """A hashable form of a (coloring, DecoratedGraph, series) entry that
+    tells series apart by value and truncation."""
+    coloring, dg, s = entry
+    num = tuple(sorted((k, tuple(sorted(t.items())))
+                       for k, t in s.num.items()))
+    return tuple(coloring), dg, (s.param, s.ram, s.den, s.trunc, num)
+
+
+@pytest.mark.parametrize("expansion", [
+    lambda: a2_expansion(trunc=8),
+    lambda: a2x_a1_expansion(1, trunc=8),
+    lambda: a3_expansion(trunc=8),
+], ids=["a2", "a2xa1", "a3"])
+def test_leg_psi_weights_match_direct_terms(expansion):
+    """The terms of every graph and leg psi, filtered from the graph's terms
+    formed once, are the terms formed directly for that leg psi, as
+    multisets of (coloring, decorated graph, series), truncations
+    included."""
+    frame = idempotent_frame(expansion())
+    spec = CohFTSpec(frame, solve_flatness(frame, K=3))
+    sizes = []
+    for g, n, d in [(0, 5, 2), (1, 2, 2), (2, 0, 2)]:
+        bound = min(d, 3 * g - 3 + n)
+        B = edge_series(spec, bound)
+        for graph, _, terms, _ in reconstruct.graph_weights(spec, g, n, bound):
+            budget = bound - len(graph.edges)
+            for leg_psi in reconstruct._bounded_assignments(
+                    [list(range(bound + 1))] * n, budget):
+                got = reconstruct._leg_psi_weights(terms, leg_psi, budget)
+                want = _direct_leg_psi_weights(spec, graph, leg_psi, B, bound)
+                assert (Counter(map(_entry_key, got))
+                        == Counter(map(_entry_key, want)))
+                sizes.append(len(got))
+    assert min(sizes) > 0
 
 
 def test_reconstruct_artifact_pinned(tmp_path):
