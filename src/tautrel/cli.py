@@ -2,9 +2,9 @@
 
 Subcommands: frame, rmatrix, reconstruct, relations, compare, verify, genus1.
 A JSON config file provides defaults and is echoed into every artifact;
-command-line flags override config fields.  A subcommand takes only the
-flags of the fields it reads.  Exit codes: 0 success, 1 computation error,
-2 input error.
+command-line flags override config fields.  A subcommand takes the flags,
+sets the defaults and checks the values of only the settings it reads
+(``COMMANDS``).  Exit codes: 0 success, 1 computation error, 2 input error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import charts as chartlib
 from .frobenius import (ChartError, NonSemisimpleError, idempotent_frame,
@@ -41,46 +42,57 @@ BUILTIN_CHARTS = {
 }
 
 
-def _load_config(args):
+def _load_config(args, reads):
+    """The settings of a command that reads ``reads``: the config file's
+    fields, each flag of ``reads`` or ``--out`` that is given overriding its
+    field, and the defaults of the settings in ``reads`` that neither gives.
+    Every setting the command reads is then checked; the other fields of the
+    config file are echoed as given."""
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
-    for key in ("chart", "chart2", "param", "trunc", "z_order", "codim",
-                "family", "relations_file", "out", "cover_degree"):
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key] = val
-    if getattr(args, "gn", None):
-        config["gn"] = [[int(x) for x in pair.split(",")]
-                        for pair in args.gn.split(";")]
-    if getattr(args, "insertion", None):
-        config["insertion"] = [int(x) for x in args.insertion.split(",")]
-    if getattr(args, "constants", None):
-        config["constants"] = json.loads(args.constants)
-    config.setdefault("trunc", 8)
-    config.setdefault("z_order", 3)
-    config.setdefault("codim", 2)
-    config.setdefault("out", ".")
-    _validate(config)
+        if not isinstance(config, dict):
+            raise ParseError("config file %s is not a JSON object" % args.config)
+    reads = reads + ("out",)
+    for key in reads:
+        setting, value = SETTINGS[key], getattr(args, key)
+        if value is not None:
+            try:
+                config[key] = setting.read(value) if setting.read else value
+            except ValueError:
+                raise ParseError("cannot read --%s %r: expected %s" % (
+                    key, value, setting.options["help"])) from None
+        if setting.default is not None:
+            config.setdefault(key, setting.default)
+    _validate(config, reads)
     return config
 
 
-def _validate(config):
-    """Reject grids, codimensions and truncations no command can use."""
-    for pair in config.get("gn") or []:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError("--gn entry %s is not a pair g,n" % (pair,))
-        g, n = (int(x) for x in pair)
+def _validate(config, reads):
+    """Check every setting in ``reads`` that ``config`` holds, whether a flag
+    or the config file gave it."""
+    for key in reads:
+        value, setting = config.get(key), SETTINGS[key]
+        if key in config and setting.valid and not setting.valid(value):
+            raise ParseError("%s must be %s, got %s" % (
+                key.replace("_", "-"), setting.kind, json.dumps(value)))
+    for g, n in config.get("gn", []) if "gn" in reads else []:
         if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
             raise ParseError("(g, n) = (%d, %d) is not a stable type" % (g, n))
-    for key, flag in (("codim", "codim"), ("z_order", "z-order"),
-                      ("cover_degree", "cover-degree")):
-        if key in config and int(config[key]) < 1:
-            raise ParseError("%s must be at least 1, got %s"
-                             % (flag, config[key]))
-    if Fraction(config["trunc"]) <= 0:
-        raise ParseError("trunc must be positive, got %s" % config["trunc"])
+
+
+def _is_count(value):
+    return type(value) is int and value >= 1
+
+
+def _is_indices(value):
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _is_grid(value):
+    return isinstance(value, list) and all(
+        _is_indices(pair) and len(pair) == 2 for pair in value)
 
 
 def _check_insertions(flat, dim):
@@ -101,12 +113,10 @@ def _make_expansion(config):
                            config.get("param"), config.get("cover_degree"))
 
 
-def _constants(config, dim):
+def _constants(items, dim, z_order):
     """{(i, k): v} of the ``constants`` entries [i, k, v]: the flatness solve
     uses only an index 0 <= i < dim, an odd z-order 1 <= k <= z-order and a
     rational v (an integer or a string such as "1/3"), one per (i, k)."""
-    items = config.get("constants") or []
-    z_order = int(config["z_order"])
     out = {}
     for item in items if isinstance(items, list) else [items]:
         try:
@@ -126,15 +136,24 @@ def _constants(config, dim):
     return out
 
 
+def _specs(config, *expansions):
+    """The CohFTSpec of each expansion, in turn: its idempotent frame and the
+    flatness solve to z^z_order with the config's constants.  The constants
+    of every expansion are checked before the first frame is computed."""
+    z_order = config["z_order"]
+    constants = [_constants(config.get("constants") or [], exp.chart.dim,
+                            z_order) for exp in expansions]
+    for exp, consts in zip(expansions, constants):
+        frame = idempotent_frame(exp)
+        yield CohFTSpec(frame, solve_flatness(frame, z_order, consts))
+
+
 def _write(config, name, payload):
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["config"] = {k: v for k, v in sorted(config.items())}
-    outdir = config.get("out", ".")
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
+    os.makedirs(config["out"], exist_ok=True)
+    path = os.path.join(config["out"], name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(dict(payload, schema_version=SCHEMA_VERSION, config=config),
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -187,13 +206,9 @@ def cmd_rmatrix(config):
         else:
             print(diag.certificate)
         return EXIT_OK
-    exp = _make_expansion(config)
-    constants = _constants(config, exp.chart.dim)
-    frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), constants)
-    payload = rmatrix_to_json(R)
-    path = _write(config, "rmatrix.json", payload)
-    print("R-matrix to z^%d: %s" % (R.K, path))
+    spec, = _specs(config, _make_expansion(config))
+    path = _write(config, "rmatrix.json", rmatrix_to_json(spec.R))
+    print("R-matrix to z^%d: %s" % (spec.R.K, path))
     return EXIT_OK
 
 
@@ -207,13 +222,10 @@ def cmd_reconstruct(config):
     if len(flat) != n:
         raise ParseError("need %d insertion indices" % n)
     _check_insertions(flat, exp.chart.dim)
-    constants = _constants(config, exp.chart.dim)
-    frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), constants)
-    spec = CohFTSpec(frame, R)
-    units = unit_insertions(frame)
+    spec, = _specs(config, exp)
+    units = unit_insertions(spec.frame)
     insertions = [units[mu] for mu in flat]
-    cls = reconstruct_class(spec, g, n, insertions, int(config["codim"]))
+    cls = reconstruct_class(spec, g, n, insertions, config["codim"])
     payload = vector_to_json(cls)
     path = _write(config, "reconstruct.json", payload)
     print("reconstructed (%d,%d) class with %d terms: %s"
@@ -221,28 +233,17 @@ def cmd_reconstruct(config):
     return EXIT_OK
 
 
-def _default_cells(config):
-    gn = config.get("gn") or [[1, 1], [0, 4]]
-    dmax = int(config["codim"])
-    cells = []
-    for g, n in gn:
-        dim = 3 * g - 3 + n
-        for d in range(1, min(dmax, dim) + 1):
-            cells.append((g, n, d))
-    return cells
-
-
-def _relations_for(config, exp, constants):
-    frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), constants)
-    spec = CohFTSpec(frame, R)
-    rs = extract_relations(spec, _default_cells(config))
-    return close_relations(rs)
+def _relations_for(config, *expansions):
+    """The closed relations of each expansion, on the cells (g, n, d) of the
+    config's grid with 1 <= d <= min(codim, 3g - 3 + n)."""
+    cells = [(g, n, d) for g, n in config.get("gn") or [[1, 1], [0, 4]]
+             for d in range(1, min(config["codim"], 3 * g - 3 + n) + 1)]
+    return [close_relations(extract_relations(spec, cells))
+            for spec in _specs(config, *expansions)]
 
 
 def cmd_relations(config):
-    exp = _make_expansion(config)
-    rs = _relations_for(config, exp, _constants(config, exp.chart.dim))
+    rs, = _relations_for(config, _make_expansion(config))
     payload = relations_to_json(rs)
     path = _write(config, "relations.json", payload)
     print("relations: %s" % path)
@@ -255,12 +256,8 @@ def cmd_compare(config):
     other = config.get("chart2")
     if not other:
         raise ParseError("compare needs 'chart2'")
-    exp1 = _make_expansion(config)
-    exp2 = _make_expansion(dict(config, chart=other))
-    constants1 = _constants(config, exp1.chart.dim)
-    constants2 = _constants(config, exp2.chart.dim)
-    rs1 = _relations_for(config, exp1, constants1)
-    rs2 = _relations_for(config, exp2, constants2)
+    rs1, rs2 = _relations_for(config, _make_expansion(config),
+                              _make_expansion(dict(config, chart=other)))
     verdicts = compare_spans(rs1, rs2)
     payload = {"verdicts": {"%d,%d,%d" % cell: v for cell, (v, _) in
                             sorted(verdicts.items())}}
@@ -289,17 +286,18 @@ def cmd_verify(config):
 
 
 def cmd_genus1(config):
-    if int(config["z_order"]) < 2:
+    if config["z_order"] < 2:
         raise ParseError("genus1 needs the R-matrix to z^2: z-order must be "
                          "at least 2, got %s" % config["z_order"])
     exp = _make_expansion(config)
-    flat_idx = (config.get("insertion") or [exp.chart.dim - 1])[0]
-    _check_insertions([flat_idx], exp.chart.dim)
-    constants = _constants(config, exp.chart.dim)
-    frame = idempotent_frame(exp)
-    R = solve_flatness(frame, int(config["z_order"]), constants)
-    spec = CohFTSpec(frame, R)
-    X = [Fraction(1) if k == flat_idx else Fraction(0) for k in range(frame.dim)]
+    flat = config.get("insertion") or [exp.chart.dim - 1]
+    if len(flat) != 1:
+        raise ParseError("genus1 takes one --insertion index, got %d"
+                         % len(flat))
+    _check_insertions(flat, exp.chart.dim)
+    spec, = _specs(config, exp)
+    frame = spec.frame
+    X = [Fraction(1) if k == flat[0] else Fraction(0) for k in range(frame.dim)]
     value = genus_one_correlator(spec, X)
     cls = reconstruct_class(spec, 1, 1, [to_normalized_insertion(frame, X)], 1)
     integral = integrate_strata(cls.codim_part(1))
@@ -310,26 +308,48 @@ def cmd_genus1(config):
     return EXIT_OK
 
 
-# every flag with its argparse options; its config key is its dest
-FLAGS = {
-    "config": dict(help="JSON config file"),
-    "chart": dict(help="chart file or builtin name"),
-    "chart2": dict(help="second chart"),
-    "param": dict(help="local parameter symbol"),
-    "cover_degree": dict(type=int),
-    "trunc": dict(type=int, help="series truncation order"),
-    "z_order": dict(type=int),
-    "codim": dict(type=int),
-    "gn": dict(help="grid like '1,1;0,4'"),
-    "insertion": dict(help="flat indices like '0,1'"),
-    "constants": dict(help="JSON list of [i, k, value]"),
-    "family": dict(help="polynomial f(t) for the 2d family"),
-    "relations_file": dict(),
-    "out": dict(help="output directory"),
+class Setting(NamedTuple):
+    """A setting: what its value must be and the test of it (None: tested
+    where it is used), its default, the reader of its flag's text and its
+    flag's argparse options."""
+    kind: str = "a string"
+    valid: object = lambda value: isinstance(value, str)
+    default: object = None
+    read: object = None
+    options: dict = {}
+
+
+_COUNT = ("at least 1 (an integer)", _is_count)
+
+# every setting, by config key; its flag is --key, underscores as dashes
+SETTINGS = {
+    "chart": Setting(options=dict(help="chart file or builtin name")),
+    "chart2": Setting(options=dict(help="second chart")),
+    "param": Setting(options=dict(help="local parameter symbol")),
+    "cover_degree": Setting(*_COUNT, options=dict(type=int)),
+    "trunc": Setting("positive (an integer)", _is_count, default=8,
+                     options=dict(type=int, help="series truncation order")),
+    "z_order": Setting(*_COUNT, default=3, options=dict(type=int)),
+    "codim": Setting(*_COUNT, default=2, options=dict(type=int)),
+    "gn": Setting("a list of pairs [g, n]", _is_grid,
+                  read=lambda text: [[int(x) for x in pair.split(",")]
+                                     for pair in text.split(";")],
+                  options=dict(help="a grid like '1,1;0,4'")),
+    "insertion": Setting("a list of indices", _is_indices,
+                         read=lambda text: [int(x) for x in text.split(",")],
+                         options=dict(help="a list of flat indices like '0,1'")),
+    # _constants checks it against the chart
+    "constants": Setting(valid=None, read=json.loads,
+                         options=dict(help="a JSON list of [i, k, value]")),
+    "family": Setting(options=dict(help="polynomial f(t) for the 2d family")),
+    "relations_file": Setting(),
+    "out": Setting(default=".", options=dict(help="output directory")),
 }
 
-# the flags of each subcommand, besides --config and --out: the config keys
-# its command reads (those of _make_expansion, then of the flatness solve)
+# each subcommand's command and the settings it reads, besides --out: the
+# only flags it takes besides --config and --out, the only settings it
+# defaults and checks.  _EXPANSION are those of _make_expansion, _SOLVE
+# those of _specs.
 _EXPANSION = ("chart", "param", "cover_degree", "trunc")
 _SOLVE = _EXPANSION + ("z_order", "constants")
 COMMANDS = {
@@ -352,24 +372,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, reads) in COMMANDS.items():
         p = sub.add_parser(name)
-        for dest, options in FLAGS.items():
-            if dest in reads or dest in ("config", "out"):
-                p.add_argument("--" + dest.replace("_", "-"), dest=dest,
-                               **options)
+        p.add_argument("--config", help="JSON config file")
+        for key, setting in SETTINGS.items():
+            if key in reads or key == "out":
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               **setting.options)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command, reads = COMMANDS[args.command]
     try:
-        config = _load_config(args)
-    except (OSError, json.JSONDecodeError, ParseError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return COMMANDS[args.command][0](config)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+        return command(_load_config(args, reads))
+    except (ParseError, OSError, json.JSONDecodeError, UnicodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (ChartError, NonSemisimpleError, NonUnitError, ArithmeticError,

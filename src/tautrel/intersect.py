@@ -170,12 +170,9 @@ def integrate_against_monomial(vector, monomial):
     return integrate_strata(out)
 
 
-@functools.lru_cache(maxsize=None)
 def smooth_monomial_basis(g, n, codim):
-    """Smooth-vertex decorated classes (psi-kappa monomials) of a codimension.
-
-    A memoized tuple: the pairing check asks for it once per relation.
-    """
+    """Smooth-vertex decorated classes (psi-kappa monomials) of a codimension,
+    as a tuple."""
     return tuple(dg for dg in cell_basis((g, n, codim))[0]
                  if dg.graph.num_vertices == 1 and not dg.graph.edges)
 

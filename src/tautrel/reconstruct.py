@@ -32,7 +32,7 @@ from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
                      enumerate_stable_graphs, forgetful_pushforward,
                      multiply_psi)
-from .puiseux import PuiseuxSeries, SeriesMatrix
+from .puiseux import PuiseuxSeries
 
 
 class CohFTSpec:
@@ -55,11 +55,8 @@ class CohFTSpec:
         return self.frame.param
 
     def delta_power(self, i, m):
-        """Delta_i^(m/2) as a series, for integer m of either sign."""
-        s = self.frame.sqrt_delta[i]
-        if m >= 0:
-            return s ** m
-        return s.invert() ** (-m)
+        """Delta_i^(m/2) as a series, for an integer m."""
+        return self.frame.sqrt_delta[i] ** m
 
 
 def leg_series(spec, vector_normalized, bound):
@@ -84,18 +81,15 @@ def edge_series(spec, bound):
     B(psi1, psi2) = (A(psi1) A(psi2)^t - Id) / (-(psi1 + psi2)); exactness of
     the division is the symplectic condition and is verified.
     """
-    n = spec.dim
-    param = spec.param
     A = spec.R.orders
     K = len(A) - 1
 
     def N(p, q):
+        # the psi1^p psi2^q coefficient of A(psi1) A(psi2)^t - Id; Id sits
+        # at p = q = 0, which is never asked for
         if p > K or q > K:
             return None
-        mat = A[p] * A[q].transpose()
-        if p == 0 and q == 0:
-            mat = mat - SeriesMatrix.identity(n, param)
-        return mat
+        return A[p] * A[q].transpose()
 
     B = {}
     for s in range(0, bound + 1):
@@ -337,9 +331,7 @@ def _graph_terms(spec, graph, B, bound):
     for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
                                             budget):
         edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
-        mats = [B.get(pq) for pq in edge_psi]
-        if None in mats:
-            continue
+        mats = [B[pq] for pq in edge_psi]
         # per-vertex budgets are coupled only through rem
         edge_codim = sum(edge_assign)
         rem = budget - edge_codim
@@ -384,7 +376,7 @@ def _leg_psi_weights(terms, leg_psi, budget):
 
 
 # ---------------------------------------------------------------------------
-# dilaton shift and dimension extension
+# dilaton shift
 
 
 def dilaton_shift(spec, g, n, insertions, codim_bound, v_flat, v_degree):

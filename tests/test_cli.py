@@ -1,11 +1,13 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
 from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
                             a2x_a1_expansion, a3_chart, a3_expansion)
-from tautrel.cli import BUILTIN_CHARTS, _make_expansion, main
+from tautrel.cli import BUILTIN_CHARTS, COMMANDS, _make_expansion, main
 from tautrel.frobenius import idempotent_frame
 from tautrel.serialize import chart_to_json, dump_chart
 
@@ -317,6 +319,20 @@ def test_verify_hand_written_document(tmp_path):
     (["reconstruct", "--chart", "a2", "--param", "t1", "--gn", "1,1;0,4",
       "--codim", "1", "--insertion", "1"],
      "reconstruct takes one --gn pair, got 2"),
+    (["frame", "--config", {"chart": "a2", "trunc": [1]}],
+     "trunc must be positive (an integer), got [1]"),
+    (["relations", "--config", {"chart": "a2", "codim": [2]}],
+     "codim must be at least 1 (an integer), got [2]"),
+    (["genus1", "--config", {"chart": "a2", "insertion": 5}],
+     "insertion must be a list of indices, got 5"),
+    (["reconstruct", "--config",
+      {"chart": "a2", "gn": [[1, 1]], "insertion": "1"}],
+     'insertion must be a list of indices, got "1"'),
+    (["frame", "--config", ["a2"]], "is not a JSON object"),
+    (["genus1", "--chart", "a2", "--insertion", "0,1"],
+     "genus1 takes one --insertion index, got 2"),
+    (["relations", "--chart", "a2", "--gn", "1,a"],
+     "cannot read --gn '1,a': expected a grid like '1,1;0,4'"),
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
@@ -338,13 +354,16 @@ def test_verify_hand_written_document(tmp_path):
         "constants-pair", "constants-object", "constants-value-not-rational",
         "constants-even-order", "constants-index-out-of-range",
         "constants-index-out-of-range-second-chart", "constants-repeated-pair",
-        "reconstruct-two-gn-pairs", "family-not-in-t", "family-zero", "family-zero-times-t"])
+        "reconstruct-two-gn-pairs", "config-trunc-list", "config-codim-list",
+        "config-insertion-number", "config-insertion-text", "config-list",
+        "genus1-two-insertions", "gn-text", "family-not-in-t", "family-zero",
+        "family-zero-times-t"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory
     args = list(args)
     for i, arg in enumerate(args):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, list)):
             path = tmp_path_factory.mktemp("input") / "input.json"
             path.write_text(json.dumps(arg))
             args[i] = str(path)
@@ -446,3 +465,55 @@ def test_relations_command_deterministic(tmp_path):
     first = (tmp_path / "relations.json").read_bytes()
     assert run(args) == 0
     assert first == (tmp_path / "relations.json").read_bytes()
+
+
+# a flags-only run of each subcommand; verify reads the relations run's file
+ECHO_RUNS = {
+    "frame": ["--chart", "a2"],
+    "rmatrix": ["--chart", "a2"],
+    "reconstruct": ["--chart", "a2", "--gn", "1,1", "--codim", "1"],
+    "relations": ["--chart", "a2", "--gn", "1,1", "--codim", "1"],
+    "compare": ["--chart", "a2", "--chart2", "a2xa1", "--gn", "1,1",
+                "--codim", "1"],
+    "verify": ["--relations-file"],
+    "genus1": ["--chart", "a2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_echo_holds_read_settings(tmp_path, command):
+    # the echoed config holds only settings the subcommand reads, and run
+    # as --config it gives the same artifact, apart from the echoed --out
+    args = [command] + ECHO_RUNS[command]
+    if command == "verify":
+        rel = tmp_path / "rel"
+        assert run(["relations"] + ECHO_RUNS["relations"]
+                   + ["--out", str(rel)]) == 0
+        args.append(str(rel / "relations.json"))
+    first, second = tmp_path / "flags", tmp_path / "config"
+    assert run(args + ["--out", str(first)]) == 0
+    artifact, = first.iterdir()
+    config = json.loads(artifact.read_text())["config"]
+    assert set(config) <= set(COMMANDS[command][1]) | {"out"}
+    cfg = _write_config(tmp_path / "echo.json", config)
+    assert run([command, "--config", cfg, "--out", str(second)]) == 0
+    assert (second / artifact.name).read_text() == artifact.read_text().replace(
+        json.dumps(str(first)), json.dumps(str(second)))
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    # the `tautrel` lines of the first fenced block under README "Command
+    # line" run in order from a scratch directory, each exiting 0 and
+    # printing the text of its trailing comment, if it has one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n")[1]
+    lines = [line for line in block.splitlines() if line.startswith("tautrel ")]
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for line in lines:
+        assert run(shlex.split(line, comments=True)[1:]) == 0, line
+        printed[line] = capsys.readouterr().out
+        if "#" in line:
+            assert line.split("#", 1)[1].strip() in printed[line], line
+    family, = [line for line in lines if "rmatrix --family" in line]
+    assert "gamma = 1/12 + 1/6*t" in printed[family]

@@ -134,7 +134,8 @@ def test_pairing_matrix_04():
         DecoratedGraph(StableGraph([0, 0], [[1, 2], [3, 4]], [(0, 1)])))
     rel = psi1 - d12
     fund = smooth_monomial_basis(0, 4, 0)[0]
-    # memoized: the pairing check asks for it once per relation
-    assert smooth_monomial_basis(0, 4, 0) is smooth_monomial_basis(0, 4, 0)
+    # the pairing check reads the monomials through the memoized matrix
+    assert cols == smooth_monomial_basis(0, 4, 0) == (fund,)
+    assert pairing_matrix(0, 4, 1) is pairing_matrix(0, 4, 1)
     assert integrate_against_monomial(rel, fund) == 0
 

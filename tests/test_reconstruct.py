@@ -580,24 +580,24 @@ def test_reconstruct_artifact_pinned(tmp_path):
 
 @pytest.mark.parametrize("argv, name, digest", [
     (["frame", "--chart", "a2"], "frame.json",
-     "1d4661749d949708411415efc102ac51e38bf6619903397634cdcd1cce2a0731"),
+     "29967256a55ece05001bc6fcddb05446a06d6542b622eabbd3119d694dea872d"),
     (["frame", "--chart", "a2xa1", "--param", "t1"], "frame.json",
-     "5edd86fc118f5e7be954d1bcc3af9a39f8d813463c3b3319dcee326d9e543f25"),
+     "1ddbc0ebcaed540c5ee07fc36c672874e342235dbeef9e51ca5f3cd871e95000"),
     (["rmatrix", "--chart", "a2", "--z-order", "4"], "rmatrix.json",
-     "3a2d1804f4e00fbcbd6b638271260c9dd4056afa85a95c250229e5af59dc9798"),
+     "1c66bc70ab66a6b5b2dc6c5fac3fffadf6c26e5e5ae46af24b8857aaeea20e2c"),
     (["rmatrix", "--family", "t*(t+1)"], "rmatrix_family.json",
-     "9c3dda81b47ba479307cf5ce671911a44e1b1f2a9eefaba7b617fb98e8a61701"),
+     "cce940e75692480d58ee3397fc11bc7ce5045b84c7f574cd90daf04559be6fe5"),
     (["genus1", "--chart", "a2xa1", "--param", "t1"], "genus1.json",
-     "3f8f50c23225377a0b47c6987bcb14fccc54539a864a4d360c6f866529196cb3"),
+     "982979c7d153d86ad2e0705a57c776c4d15eb9f68a4c37db1544cd0db577e24a"),
     (["reconstruct", "--chart", "a2xa1", "--param", "t1", "--gn", "0,5",
       "--codim", "2", "--insertion", "0,1,1,0,1"], "reconstruct.json",
      "738b876450b244733e786d0a090dd28c7232728d2026aea36e5870de279da34c"),
     (["frame", "--chart", "a3"], "frame.json",
-     "6893c1f7826effe70a0a254ec1200647383d880265d6f3eead48bf2706bf57c9"),
+     "e972e08f3e694abdbcda96356f505a7eeb841e50f619d09ed31a4353a51ce730"),
     (["rmatrix", "--chart", "a3", "--z-order", "3"], "rmatrix.json",
-     "a35907ff37a90c80ddc70055fd7f9ec85b2df71129b9c7fe7140614baacc7de7"),
+     "6e999ad50e107e142c68616789bda2367eced0684f2e8b98243dc308599d7f26"),
     (["genus1", "--chart", "a3"], "genus1.json",
-     "43428a5a5a3248816dc28b6ccfd8c2cad39c79c7a20be4372c38d4b3ab95d9a8"),
+     "a8f38520f8680f8a243cb528c822f2570a216cb3b3fc2abd64c5df8dde968e3b"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
         "rmatrix-a3", "genus1-a3"])
