@@ -233,17 +233,25 @@ def cmd_reconstruct(config):
     return EXIT_OK
 
 
-def _relations_for(config, *expansions):
-    """The closed relations of each expansion, on the cells (g, n, d) of the
-    config's grid with 1 <= d <= min(codim, 3g - 3 + n)."""
-    cells = [(g, n, d) for g, n in config.get("gn") or [[1, 1], [0, 4]]
-             for d in range(1, min(config["codim"], 3 * g - 3 + n) + 1)]
+def _relations_for(config, *charts):
+    """The closed relations of the config expanded at each chart, on the
+    cells (g, n, d) of the config's grid with 1 <= d <= min(codim, 3g - 3 +
+    n).  A (g, n) pair with 3g - 3 + n = 0 has no such cell and is an input
+    error, found before any chart is expanded."""
+    cells = []
+    for g, n in config.get("gn") or [[1, 1], [0, 4]]:
+        dim = 3 * g - 3 + n
+        if dim == 0:
+            raise ParseError("(g, n) = (%d, %d) has no cell of codim at "
+                             "least 1" % (g, n))
+        cells += [(g, n, d) for d in range(1, min(config["codim"], dim) + 1)]
+    expansions = [_make_expansion(dict(config, chart=c)) for c in charts]
     return [close_relations(extract_relations(spec, cells))
             for spec in _specs(config, *expansions)]
 
 
 def cmd_relations(config):
-    rs, = _relations_for(config, _make_expansion(config))
+    rs, = _relations_for(config, config.get("chart"))
     payload = relations_to_json(rs)
     path = _write(config, "relations.json", payload)
     print("relations: %s" % path)
@@ -256,8 +264,7 @@ def cmd_compare(config):
     other = config.get("chart2")
     if not other:
         raise ParseError("compare needs 'chart2'")
-    rs1, rs2 = _relations_for(config, _make_expansion(config),
-                              _make_expansion(dict(config, chart=other)))
+    rs1, rs2 = _relations_for(config, config.get("chart"), other)
     verdicts = compare_spans(rs1, rs2)
     payload = {"verdicts": {"%d,%d,%d" % cell: v for cell, (v, _) in
                             sorted(verdicts.items())}}

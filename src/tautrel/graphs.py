@@ -299,7 +299,9 @@ class StrataVector:
         return StrataVector(dg.graph.genus(), dg.graph.num_legs(), {dg: coeff})
 
     def __add__(self, other):
-        assert (self.g, self.n) == (other.g, other.n)
+        if (self.g, self.n) != (other.g, other.n):
+            raise ValueError("cannot add a (%d, %d) vector to a (%d, %d) "
+                             "vector" % (other.g, other.n, self.g, self.n))
         return StrataVector(self.g, self.n, itertools.chain(
             self.terms.items(), other.terms.items()))
 

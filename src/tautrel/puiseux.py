@@ -174,7 +174,7 @@ class PuiseuxSeries:
                 poly = _as_poly(poly)
                 if not poly.terms or k >= kcap:
                     continue
-                if param is not None and param in poly.variables():
+                if param in poly.variables():
                     raise ValueError("coefficient contains the parameter %s" % param)
                 polys[k] = poly.terms
                 for c in poly.terms.values():
@@ -219,11 +219,11 @@ class PuiseuxSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(param=None, trunc=INF):
+    def zero(param, trunc=INF):
         return PuiseuxSeries(param, {}, 1, trunc)
 
     @staticmethod
-    def const(value, param=None, trunc=INF):
+    def const(value, param, trunc=INF):
         return PuiseuxSeries(param, {0: _as_poly(value)}, 1, trunc)
 
     @staticmethod
@@ -288,25 +288,8 @@ class PuiseuxSeries:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _join_param(self, other):
-        """The common parameter; an operand without one must not carry it
-        in a coefficient."""
-        if self.param is None:
-            param = other.param
-        elif other.param is None or other.param == self.param:
-            param = self.param
-        else:
-            raise ValueError("parameter mismatch: %s vs %s" % (self.param, other.param))
-        if param is not None:
-            for s in (self, other):
-                if s.param is None and any(
-                        sym == param for t in s.num.values() for i in t
-                        for sym, _ in _MONOS[i]):
-                    raise ValueError("coefficient contains the parameter %s" % param)
-        return param
-
     @staticmethod
-    def _coerce(value, param=None):
+    def _coerce(value, param):
         if isinstance(value, PuiseuxSeries):
             return value
         return PuiseuxSeries.const(_as_poly(value), param)
@@ -335,7 +318,9 @@ class PuiseuxSeries:
         """``self + sign * other`` on the common grid and the lcm of the two
         denominators, truncated at the lesser truncation."""
         other = PuiseuxSeries._coerce(other, self.param)
-        param = self._join_param(other)
+        if other.param != self.param:
+            raise ValueError("parameter mismatch: %s vs %s"
+                             % (self.param, other.param))
         ram = lcm(self.ram, other.ram)
         fa, fb = ram // self.ram, ram // other.ram
         den = lcm(self.den, other.den)
@@ -357,7 +342,7 @@ class PuiseuxSeries:
             else:
                 for i, c in t.items():
                     acc[i] = acc.get(i, 0) + c * mb
-        return _series(param, ram, trunc, _nonzero(sums), den)
+        return _series(self.param, ram, trunc, _nonzero(sums), den)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -383,8 +368,7 @@ class PuiseuxSeries:
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             other = PuiseuxSeries._coerce(other, self.param)
-        param = self.param if self.param is not None else other.param
-        return PuiseuxSeries.sum_of_products(((self, other),), param)
+        return PuiseuxSeries.sum_of_products(((self, other),), self.param)
 
     __rmul__ = __mul__
 
@@ -408,10 +392,8 @@ class PuiseuxSeries:
         ram = den = 1
         for a, b in pairs:
             if a.param != param or b.param != param:
-                join = a._join_param(b)
-                if join is not None and join != param:
-                    raise ValueError("parameter mismatch: %s vs %s"
-                                     % (join, param))
+                raise ValueError("parameter mismatch: %s vs %s" % (
+                    a.param if a.param != param else b.param, param))
             ram = lcm(ram, a.ram, b.ram)
             den = lcm(den, a.den * b.den)
         trunc, kcap = _truncation(pairs, ram)
@@ -445,10 +427,9 @@ class PuiseuxSeries:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries._coerce(other, self.param)
-        if self.param is not None and other.param is not None and self.param != other.param:
-            return False
-        return (self.ram == other.ram and self.den == other.den
-                and self.num == other.num and self.trunc == other.trunc)
+        return (self.param == other.param and self.ram == other.ram
+                and self.den == other.den and self.num == other.num
+                and self.trunc == other.trunc)
 
     def invert(self, trunc=None):
         """Multiplicative inverse; the leading coefficient must be a unit."""
@@ -577,15 +558,6 @@ class PuiseuxSeries:
 # matrices over PuiseuxSeries
 
 
-def _param_of(rows):
-    """The parameter of the first series in ``rows`` that has one, or None."""
-    for row in rows:
-        for e in row:
-            if e.param is not None:
-                return e.param
-    return None
-
-
 def cofactor_det(rows):
     """Determinant of a nonempty square list of rows by cofactor expansion
     along the first row; the entries may come from any commutative ring."""
@@ -612,12 +584,12 @@ class SeriesMatrix:
                 raise ValueError("ragged matrix")
 
     @staticmethod
-    def identity(n, param=None):
+    def identity(n, param):
         return SeriesMatrix([[PuiseuxSeries.const(1 if i == j else 0, param)
                               for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(rows, cols, param=None):
+    def zero(rows, cols, param):
         return SeriesMatrix([[PuiseuxSeries.zero(param) for _ in range(cols)]
                              for _ in range(rows)])
 
@@ -642,7 +614,7 @@ class SeriesMatrix:
         if isinstance(other, SeriesMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            param = _param_of(self.entries + other.entries)
+            param = self.entries[0][0].param
             cols = list(zip(*other.entries))
             return SeriesMatrix([[PuiseuxSeries.sum_of_products(
                 list(zip(row, col)), param) for col in cols]
@@ -651,7 +623,7 @@ class SeriesMatrix:
 
     def apply(self, vector):
         """Matrix times a list of series."""
-        param = _param_of(self.entries + [vector])
+        param = self.entries[0][0].param
         return [PuiseuxSeries.sum_of_products(
             list(zip(row, vector, strict=True)), param)
                 for row in self.entries]
@@ -663,8 +635,6 @@ class SeriesMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return PuiseuxSeries.const(1)
         return cofactor_det(self.entries)
 
     def adjugate(self):

@@ -197,26 +197,24 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     ``insertions`` is a list of normalized-coordinate vectors, one per
     marking; see ``to_normalized_insertion``.  A psi class on a leg is not an
     insertion: multiply the class by it with ``graphs.multiply_psi``, as
-    ``dilaton_shift`` does.  The class is
-    multilinear in the insertions: the leg-independent weights of each graph
-    and leg-psi assignment are built once per spec (``graph_weights``), and
-    only the leg components are formed here and contracted against them.
+    ``dilaton_shift`` does.  The class is multilinear in the insertions: the
+    leg-independent table of each graph is built once per spec
+    (``graph_weights``), and only the leg components are formed here.
 
     A leg factor depends only on the multiset of (insertion class, psi
     power, color) of its legs, where legs with equal insertions share a
-    class.  It is keyed by that sorted tuple and formed once per call, as
-    the factor of its longest proper prefix times one component.  The
-    weights of a (graph, leg psi) pair come grouped by the colors of the
-    legs' vertices, so the key is built and the factor looked up once per
-    group, and a zero factor leaves out the whole group.
+    class; it is keyed by that sorted tuple and formed once per call
+    (``_leg_factor``).  For each leg-psi assignment, each group of a table,
+    one per leg colors, gives one factor and the prefix of its terms that
+    fits the budget the leg psi leave (``_prefix``); a zero factor leaves
+    out the whole group.
 
-    The (leg factor, weight) pairs of the sum are grouped by decorated graph,
-    and each graph's coefficient is formed once, by
-    ``PuiseuxSeries.sum_of_products``: every product adds its numerators
-    straight into one integer accumulator, and no series is built per term.
-    The coefficient is known below the least truncation of its products, so
-    products that cancel still bound it.  A coefficient that cancels
-    completely is left out of the class.
+    The (leg factor, weight) pairs are grouped by leg psi and decorated
+    graph, and each coefficient is formed once, by
+    ``PuiseuxSeries.sum_of_products``, with no series built per term; only
+    then do the leg psi go on its decorated graph.  The coefficient is known
+    below the least truncation of its products, so products that cancel
+    still bound it; one that cancels completely is left out of the class.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
@@ -234,34 +232,40 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     class_data = [leg_series(spec, v, bound) for v in distinct]
     leg_choices = [sorted(class_data[c]) for c in leg_class]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
-    groups = {}     # decorated graph -> [(leg factor, weight)]
-    for graph, leg_vertex, terms, table in graph_weights(spec, g, n, bound):
+    groups = {}     # (leg psi, decorated graph) -> [(leg factor, weight)]
+    for graph, table in graph_weights(spec, g, n, bound):
         budget = bound - len(graph.edges)
         for leg_psi in _bounded_assignments(leg_choices, budget):
-            by_colors = table.get(leg_psi)
-            if by_colors is None:
-                by_colors = table[leg_psi] = {}
-                for coloring, dg, weight in _leg_psi_weights(terms, leg_psi,
-                                                             budget):
-                    colors = tuple(coloring[v] for v in leg_vertex)
-                    by_colors.setdefault(colors, []).append((dg, weight))
-            for colors, weights in by_colors.items():
+            rem = budget - sum(leg_psi)
+            for colors, terms in table.items():
+                terms = _prefix(terms, rem)
+                if not terms:
+                    continue
                 key = tuple(sorted(zip(leg_class, leg_psi, colors)))
                 factor = _leg_factor(memo, key, class_data)
                 if factor.is_zero():
                     continue
-                for dg, weight in weights:
-                    pairs = groups.get(dg)
+                for _, dg, weight in terms:
+                    pairs = groups.get((leg_psi, dg))
                     if pairs is None:
-                        groups[dg] = [(factor, weight)]
+                        groups[leg_psi, dg] = [(factor, weight)]
                     else:
                         pairs.append((factor, weight))
     out = StrataVector(g, n)
-    for dg, pairs in groups.items():
+    for (leg_psi, dg), pairs in groups.items():
         coeff = PuiseuxSeries.sum_of_products(pairs, spec.param)
         if not coeff.is_zero():
-            out.terms[dg] = coeff
+            psi_by_label = dict(enumerate(leg_psi, start=1))
+            out.terms[dg.with_leg_psi(psi_by_label)] = coeff
     return out
+
+
+def _prefix(terms, rem):
+    """The leading ``terms``, sorted by extra codim, of extra codim <= rem."""
+    for i, (extra, _, _) in enumerate(terms):
+        if extra > rem:
+            return terms[:i]
+    return terms
 
 
 def _leg_factor(memo, key, class_data):
@@ -285,49 +289,43 @@ def _leg_factor(memo, key, class_data):
 def graph_weights(spec, g, n, bound):
     """Leg-independent data of the graph sum of type (g, n), cached on the spec.
 
-    Returns, per stable graph, (graph, vertex of each leg in label order,
-    terms, table).  The terms are the graph's terms at leg psi zero, formed
-    once per spec (``_graph_terms``).  The table maps a tuple of leg psi
-    exponents to its weights (see ``_leg_psi_weights``) grouped by the
-    colors of the legs' vertices, as a map from leg colors to a list of
-    (decorated graph, series); it is filled as insertion tuples ask for it.
+    Returns, per stable graph, (graph, table), the table formed once per
+    spec by ``_graph_terms``.
     """
     cache = spec._weight_cache
     key = (g, n, bound)
     if key not in cache:
         B = edge_series(spec, bound)
-        graphs = []
-        for graph in enumerate_stable_graphs(g, n, bound):
-            leg_vertex = [None] * n
-            for v, legs in enumerate(graph.legs):
-                for label in legs:
-                    leg_vertex[label - 1] = v
-            graphs.append((graph, leg_vertex, _graph_terms(spec, graph, B, bound),
-                           {}))
-        cache[key] = graphs
+        cache[key] = [(graph, _graph_terms(spec, graph, B, bound))
+                      for graph in enumerate_stable_graphs(g, n, bound)]
     return cache[key]
 
 
 def _graph_terms(spec, graph, B, bound):
-    """Terms of one graph with no leg psi, legs left out.
+    """The terms of one graph with no leg psi, legs left out, as one table.
 
-    A list of (coloring, DecoratedGraph, extra codim, series), in the order
-    of the sum, with series 1/|Aut| * prod edge bivector entries * prod
-    vertex k-sums; times the leg components of the coloring it is a term of
+    The table maps the colors of the legs' vertices, in label order, to a
+    list of (extra codim, DecoratedGraph, series), sorted by extra codim
+    with a stable sort, so that within a codim the terms keep the order of
+    the sum.  The series is 1/|Aut| * prod edge bivector entries * prod
+    vertex k-sums; times the leg components of the colors it is a term of
     the class.  The extra codim is that of the edge psi and kappa
     decoration, and a term is kept when it is at most ``bound - E``.  A
     vertex k-sum term of extra codim ``x`` is the same series at every
     budget of at least ``x``, so the terms of a leg psi assignment are the
-    terms of extra codim at most its budget (``_leg_psi_weights``).
+    prefix of extra codim at most its budget, and the leg psi go on the
+    decorated graph unchanged (``DecoratedGraph.with_leg_psi``).
     """
     E = len(graph.edges)
     nv = graph.num_vertices
     nmarks = [len(graph.vertex_markings(v)) for v in range(nv)]
+    leg_vertex = [v for _, v in sorted(
+        (label, v) for v, legs in enumerate(graph.legs) for label in legs)]
     inv_aut = PuiseuxSeries.const(Fraction(1, graph.aut_order()), spec.param)
     budget = bound - E
     p_values = sorted({p for p, q in B})
     q_values = sorted({q for p, q in B})
-    terms = []
+    table = {}
     for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
                                             budget):
         edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
@@ -346,6 +344,7 @@ def _graph_terms(spec, graph, B, bound):
             vertex_terms = [sorted(vertex_contributions(
                 spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
                 for v in range(nv)]
+            colors = tuple(coloring[v] for v in leg_vertex)
             for combo in itertools.product(*vertex_terms):
                 vertex_codim = sum(key[0] for key, _ in combo)
                 if vertex_codim > rem:
@@ -357,22 +356,11 @@ def _graph_terms(spec, graph, B, bound):
                     continue
                 dg = DecoratedGraph(graph, None, edge_psi,
                                     [key[1] for key, _ in combo])
-                terms.append((coloring, dg, edge_codim + vertex_codim, coeff))
-    return terms
-
-
-def _leg_psi_weights(terms, leg_psi, budget):
-    """Terms of one graph with leg psi exponents ``leg_psi``, legs left out.
-
-    A list of (coloring, DecoratedGraph, series): the ``terms`` of the graph
-    (``_graph_terms``) of extra codim at most what ``leg_psi`` leaves of
-    ``budget``, the graph's codim bound less its edges, in their order, each
-    with the leg psi put on its decorated graph.
-    """
-    budget -= sum(leg_psi)
-    psi_by_label = dict(enumerate(leg_psi, start=1))
-    return [(coloring, dg.with_leg_psi(psi_by_label), series)
-            for coloring, dg, extra, series in terms if extra <= budget]
+                table.setdefault(colors, []).append(
+                    (edge_codim + vertex_codim, dg, coeff))
+    for terms in table.values():
+        terms.sort(key=lambda term: term[0])
+    return table
 
 
 # ---------------------------------------------------------------------------

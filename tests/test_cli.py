@@ -239,6 +239,10 @@ def test_verify_hand_written_document(tmp_path):
 
 @pytest.mark.parametrize("args, message", [
     (["relations", "--chart", "a2", "--gn", "0,2"], "not a stable type"),
+    (["relations", "--chart", "a2", "--gn", "1,1;0,3"],
+     "(g, n) = (0, 3) has no cell of codim at least 1"),
+    (["compare", "--chart", "a2", "--chart2", "a2xa1", "--param", "t1",
+      "--gn", "0,3"], "(g, n) = (0, 3) has no cell of codim at least 1"),
     (["relations", "--chart", "a2", "--codim", "0"], "codim must be at least 1"),
     (["relations", "--chart", "a2", "--codim", "-1"],
      "codim must be at least 1"),
@@ -336,7 +340,8 @@ def test_verify_hand_written_document(tmp_path):
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
-], ids=["unstable-gn", "codim-0", "codim-negative", "z-order-0",
+], ids=["unstable-gn", "relations-gn-no-cell", "compare-gn-no-cell",
+        "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
         "chart-file-cover-degree-0", "chart-file-cover-degree-text",
         "chart-file-no-metric", "chart-file-unit-index", "chart-file-unit-length",
@@ -421,6 +426,13 @@ def test_reconstruct_command_deterministic(tmp_path):
     assert run(args) == 0
     second = (tmp_path / "reconstruct.json").read_bytes()
     assert first == second
+
+
+def test_reconstruct_accepts_codim_zero_type(tmp_path, capsys):
+    # (0, 3) has no relation cell, but its class is the codim-0 correlator
+    assert run(["reconstruct", "--chart", "a2", "--gn", "0,3", "--insertion",
+                "0,0,1", "--out", str(tmp_path)]) == 0
+    assert "reconstructed (0,3) class with 1 terms" in capsys.readouterr().out
 
 
 def test_custom_chart_file(tmp_path):

@@ -238,6 +238,14 @@ def test_forgetful_pushforward_to_unstable_type_raises():
             forgetful_pushforward(v)
 
 
+def test_adding_vectors_of_different_types_raises():
+    # a ValueError, which python -O keeps, not an assert
+    a = StrataVector.single(DecoratedGraph.smooth(1, 1))
+    b = StrataVector.single(DecoratedGraph.smooth(0, 4))
+    with pytest.raises(ValueError, match=r"\(0, 4\) vector to a \(1, 1\)"):
+        a + b
+
+
 def test_forgetful_string_case():
     # pi_*(psi_1 psi_2) on (0, 4) -> psi_1-lowered strings... against the
     # string equation: pi_*(psi_1^a with trivial last leg) = sum lowerings

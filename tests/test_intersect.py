@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
-                            forgetful_pushforward)
+                            cell_basis, forgetful_pushforward)
 from tautrel.intersect import (_PSI_CACHE, integrate_against_monomial,
                                integrate_strata, kappa_psi_integral,
                                pairing_matrix, psi_integral,
@@ -139,3 +139,13 @@ def test_pairing_matrix_04():
     assert pairing_matrix(0, 4, 1) is pairing_matrix(0, 4, 1)
     assert integrate_against_monomial(rel, fund) == 0
 
+
+@pytest.mark.parametrize("g, n", [(0, 4), (0, 5), (1, 1), (1, 2), (2, 0),
+                                  (3, 1)])
+def test_smooth_monomial_basis_is_the_smooth_part_of_the_cell_basis(g, n):
+    # the eight cells' types at every codim up to 2, the codims their
+    # pairing matrices read, and (3, 1) below its dimension
+    for codim in range(3):
+        filtered = tuple(dg for dg in cell_basis((g, n, codim))[0]
+                         if dg.graph.num_vertices == 1 and not dg.graph.edges)
+        assert smooth_monomial_basis(g, n, codim) == filtered

@@ -54,7 +54,7 @@ def schoolbook_mul(a, b):
                 for m2, c2 in v2.terms.items():
                     coeffs[k1 + k2] = (coeffs.get(k1 + k2, MP())
                                        + MP({m1 + m2: c1 * c2}))
-    return PS(a.param or b.param, coeffs, ram, trunc)
+    return PS(a.param, coeffs, ram, trunc)
 
 
 def _assert_product(a, b):
@@ -294,19 +294,21 @@ def test_sum_of_products_matches_products_and_sums():
 
 
 def test_sum_of_products_checks_parameters():
-    # pairs whose operands all carry the target parameter skip the check;
-    # every other pair is still checked
+    # every operand of every pair must carry the target parameter
     t, s = PS.unit("t", 1), PS.unit("s", 1)
     assert PS.sum_of_products([(t, t)], "t") == PS.unit("t", 2)
     with pytest.raises(ValueError, match="parameter mismatch"):
         PS.sum_of_products([(t, t), (t, s)], "t")
     with pytest.raises(ValueError, match="parameter mismatch"):
         PS.sum_of_products([(t, t)], "s")
-    # a series without a parameter must not carry it in a coefficient
-    bare = PS.const(MP.var("t"))
+    # every series carries its parameter: sums and products check it, a
+    # constant takes it, and series in different parameters are unequal
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="parameter mismatch"):
+            op(t, s)
+    assert t != PS.unit("s", 1) and t + 1 == PS.const(1, "t") + t
     with pytest.raises(ValueError, match="coefficient contains the param"):
-        PS.sum_of_products([(t, t), (bare, t)], "t")
-    assert PS.sum_of_products([(PS.const(2), t)], "t") == PS.unit("t", 1, 2)
+        t + MP.var("t")
 
 
 def test_leading_is_least_coefficient():

@@ -529,12 +529,12 @@ def test_shared_leg_products_match_leg_order(monkeypatch):
 
 
 def _entry_key(entry):
-    """A hashable form of a (coloring, DecoratedGraph, series) entry that
+    """A hashable form of a (leg colors, DecoratedGraph, series) entry that
     tells series apart by value and truncation."""
-    coloring, dg, s = entry
+    colors, dg, s = entry
     num = tuple(sorted((k, tuple(sorted(t.items())))
                        for k, t in s.num.items()))
-    return tuple(coloring), dg, (s.param, s.ram, s.den, s.trunc, num)
+    return tuple(colors), dg, (s.param, s.ram, s.den, s.trunc, num)
 
 
 @pytest.mark.parametrize("expansion", [
@@ -543,9 +543,9 @@ def _entry_key(entry):
     lambda: a3_expansion(trunc=8),
 ], ids=["a2", "a2xa1", "a3"])
 def test_leg_psi_weights_match_direct_terms(expansion):
-    """The terms of every graph and leg psi, filtered from the graph's terms
-    formed once, are the terms formed directly for that leg psi, as
-    multisets of (coloring, decorated graph, series), truncations
+    """The terms of every graph and leg psi, read as prefixes of the graph's
+    table formed once, are the terms formed directly for that leg psi, as
+    multisets of (leg colors, decorated graph, series), truncations
     included."""
     frame = idempotent_frame(expansion())
     spec = CohFTSpec(frame, solve_flatness(frame, K=3))
@@ -553,12 +553,21 @@ def test_leg_psi_weights_match_direct_terms(expansion):
     for g, n, d in [(0, 5, 2), (1, 2, 2), (2, 0, 2)]:
         bound = min(d, 3 * g - 3 + n)
         B = edge_series(spec, bound)
-        for graph, _, terms, _ in reconstruct.graph_weights(spec, g, n, bound):
+        for graph, table in reconstruct.graph_weights(spec, g, n, bound):
+            leg_vertex = {label: v for v, legs in enumerate(graph.legs)
+                          for label in legs}
             budget = bound - len(graph.edges)
             for leg_psi in reconstruct._bounded_assignments(
                     [list(range(bound + 1))] * n, budget):
-                got = reconstruct._leg_psi_weights(terms, leg_psi, budget)
-                want = _direct_leg_psi_weights(spec, graph, leg_psi, B, bound)
+                psi_by_label = dict(enumerate(leg_psi, start=1))
+                got = [(colors, dg.with_leg_psi(psi_by_label), series)
+                       for colors, terms in table.items()
+                       for _, dg, series in reconstruct._prefix(
+                           terms, budget - sum(leg_psi))]
+                want = [(tuple(coloring[leg_vertex[label]]
+                               for label in range(1, n + 1)), dg, series)
+                        for coloring, dg, series in _direct_leg_psi_weights(
+                            spec, graph, leg_psi, B, bound)]
                 assert (Counter(map(_entry_key, got))
                         == Counter(map(_entry_key, want)))
                 sizes.append(len(got))
@@ -598,9 +607,17 @@ def test_reconstruct_artifact_pinned(tmp_path):
      "6e999ad50e107e142c68616789bda2367eced0684f2e8b98243dc308599d7f26"),
     (["genus1", "--chart", "a3"], "genus1.json",
      "a8f38520f8680f8a243cb528c822f2570a216cb3b3fc2abd64c5df8dde968e3b"),
+    (["relations", "--chart", "a2", "--gn", "0,4;0,5;1,1;1,2;2,0",
+      "--trunc", "12", "--z-order", "4"], "relations.json",
+     "60f247e498b72cfe9502f8d0bfd4b7c98163770b6586a7f64e8ae1bf154de3ba"),
+    (["relations", "--chart", "a2xa1"], "relations.json",
+     "b509cf4bd78dd926e6badca1c4d1ba5bec6ed1d45c4447c0d2cf7489a31ea3fe"),
+    (["relations", "--chart", "a3"], "relations.json",
+     "3ef6246d60165ca18737b0c7a6e83c1b0fc378344e9db4566a04cdc98972563b"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
-        "rmatrix-a3", "genus1-a3"])
+        "rmatrix-a3", "genus1-a3", "relations-a2-eight-cells",
+        "relations-a2xa1", "relations-a3"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
     from tautrel.cli import main
