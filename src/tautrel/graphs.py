@@ -73,14 +73,6 @@ class StableGraph:
                 out.append(("edge", idx, 1))
         return out
 
-    def is_stable(self):
-        if self.genus() < 0:
-            return False
-        for v, g in enumerate(self.genera):
-            if g < 0 or 2 * g - 2 + self.valence(v) <= 0:
-                return False
-        return _connected(len(self.genera), self.edges)
-
     def aut_order(self):
         """|Aut|: vertex symmetries (the coset of the canonical graph's own
         labeling) times parallel-edge and loop factors."""
@@ -108,24 +100,6 @@ class StableGraph:
                                                          list(self.edges))
 
 
-def _connected(nv, edges):
-    if nv == 1:
-        return True
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(nv)}) == 1
-
-
 def _label_preserving_perms(genera, legs):
     """All vertex permutations preserving genus and the exact leg sets."""
     nv = len(genera)
@@ -151,7 +125,8 @@ def _canonical_labeling(genera, legs, edges):
     automorphisms when the graph is already canonical.  Arguments are
     tuples and results are memoized: the closure relabels the same few
     hundred shapes tens of thousands of times.  The memo is bounded because
-    brute-force graph enumeration feeds it many keys that never recur.
+    graph enumeration feeds it every raw degeneration, most of which never
+    recur.
     """
     nv = len(genera)
     order = sorted(range(nv), key=lambda v: (genera[v], legs[v]))
@@ -337,41 +312,74 @@ class StrataVector:
 def enumerate_stable_graphs(g, n, max_edges):
     """All stable graphs of type (g, n) with at most max_edges edges.
 
-    Returns a tuple and memoizes it: only a few dozen (g, n, max_edges)
-    triples occur, and extraction, closure and pairing ask for the same
-    ones again.
+    Generated by degeneration.  Level 0 is the one-vertex graph of genus g
+    carrying legs 1..n, and level e holds the one-edge degenerations of
+    level e-1 (``_degenerations``), deduplicated by canonical key.  This
+    finds every graph: contracting any edge of a stable graph gives a
+    stable graph with one edge fewer, so every graph with e edges is a
+    degeneration of one in level e-1.  The levels stop at max_edges, or
+    earlier when one comes out empty (past 3g - 3 + n edges).
+
+    Returns a tuple sorted by (edge count, key) and memoizes it: only a few
+    dozen (g, n, max_edges) triples occur, and extraction, closure and
+    pairing ask for the same ones again.
     """
     if 2 * g - 2 + n <= 0:
         raise ValueError("(g, n) = (%d, %d) is unstable" % (g, n))
-    out = {}
-    max_vertices = max(1, 2 * g - 2 + n)
-    for nv in range(1, max_vertices + 1):
-        for ne in range(nv - 1, max_edges + 1):
-            total_genus = g - (ne - nv + 1)
-            if total_genus < 0:
+    level = [StableGraph([g], [range(1, n + 1)], [])]
+    out = list(level)
+    for _ in range(max_edges):
+        found = {}
+        for graph in level:
+            for child in _degenerations(graph):
+                found.setdefault(child.key(), child)
+        if not found:
+            break
+        level = list(found.values())
+        out.extend(level)
+    return tuple(sorted(out, key=lambda gr: (len(gr.edges), gr.key())))
+
+
+def _degenerations(graph):
+    """Every stable graph that one new edge at one vertex makes of graph.
+
+    At a vertex of genus h: a loop, when h >= 1, leaving genus h - 1; and a
+    split into two vertices of genera h1 + h2 = h joined by the new edge,
+    for every way of sharing the vertex's legs and half-edges between them,
+    kept when both new vertices are stable.  Yields canonical graphs, with
+    repeats.
+    """
+    new = graph.num_vertices
+    for v, h in enumerate(graph.genera):
+        if h:
+            genera = list(graph.genera)
+            genera[v] = h - 1
+            yield StableGraph(genera, graph.legs, graph.edges + ((v, v),))
+        legs = graph.legs[v]
+        halves = [(idx, side) for idx, e in enumerate(graph.edges)
+                  for side in (0, 1) if e[side] == v]
+        k = len(legs) + len(halves)
+        # the last half-edge stays at v: both genus orders are tried, so the
+        # mirrored sharing gives the same graphs
+        for mask in range(1 << max(k - 1, 0)):
+            moved = bin(mask).count("1")
+            splits = [h1 for h1 in range(h + 1)
+                      if 2 * h1 + k - moved >= 2 and 2 * (h - h1) + moved >= 2]
+            if not splits:
                 continue
-            for genera in _compositions(total_genus, nv):
-                pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-                for edge_combo in itertools.combinations_with_replacement(pairs, ne):
-                    if not _connected(nv, edge_combo):
-                        continue
-                    for assignment in itertools.product(range(nv), repeat=n):
-                        legs = [[] for _ in range(nv)]
-                        for label, v in enumerate(assignment, start=1):
-                            legs[v].append(label)
-                        graph = StableGraph(genera, legs, edge_combo)
-                        if graph.is_stable():
-                            out.setdefault(graph.key(), graph)
-    return tuple(sorted(out.values(), key=lambda gr: (len(gr.edges), gr.key())))
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+            new_legs = list(graph.legs) + [[]]
+            new_legs[v] = []
+            for i, label in enumerate(legs):
+                new_legs[new if mask >> i & 1 else v].append(label)
+            edges = [list(e) for e in graph.edges]
+            for i, (idx, side) in enumerate(halves, start=len(legs)):
+                if mask >> i & 1:
+                    edges[idx][side] = new
+            edges.append((v, new))
+            for h1 in splits:
+                genera = list(graph.genera) + [h - h1]
+                genera[v] = h1
+                yield StableGraph(genera, new_legs, edges)
 
 
 def enumerate_decorated_basis(g, n, codim):

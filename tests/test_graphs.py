@@ -11,12 +11,15 @@ from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
                             gluing_pushforward, multiply_kappa, multiply_psi)
 
 
-def brute_force_count(g, n, max_edges):
+def brute_force_keys(g, n, max_edges):
     """Independent generate-and-filter enumeration over labeled data.
 
-    A leg assignment that leaves some vertex with 2g_v - 2 + valence <= 0 is
-    skipped by counting valences on the edge list, before a graph is built;
-    every survivor still has to pass ``is_stable``.
+    Tries every genus composition x edge multiset x leg assignment and
+    returns the set of canonical keys of the survivors.  Stability
+    (2g_v - 2 + valence > 0 at every vertex) and connectivity are checked
+    here, on the labeled data, before a graph is built; ``StableGraph`` only
+    canonicalizes.  A connected graph with nv vertices and ne edges has
+    first Betti number ne - nv + 1, so the genera sum to the rest of g.
     """
     seen = set()
     max_v = max(1, 2 * g - 2 + n)
@@ -30,6 +33,8 @@ def brute_force_count(g, n, max_edges):
                 if sum(genera) != total_genus:
                     continue
                 for edges in itertools.combinations_with_replacement(pairs, ne):
+                    if not _brute_force_connected(nv, edges):
+                        continue
                     edge_valence = [0] * nv
                     for i, j in edges:
                         edge_valence[i] += 1
@@ -44,27 +49,41 @@ def brute_force_count(g, n, max_edges):
                         legs = [[] for _ in range(nv)]
                         for label, v in enumerate(assignment, start=1):
                             legs[v].append(label)
-                        graph = StableGraph(genera, legs, edges)
-                        if graph.is_stable():
-                            seen.add(graph.key())
-    return len(seen)
+                        seen.add(StableGraph(genera, legs, edges).key())
+    return seen
+
+
+def _brute_force_connected(nv, edges):
+    reached, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return len(reached) == nv
+
+
+def _assert_matches_brute_force(g, n, max_edges):
+    # the same graphs, each once, in (edge count, key) order
+    got = [graph.key() for graph in enumerate_stable_graphs(g, n, max_edges)]
+    want = brute_force_keys(g, n, max_edges)
+    assert set(got) == want
+    assert got == sorted(want, key=lambda k: (len(k[2]), k))
 
 
 def test_enumeration_counts_match_brute_force():
-    # (0,6) and (0,7) also match but take the brute force tens of seconds;
-    # they are exercised by the enumerator itself in the relations closures
     for g, n in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (1, 3), (2, 1)]:
-        dim = 3 * g - 3 + n
-        got = len(enumerate_stable_graphs(g, n, dim))
-        assert got == brute_force_count(g, n, dim)
+        _assert_matches_brute_force(g, n, 3 * g - 3 + n)
 
 
 def test_enumeration_counts_match_brute_force_14():
-    assert len(enumerate_stable_graphs(1, 4, 4)) == brute_force_count(1, 4, 4)
+    _assert_matches_brute_force(1, 4, 4)
 
 
 def test_enumeration_counts_match_brute_force_224():
-    assert len(enumerate_stable_graphs(2, 2, 4)) == brute_force_count(2, 2, 4)
+    _assert_matches_brute_force(2, 2, 4)
 
 
 def test_known_counts():
@@ -73,6 +92,37 @@ def test_known_counts():
     assert len(enumerate_stable_graphs(0, 4, 1)) == 4
     assert len(enumerate_stable_graphs(0, 5, 2)) == 26
     assert len(enumerate_stable_graphs(2, 0, 3)) == 7
+
+
+def test_known_counts_beyond_brute_force():
+    # genus 0: stable trees with n labeled leaves, Schroeder's fourth
+    # problem (OEIS A000311): 236 for n = 6 and 2752 for n = 7
+    assert len(enumerate_stable_graphs(0, 6, 3)) == 236
+    assert len(enumerate_stable_graphs(0, 7, 4)) == 2752
+    # the count the brute-force enumerator gave for (0,7) with <= 3 edges
+    assert len(enumerate_stable_graphs(0, 7, 3)) == 1807
+    # the 42 boundary strata of M_3-bar (Faber, "Chow rings of moduli
+    # spaces of curves I", Ann. of Math. 132 (1990))
+    assert len(enumerate_stable_graphs(3, 0, 6)) == 42
+
+
+def test_enumeration_truncates_full_dimension():
+    for g, n in [(0, 6), (1, 3), (1, 4), (2, 1), (3, 0)]:
+        dim = 3 * g - 3 + n
+        full = enumerate_stable_graphs(g, n, dim)
+        for e in range(dim + 1):
+            assert enumerate_stable_graphs(g, n, e) == tuple(
+                graph for graph in full if len(graph.edges) <= e)
+
+
+def test_enumeration_edge_cases():
+    # no stable graph has more than 3g - 3 + n edges
+    assert enumerate_stable_graphs(1, 2, 5) == enumerate_stable_graphs(1, 2, 2)
+    assert enumerate_stable_graphs(0, 4, 9) == enumerate_stable_graphs(0, 4, 1)
+    assert enumerate_stable_graphs(2, 0, 0) == (StableGraph([2], [[]], []),)
+    for g, n in [(0, 0), (0, 1), (0, 2), (1, 0)]:
+        with pytest.raises(ValueError):
+            enumerate_stable_graphs(g, n, 2)
 
 
 def test_enumeration_memoized_tuple():
