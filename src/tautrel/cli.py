@@ -188,7 +188,8 @@ def cmd_frame(config):
 def cmd_rmatrix(config):
     if config.get("family"):
         f = parse_poly(config["family"])
-        if f.variables() - {"t"}:
+        if f.variables() - {"t"} or any(e < 0 or e.denominator != 1
+                                        for mono in f.terms for _, e in mono):
             raise ParseError("--family must be a polynomial in t, got %s" % f)
         if f.is_zero():
             raise ParseError("--family f = 0 has no semisimple point")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .multipoly import MultiPoly, monomial_power
 from .puiseux import PuiseuxSeries, SeriesMatrix, cofactor_det
@@ -322,8 +323,6 @@ def _initial_roots(points, coeffs, param):
 
 def _divisors(n):
     n = abs(n)
-    if n == 0:
-        return [1]
     out = set()
     d = 1
     while d * d <= n:
@@ -396,8 +395,6 @@ def _puiseux_roots(coeffs, param, trunc, depth):
     d = len(coeffs) - 1
     if depth > 3 * d + 12:
         raise NonSemisimpleError("non-semisimple direction: branches do not separate")
-    if d == 0:
-        return []
     if d == 1:
         c0 = coeffs[0]
         if c0.is_zero():
@@ -686,16 +683,11 @@ def series_rational_power(series, exponent, trunc=None):
 # local structure probe (orders m, two singular idempotents, basis fields)
 
 
-class LocalStructureReport:
-    def __init__(self, m, singular, u_diff_order, basis_orders):
-        self.m = m
-        self.singular = singular
-        self.u_diff_order = u_diff_order
-        self.basis_orders = basis_orders
-
-    def __repr__(self):
-        return ("LocalStructureReport(m=%s, singular=%s, order(u1-u2)=%s)"
-                % (self.m, self.singular, self.u_diff_order))
+class LocalStructureReport(NamedTuple):
+    m: Fraction
+    singular: list              # the two non-extending idempotents
+    u_diff_order: Fraction      # order of u_1 - u_2
+    basis_orders: list          # orders of the structure-theorem fields
 
 
 def local_structure_probe(frame):
@@ -831,23 +823,8 @@ def psi0_frame(frame):
     p = two_sqrt_t.sqrt(trunc=trunc)
     q = (-two_sqrt_t).sqrt(trunc=trunc)
     p_inv, q_inv = p.invert(trunc=trunc), q.invert(trunc=trunc)
-    zero = PuiseuxSeries.zero(exp.param)
-    rows = [[zero] * n for _ in range(n)]
-    rows[0][0] = sqrt_t * p_inv
-    rows[0][1] = -sqrt_t * q_inv
-    rows[1][0] = p_inv
-    rows[1][1] = q_inv
-    for k in range(2, n):
-        rows[k][k] = PuiseuxSeries.const(1, exp.param)
-    psi0 = SeriesMatrix(rows)
-    rows_inv = [[zero] * n for _ in range(n)]
-    rows_inv[0][0] = p_inv
-    rows_inv[0][1] = sqrt_t * p_inv
-    rows_inv[1][0] = q_inv
-    rows_inv[1][1] = -sqrt_t * q_inv
-    for k in range(2, n):
-        rows_inv[k][k] = PuiseuxSeries.const(1, exp.param)
-    psi0_inv = SeriesMatrix(rows_inv)
+    psi0 = _upper_block(sqrt_t * p_inv, -sqrt_t * q_inv, p_inv, q_inv, n)
+    psi0_inv = _upper_block(p_inv, sqrt_t * p_inv, q_inv, -sqrt_t * q_inv, n)
     # the chosen roots induce branches of sqrt(Delta_1), sqrt(Delta_2); the
     # frame's independent choices may differ by a sign, which must be aligned
     # or the Psi0-cancellation fails
@@ -875,3 +852,15 @@ def psi0_frame(frame):
                 raise ChartError("Psi-tilde entry has negative order %s" % o)
     return Psi0Frame(frame, report, t, t0, sqrt_t, eta0, eta1, psi0, psi0_inv,
                      psi_tilde, dt_field, dt0_field, order, units)
+
+
+def _upper_block(a, b, c, d, n):
+    """The n x n SeriesMatrix with upper 2 x 2 block [[a, b], [c, d]] and
+    the identity on the other coordinates."""
+    zero = PuiseuxSeries.zero(a.param)
+    rows = [[zero] * n for _ in range(n)]
+    rows[0][:2] = a, b
+    rows[1][:2] = c, d
+    for k in range(2, n):
+        rows[k][k] = PuiseuxSeries.const(1, a.param)
+    return SeriesMatrix(rows)

@@ -386,27 +386,28 @@ def enumerate_decorated_basis(g, n, codim):
     """All decorated graphs of the given codimension, canonical and sorted."""
     out = {}
     for graph in enumerate_stable_graphs(g, n, codim):
-        rest = codim - len(graph.edges)
-        if rest < 0:
-            continue
-        legs = sorted(l for ls in graph.legs for l in ls)
-        slots = len(legs)
-        edge_sides = [(idx, side) for idx in range(len(graph.edges))
-                      for side in (0, 1)]
-        nv = graph.num_vertices
-        for leg_part in _bounded_assignments([range(rest + 1)] * slots, rest):
-            rest2 = rest - sum(leg_part)
-            for side_part in _bounded_assignments(
-                    [range(rest2 + 1)] * len(edge_sides), rest2):
-                rest3 = rest2 - sum(side_part)
-                for kappa_combo in _kappa_assignments(rest3, nv):
-                    leg_psi = {l: e for l, e in zip(legs, leg_part) if e}
-                    edge_psi = [[0, 0] for _ in graph.edges]
-                    for (idx, side), e in zip(edge_sides, side_part):
-                        edge_psi[idx][side] = e
-                    dg = DecoratedGraph(graph, leg_psi, edge_psi, kappa_combo)
-                    out.setdefault(dg.key(), dg)
+        for dg in _decorations(graph, codim - len(graph.edges)):
+            out.setdefault(dg.key(), dg)
     return sorted(out.values(), key=lambda d: d.key())
+
+
+def _decorations(graph, rest):
+    """Every leg-psi x half-edge-psi x kappa decoration of ``graph`` of
+    total degree ``rest``, with repeats where automorphisms identify two."""
+    legs = sorted(l for ls in graph.legs for l in ls)
+    edge_sides = [(idx, side) for idx in range(len(graph.edges))
+                  for side in (0, 1)]
+    for leg_part in _bounded_assignments([range(rest + 1)] * len(legs), rest):
+        rest2 = rest - sum(leg_part)
+        for side_part in _bounded_assignments(
+                [range(rest2 + 1)] * len(edge_sides), rest2):
+            rest3 = rest2 - sum(side_part)
+            for kappa_combo in _kappa_assignments(rest3, graph.num_vertices):
+                leg_psi = {l: e for l, e in zip(legs, leg_part) if e}
+                edge_psi = [[0, 0] for _ in graph.edges]
+                for (idx, side), e in zip(edge_sides, side_part):
+                    edge_psi[idx][side] = e
+                yield DecoratedGraph(graph, leg_psi, edge_psi, kappa_combo)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
-                     _partitions, cell_basis, multiply_kappa, multiply_psi)
+from .graphs import (DecoratedGraph, StableGraph, StrataVector, _decorations,
+                     cell_basis, multiply_kappa, multiply_psi)
 
 _PSI_CACHE = {}
 
@@ -173,18 +173,12 @@ def integrate_against_monomial(vector, monomial):
 
 def smooth_monomial_basis(g, n, codim):
     """Smooth-vertex decorated classes (psi-kappa monomials) of a codimension,
-    as a tuple sorted by key, the order of ``graphs.cell_basis``.
-
-    Built directly: a psi exponent per leg, times a kappa partition of the
-    codim they leave."""
+    the decorations of the one-vertex graph, as a tuple sorted by key, the
+    order of ``graphs.cell_basis``."""
     if 2 * g - 2 + n <= 0:
         raise ValueError("(g, n) = (%d, %d) is unstable" % (g, n))
-    classes = []
-    for leg_psi in _bounded_assignments([range(codim + 1)] * n, codim):
-        psi = dict(enumerate(leg_psi, start=1))
-        for kappa in _partitions(codim - sum(leg_psi)):
-            classes.append(DecoratedGraph.smooth(g, n, psi, kappa))
-    return tuple(sorted(classes, key=DecoratedGraph.key))
+    graph = StableGraph([g], [range(1, n + 1)], [])
+    return tuple(sorted(_decorations(graph, codim), key=DecoratedGraph.key))
 
 
 @functools.lru_cache(maxsize=None)

@@ -540,13 +540,11 @@ class PuiseuxSeries:
             if exp == 0:
                 parts.append(cs)
             else:
-                es = str(exp.numerator) if exp.denominator == 1 else "(%d/%d)" % (exp.numerator, exp.denominator)
-                base = "%s^%s" % (self.param, es)
+                base = "%s^%s" % (self.param, MultiPoly._fmt_exp(exp))
                 parts.append(base if cs == "1" else "%s*%s" % (cs, base))
         if self.trunc != INF:
-            t = self.trunc
-            es = str(t.numerator) if t.denominator == 1 else "(%d/%d)" % (t.numerator, t.denominator)
-            parts.append("O(%s^%s)" % (self.param, es))
+            parts.append("O(%s^%s)" % (self.param,
+                                       MultiPoly._fmt_exp(self.trunc)))
         if not parts:
             return "0"
         return " + ".join(parts).replace("+ -", "- ")

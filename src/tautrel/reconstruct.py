@@ -117,7 +117,7 @@ def dilaton_leaf(spec, bound):
     """T(psi) = psi (Id - A(psi)) 1 as {power: component list}; O(psi^2).
 
     The powers are formed once per spec, on the first call: ``spec._leaf_cache``
-    maps each power to its components, or to None where they vanish.
+    maps each power whose components do not all vanish to its components.
     """
     cache = spec._leaf_cache
     if cache is None:
@@ -129,9 +129,9 @@ def dilaton_leaf(spec, bound):
         cache = spec._leaf_cache = {}
         for p in range(2, len(A) + 1):
             comp = A[p - 1].apply(unit)
-            cache[p] = ([-c for c in comp] if any(not c.is_zero() for c in comp)
-                        else None)
-    return {p: cache[p] for p in range(2, bound + 1) if cache.get(p) is not None}
+            if any(not c.is_zero() for c in comp):
+                cache[p] = [-c for c in comp]
+    return {p: cache[p] for p in range(2, bound + 1) if p in cache}
 
 
 def vertex_contributions(spec, gv, nmark, color, budget):
@@ -239,8 +239,6 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
             rem = budget - sum(leg_psi)
             for colors, terms in table.items():
                 terms = _prefix(terms, rem)
-                if not terms:
-                    continue
                 key = tuple(sorted(zip(leg_class, leg_psi, colors)))
                 factor = _leg_factor(memo, key, class_data)
                 if factor.is_zero():
@@ -314,7 +312,9 @@ def _graph_terms(spec, graph, B, bound):
     vertex k-sum term of extra codim ``x`` is the same series at every
     budget of at least ``x``, so the terms of a leg psi assignment are the
     prefix of extra codim at most its budget, and the leg psi go on the
-    decorated graph unchanged (``DecoratedGraph.with_leg_psi``).
+    decorated graph unchanged (``DecoratedGraph.with_leg_psi``).  Only a
+    coloring with a zero edge entry is left out: a term that vanishes to
+    truncation still bounds the class coefficient it goes into.
     """
     E = len(graph.edges)
     nv = graph.num_vertices
@@ -352,8 +352,6 @@ def _graph_terms(spec, graph, B, bound):
                 coeff = factor
                 for _, series in combo:
                     coeff = coeff * series
-                if coeff.is_zero():
-                    continue
                 dg = DecoratedGraph(graph, None, edge_psi,
                                     [key[1] for key, _ in combo])
                 table.setdefault(colors, []).append(

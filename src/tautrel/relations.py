@@ -93,16 +93,8 @@ class RelationSet:
         return True
 
     def vectors(self, cell):
-        out = []
-        basis, _ = cell_basis(cell)
         pivots = self.pivots[cell]
-        for piv in sorted(pivots):
-            row = pivots[piv]
-            vec = StrataVector(cell[0], cell[1])
-            for i in sorted(row):
-                vec.terms[basis[i]] = Fraction(row[i], row[piv])
-            out.append(vec)
-        return out
+        return [_row_vector(cell, pivots[piv]) for piv in sorted(pivots)]
 
     def dim(self, cell):
         return len(self.pivots[cell])
@@ -110,6 +102,17 @@ class RelationSet:
     def contains(self, cell, vector):
         """Whether a StrataVector or an integer row lies in the span."""
         return not self._reduce(cell, self._integer_row(cell, vector))
+
+
+def _row_vector(cell, row):
+    """The StrataVector of an integer row of ``cell``, divided by the entry
+    at its pivot, the least column."""
+    basis, _ = cell_basis(cell)
+    lead = row[min(row)]
+    vec = StrataVector(cell[0], cell[1])
+    for i in sorted(row):
+        vec.terms[basis[i]] = Fraction(row[i], lead)
+    return vec
 
 
 def _eliminate(row, c, other):
@@ -141,11 +144,6 @@ def _make_primitive(row, piv):
             row[i] //= k
 
 
-def insertion_multisets(dim, n):
-    """Unordered insertion tuples of flat basis indices."""
-    return list(itertools.combinations_with_replacement(range(dim), n))
-
-
 def extract_relations(spec, cells):
     """Relations of the CohFT spec on the given (g, n, codim) cells.
 
@@ -161,7 +159,8 @@ def extract_relations(spec, cells):
         by_gn.setdefault((g, n), []).append(d)
     for (g, n), ds in sorted(by_gn.items()):
         dmax = max(ds)
-        for combo in insertion_multisets(spec.dim, n):
+        for combo in itertools.combinations_with_replacement(range(spec.dim),
+                                                             n):
             insertions = [units[mu] for mu in combo]
             cls = reconstruct_class(spec, g, n, insertions, dmax)
             for d in ds:
@@ -347,22 +346,24 @@ def _apply_map(opmap, row):
 
 def compare_spans(rs1, rs2):
     """Per-cell verdicts: 'equal', 'left in right', 'right in left',
-    'incomparable'; witnesses are vectors outside the other span."""
+    'incomparable'; a witness is the first RREF vector, in pivot order,
+    outside the other span (of the right span for 'left in right')."""
     out = {}
     for cell in rs1.cells:
         if cell not in rs2.pivots:
             continue
-        left, right = rs1.vectors(cell), rs2.vectors(cell)
-        left_out = [not rs2.contains(cell, v) for v in left]
-        right_out = [not rs1.contains(cell, v) for v in right]
-        if not any(left_out) and not any(right_out):
+        left_out = [row for _, row in sorted(rs1.pivots[cell].items())
+                    if not rs2.contains(cell, row)]
+        right_out = [row for _, row in sorted(rs2.pivots[cell].items())
+                     if not rs1.contains(cell, row)]
+        if not left_out and not right_out:
             out[cell] = ("equal", None)
-        elif not any(left_out):
-            out[cell] = ("left in right", right[right_out.index(True)])
-        elif not any(right_out):
-            out[cell] = ("right in left", left[left_out.index(True)])
+        elif not left_out:
+            out[cell] = ("left in right", _row_vector(cell, right_out[0]))
+        elif not right_out:
+            out[cell] = ("right in left", _row_vector(cell, left_out[0]))
         else:
-            out[cell] = ("incomparable", left[left_out.index(True)])
+            out[cell] = ("incomparable", _row_vector(cell, left_out[0]))
     return out
 
 
@@ -374,24 +375,27 @@ def verify_relations(rs):
     """
     failures = {}
     for cell in rs.cells:
-        for ridx, vec in enumerate(rs.vectors(cell)):
-            for mono, val in verify_vector(vec, cell[2]):
-                failures.setdefault(cell, []).append((ridx, mono, val))
+        for ridx, (piv, row) in enumerate(sorted(rs.pivots[cell].items())):
+            for mono, val in _pairings(cell, row):
+                failures.setdefault(cell, []).append(
+                    (ridx, mono, Fraction(val, row[piv])))
     return failures
 
 
 def verify_vector(vector, codim):
-    """Pairing report for one vector; list of (monomial, value) nonzero.
+    """Pairing report for one vector; list of (monomial, value) nonzero."""
+    cell = (vector.g, vector.n, codim)
+    return _pairings(cell, to_row(cell, vector))
 
-    The vector is paired through the cell's partial-pairing matrix, whose
-    rows are the cell's basis.
-    """
-    g, n = vector.g, vector.n
-    _, cols, matrix = pairing_matrix(g, n, codim)
-    row = [(matrix[i], c) for i, c in to_row((g, n, codim), vector).items()]
+
+def _pairings(cell, row):
+    """The nonzero (monomial, value) pairings of a ``{column: value}`` row
+    of ``cell``, through the cell's partial-pairing matrix."""
+    _, cols, matrix = pairing_matrix(*cell)
+    terms = [(matrix[i], c) for i, c in row.items()]
     out = []
     for j, mono in enumerate(cols):
-        val = sum(pairings[j] * c for pairings, c in row)
+        val = sum(pairings[j] * c for pairings, c in terms)
         if val != 0:
             out.append((mono, val))
     return out

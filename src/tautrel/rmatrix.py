@@ -21,6 +21,7 @@ R(z) R^t(-z) = Id and odd-order ones are free (default 0).
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .frobenius import (ChartError, NonSemisimpleError, _rational_roots,
                         integrate_oneform, rref)
@@ -164,16 +165,11 @@ def solve_flatness(frame, K, constants=None):
 # the explicit 2-dimensional family (d/dt)^2 = f(t) d/dt0
 
 
-class FamilyDiagnostics:
-    def __init__(self, f, gamma_global, gamma_series, certificate):
-        self.f = f
-        self.gamma_global = gamma_global      # MultiPoly or None
-        self.gamma_series = gamma_series      # {center: PuiseuxSeries}
-        self.certificate = certificate        # text of the existence analysis
-
-    def __repr__(self):
-        return ("FamilyDiagnostics(gamma_global=%s, centers=%s)"
-                % (self.gamma_global, sorted(self.gamma_series)))
+class FamilyDiagnostics(NamedTuple):
+    f: MultiPoly
+    gamma_global: MultiPoly | None
+    gamma_series: dict          # {center: PuiseuxSeries}
+    certificate: str            # text of the existence analysis
 
 
 def gamma_ode(f):
@@ -327,11 +323,10 @@ def solve_2d_family(f):
 # holomorphy of quotients R_1 R_2^{-1} in the Psi0-conjugated basis
 
 
-class QuotientReport:
-    def __init__(self, orders, min_orders, residual_ok):
-        self.orders = orders          # z-order -> SeriesMatrix of the quotient
-        self.min_orders = min_orders  # z-order -> matrix of entry t_D-orders
-        self.residual_ok = residual_ok
+class QuotientReport(NamedTuple):
+    orders: dict            # z-order -> SeriesMatrix of the quotient
+    min_orders: dict        # z-order -> matrix of entry t_D-orders
+    residual_ok: bool
 
     def holomorphic(self):
         return all(o is None or o >= 0

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .frobenius import ChartError, FrobeniusChart
 from .graphs import DecoratedGraph, StrataVector
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, NonUnitError
 
 SCHEMA_VERSION = 1
 
@@ -133,8 +133,17 @@ class _Parser:
 
 
 def parse_poly(text) -> MultiPoly:
-    parser = _Parser(_tokenize(str(text)))
-    value = parser.parse_expr()
+    """The MultiPoly of ``text``.  Raises ParseError on text that is no
+    expression, on a zero denominator and on a division by, or a negative or
+    fractional power of, a non-monomial."""
+    text = str(text)
+    parser = _Parser(_tokenize(text))
+    try:
+        value = parser.parse_expr()
+    except ParseError:
+        raise
+    except (ZeroDivisionError, NonUnitError, ValueError) as exc:
+        raise ParseError("cannot read %r: %s" % (text, exc)) from None
     if parser.peek() is not None:
         raise ParseError("trailing input %r" % parser.tokens[parser.pos:])
     return value

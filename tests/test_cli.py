@@ -340,6 +340,27 @@ def test_verify_hand_written_document(tmp_path):
     (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
     (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
     (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
+    (["rmatrix", "--family", "t^(1/0)"], "cannot read 't^(1/0)'"),
+    (["rmatrix", "--family", "1/0"], "cannot read '1/0'"),
+    (["rmatrix", "--family", "t/(t+1)"], "cannot read 't/(t+1)'"),
+    (["rmatrix", "--family", "t^(1/2)"], "must be a polynomial in t"),
+    (["rmatrix", "--family", "t^-1"], "must be a polynomial in t"),
+    (["frame", "--chart", _a2_chart_doc(potential="1/0")],
+     "malformed chart document: cannot read '1/0'"),
+    (["frame", "--chart", _a2_chart_doc(potential="t1/(t1+1)")],
+     "malformed chart document: cannot read 't1/(t1+1)'"),
+    (["frame", "--chart", _a2_chart_doc(
+        expansion_point={"param": "t1", "subs": {"t0": "1/0"}})],
+     "cannot read '1/0'"),
+    (["frame", "--chart", _a2_chart_doc(
+        expansion_point={"param": "t1", "subs": {"t0": "t1/(t1+1)"}})],
+     "cannot read 't1/(t1+1)'"),
+    (["frame", "--config", {"chart": "a2", "param": "t1",
+                            "expansion": {"subs": {"t0": "t1^(1/0)"}}}],
+     "cannot read 't1^(1/0)'"),
+    (["frame", "--config", {"chart": "a2", "param": "t1",
+                            "expansion": {"subs": {"t0": "t1/(t1+1)"}}}],
+     "cannot read 't1/(t1+1)'"),
 ], ids=["unstable-gn", "relations-gn-no-cell", "compare-gn-no-cell",
         "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
@@ -362,7 +383,15 @@ def test_verify_hand_written_document(tmp_path):
         "reconstruct-two-gn-pairs", "config-trunc-list", "config-codim-list",
         "config-insertion-number", "config-insertion-text", "config-list",
         "genus1-two-insertions", "gn-text", "family-not-in-t", "family-zero",
-        "family-zero-times-t"])
+        "family-zero-times-t", "family-zero-exponent-denominator",
+        "family-zero-denominator", "family-non-monomial-denominator",
+        "family-fractional-power", "family-negative-power",
+        "chart-file-potential-zero-denominator",
+        "chart-file-potential-non-monomial-denominator",
+        "chart-file-subs-zero-denominator",
+        "chart-file-subs-non-monomial-denominator",
+        "config-expansion-zero-exponent-denominator",
+        "config-expansion-non-monomial-denominator"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

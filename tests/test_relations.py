@@ -247,6 +247,43 @@ def test_compare_spans_symmetric():
     assert v21[(0, 4, 1)][0] == "left in right"
 
 
+def _span(cell, *rows):
+    rs = RelationSet([cell])
+    for row in rows:
+        rs.add(cell, dict(row))
+    return rs
+
+
+def test_compare_verdicts_and_witnesses():
+    # hand-built spans on four columns of one cell give every verdict; each
+    # witness is the first RREF vector, in pivot order, outside the other span
+    cell = (0, 5, 1)
+    basis, _ = cell_basis(cell)
+    e0, e12, e3 = {0: 1}, {1: -2, 2: -3}, {3: 5}
+    e12_rref = {1: F(1), 2: F(3, 2)}
+    cases = [
+        (_span(cell, e0, e12), _span(cell, {0: 1, 1: -2, 2: -3}, {0: 2}),
+         "equal", None),
+        (_span(cell, e0), _span(cell, e3, e12, e0), "left in right", e12_rref),
+        (_span(cell, e3, e0, e12), _span(cell, e0), "right in left", e12_rref),
+        (_span(cell, e0, e12), _span(cell, e0, e3), "incomparable", e12_rref),
+        (_span(cell, e3, e0), _span(cell, e12), "incomparable", {0: F(1)}),
+    ]
+    for left, right, verdict, witness in cases:
+        assert compare_spans(left, right).keys() == {cell}
+        got, vec = compare_spans(left, right)[cell]
+        assert got == verdict
+        if witness is None:
+            assert vec is None
+            continue
+        assert vec.terms == {basis[i]: c for i, c in witness.items()}
+        outer, inner = (right, left) if verdict == "left in right" \
+            else (left, right)
+        first = next(v for v in outer.vectors(cell)
+                     if not inner.contains(cell, v))
+        assert vec.terms == first.terms
+
+
 # The eight default cells, and the sources (1,3,1..3) and (2,1,2..3) whose
 # closure reaches generators - dim R^d on all eight.
 CELLS8 = [(0, 4, 1), (0, 5, 1), (0, 5, 2), (1, 1, 1),

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,12 @@ def test_parse_poly_errors():
         parse_poly("t +")
     with pytest.raises(ParseError):
         parse_poly("(t")
+    # arithmetic that fails while parsing is a parse error naming the text
+    for text in ("1/0", "t^(1/0)", "t/(t+1)", "(1+t)^-1", "(1+t)^(1/2)",
+                 "t^(-1/2)"):
+        with pytest.raises(ParseError,
+                           match=re.escape("cannot read %r" % text)):
+            parse_poly(text)
 
 
 def test_chart_json_roundtrip():
