@@ -4,7 +4,8 @@ import pytest
 
 from tautrel.charts import (a2_expansion, a2_tilted_expansion,
                             a2x_a1_expansion, family_expansion)
-from tautrel.frobenius import NonSemisimpleError, idempotent_frame, psi0_frame
+from tautrel.frobenius import (ChartError, NonSemisimpleError, idempotent_frame,
+                               psi0_frame)
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
 from tautrel.rmatrix import (RMatrix, gamma_ode, ode_series_solution,
@@ -83,6 +84,23 @@ def test_rational_solution_recovers_polynomials():
                   t ** 3 * 4 - t * t):
             c = -(a * y.derivative("t") + b * y)
             assert rational_solution(a, b, c) == y, (f, y)
+
+
+def test_ode_solve_edge_cases():
+    t = V("t")
+    # at a simple root of a the t^1 equation reads 0 * y_1 = -1
+    with pytest.raises(ChartError, match="resonance"):
+        ode_series_solution(t, MP.const(-1), t, "t", 0, 4)
+    with pytest.raises(ChartError, match="multiple root"):
+        ode_series_solution(t * t, t, MP.const(1), "t", 0, 4)
+    # f = t^2 (t - 1) has a double root at 0: no local series there
+    diag = solve_2d_family(t * t * (t - 1))
+    assert diag.gamma_series[F(0)] is None
+    assert diag.gamma_series[F(1)] is not None
+    # the homogeneous equation has the polynomial solutions (t + 4/3)^2: the
+    # solve pivots on the low powers first and keeps the constant solution
+    a = MP.const(-2) - t * F(3, 2)
+    assert rational_solution(a, MP.const(3), MP.const(1)) == MP.const(F(-1, 3))
 
 
 def test_no_meromorphic_solution_for_cubic():
