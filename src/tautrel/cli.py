@@ -1,6 +1,7 @@
 """Command-line front end: reproducible, file-driven pipeline runs.
 
-Subcommands: frame, rmatrix, reconstruct, relations, compare, verify, genus1.
+Subcommands: frame, rmatrix, family, reconstruct, relations, compare, verify,
+genus1.
 A JSON config file provides defaults and is echoed into every artifact;
 command-line flags override config fields.  A subcommand takes the flags,
 sets the defaults and checks the values of only the settings it reads
@@ -186,30 +187,32 @@ def cmd_frame(config):
 
 
 def cmd_rmatrix(config):
-    if config.get("family"):
-        f = parse_poly(config["family"])
-        if f.variables() - {"t"} or any(e < 0 or e.denominator != 1
-                                        for mono in f.terms for _, e in mono):
-            raise ParseError("--family must be a polynomial in t, got %s" % f)
-        if f.is_zero():
-            raise ParseError("--family f = 0 has no semisimple point")
-        diag = solve_2d_family(f)
-        payload = {
-            "family": str(f),
-            "gamma": str(diag.gamma_global) if diag.gamma_global is not None else None,
-            "gamma_series": {str(c): str(s) for c, s in diag.gamma_series.items()},
-            "certificate": diag.certificate,
-        }
-        path = _write(config, "rmatrix_family.json", payload)
-        print("family diagnostics: %s" % path)
-        if diag.gamma_global is not None:
-            print("gamma = %s" % diag.gamma_global)
-        else:
-            print(diag.certificate)
-        return EXIT_OK
     spec, = _specs(config, _make_expansion(config))
     path = _write(config, "rmatrix.json", rmatrix_to_json(spec.R))
     print("R-matrix to z^%d: %s" % (spec.R.K, path))
+    return EXIT_OK
+
+
+def cmd_family(config):
+    if not config.get("family"):
+        raise ParseError("family needs 'family'")
+    f = parse_poly(config["family"])
+    if f.variables() - {"t"} or any(e < 0 or e.denominator != 1
+                                    for mono in f.terms for _, e in mono):
+        raise ParseError("--family must be a polynomial in t, got %s" % f)
+    if f.is_zero():
+        raise ParseError("--family f = 0 has no semisimple point")
+    diag = solve_2d_family(f)
+    payload = {
+        "family": str(f),
+        "gamma": str(diag.gamma_global) if diag.gamma_global is not None else None,
+        "gamma_series": {str(c): str(s) for c, s in diag.gamma_series.items()},
+        "certificate": diag.certificate,
+    }
+    path = _write(config, "rmatrix_family.json", payload)
+    print("family diagnostics: %s" % path)
+    print(diag.certificate if diag.gamma_global is None
+          else "gamma = %s" % diag.gamma_global)
     return EXIT_OK
 
 
@@ -362,7 +365,8 @@ _EXPANSION = ("chart", "param", "cover_degree", "trunc")
 _SOLVE = _EXPANSION + ("z_order", "constants")
 COMMANDS = {
     "frame": (cmd_frame, _EXPANSION),
-    "rmatrix": (cmd_rmatrix, _SOLVE + ("family",)),
+    "rmatrix": (cmd_rmatrix, _SOLVE),
+    "family": (cmd_family, ("family",)),
     "reconstruct": (cmd_reconstruct, _SOLVE + ("codim", "gn", "insertion")),
     "relations": (cmd_relations, _SOLVE + ("codim", "gn")),
     "compare": (cmd_compare, _SOLVE + ("codim", "gn", "chart2")),

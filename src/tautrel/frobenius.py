@@ -309,7 +309,7 @@ def _initial_roots(points, coeffs, param):
                     raise NonSemisimpleError("initial equation is not quasi-homogeneous")
                 rat.append((i - i_lo, ratio2.constant_value()))
             degree = max(e for e, _ in rat)
-            found = _rational_roots({e: c for e, c in rat}, degree)
+            found = _rational_roots(dict(rat))
             total = sum(m for _, m in found)
             if total < degree:
                 raise NonSemisimpleError(
@@ -333,7 +333,7 @@ def _divisors(n):
     return sorted(out)
 
 
-def _rational_roots(poly, degree):
+def _rational_roots(poly):
     """All rational roots with multiplicity of a Fraction-coefficient poly."""
     denom = lcm(*(c.denominator for c in poly.values()))
     ints = {e: int(c * denom) for e, c in poly.items() if c != 0}

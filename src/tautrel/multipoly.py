@@ -231,6 +231,8 @@ class MultiPoly:
 
     def inverse(self) -> "MultiPoly":
         """Inverse of a monomial (the units of this ring)."""
+        if not self.terms:
+            raise ZeroDivisionError("division by zero")
         if len(self.terms) != 1:
             raise NonUnitError("non-unit leading term: %s" % self)
         (mono, coeff), = self.terms.items()

@@ -185,8 +185,26 @@ def gamma_ode(f):
 
 def _coeffs_in(poly, var):
     """{power of var: rational coefficient} of a polynomial in var alone."""
-    return {k: c.constant_value()
-            for k, c in PuiseuxSeries.from_poly(poly, var).coeffs.items()}
+    if poly.variables() - {var}:
+        raise ValueError("not a polynomial in %s: %s" % (var, poly))
+    return {mono[0][1] if mono else 0: c for mono, c in poly.terms.items()}
+
+
+def _solve_ode(a, b, c, ds, equations):
+    """{d: y_d} of y = sum y_d t^d, d in ``ds``, whose a y' + b y + c has
+    zero t^j coefficient, sum_d y_d (d a_{j-d+1} + b_{j-d}) + c_j, for each j
+    in ``equations`` (None if none does).  ``a``, ``b``, ``c`` map powers to
+    Fractions; pivots go in the order of ``ds``, free y_d are 0."""
+    ds = list(ds)
+    rows, pivots = rref([[d * a.get(j - d + 1, 0) + b.get(j - d, 0)
+                          for d in ds] + [c.get(j, 0)] for j in equations],
+                        len(ds))
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    y = dict.fromkeys(ds, Fraction(0))
+    for row, col in zip(rows, pivots):
+        y[ds[col]] = -row[-1]
+    return y
 
 
 def ode_series_solution(a, b, c, var, center, n_terms):
@@ -194,57 +212,19 @@ def ode_series_solution(a, b, c, var, center, n_terms):
 
     Returns the unique solution when the indicial structure pins it (center a
     simple root of ``a``); at an ordinary point the constant term defaults
-    to 0.  Raises on resonance (no power-series solution).
+    to 0 (the solve pivots from the top, leaving y_0 free).  Raises on
+    resonance (no power-series solution) and at a multiple root of ``a``
+    where ``b`` vanishes too.
     """
-    center = Fraction(center)
-    s = MultiPoly.var(var)
     if center:
-        shift = s + MultiPoly.const(center)
-        a = a.substitute(var, shift)
-        b = b.substitute(var, shift)
-        c = c.substitute(var, shift)
-
+        shift = MultiPoly.var(var) + MultiPoly.const(center)
+        a, b, c = (poly.substitute(var, shift) for poly in (a, b, c))
     a, b, c = (_coeffs_in(poly, var) for poly in (a, b, c))
-
-    def coeff(poly, k):
-        return poly.get(k, Fraction(0))
-
-    deg = max(max(poly, default=0) for poly in (a, b, c))
-    a0, a1, b0 = coeff(a, 0), coeff(a, 1), coeff(b, 0)
-    y = {}
-
-    def equation_value(j):
-        # known part of the t^j coefficient of a y' + b y + c from solved y's
-        val = coeff(c, j)
-        for m in range(deg + 1):
-            i = j - m + 1
-            if i in y:
-                val += coeff(a, m) * i * y[i]
-            i = j - m
-            if i in y:
-                val += coeff(b, m) * y[i]
-        return val
-
-    if a0 != 0:
-        # ordinary point: y_0 is free (default 0), t^j determines y_{j+1}
-        y[0] = Fraction(0)
-        for j in range(n_terms + 1):
-            val = equation_value(j)
-            y[j + 1] = -val / (a0 * (j + 1))
-    elif a1 != 0 or b0 != 0:
-        # simple root of a: t^j determines y_j with coefficient a1*j + b0
-        for j in range(n_terms + 1):
-            piv = a1 * j + b0
-            val = equation_value(j)
-            if piv == 0:
-                if val != 0:
-                    raise ChartError(
-                        "resonance at order %d: no power-series solution" % j)
-                y[j] = Fraction(0)
-            else:
-                y[j] = -val / piv
-    else:
+    if not (a.get(0) or a.get(1) or b.get(0)):
         raise ChartError("center is a multiple root of the leading coefficient")
+    y = _solve_ode(a, b, c, range(n_terms + 1, -1, -1), range(n_terms + 1))
+    if y is None:
+        raise ChartError("resonance: no power-series solution")
     coeffs = {k: MultiPoly.const(v) for k, v in y.items() if k <= n_terms and v != 0}
     return PuiseuxSeries(var, coeffs, 1, Fraction(n_terms + 1))
 
@@ -255,13 +235,14 @@ def rational_solution(a, b, c, var="t"):
     For the family equations the indicial exponents at every root of ``a``
     are non-integral, so any solution meromorphic near the roots is in fact
     polynomial; absence of a polynomial solution certifies that no global
-    meromorphic solution exists.
+    meromorphic solution exists.  The solve pivots from the bottom, so the
+    coefficients it leaves free, and sets to 0, are the top ones.
     """
-    deg_bound = 0
     ca, cb, cc = (_coeffs_in(poly, var) for poly in (a, b, c))
     da, db, dc = (max(poly, default=0) for poly in (ca, cb, cc))
     # leading balance: coefficient of t^(d + max(da-1, db))
     top = max(da - 1, db)
+    deg_bound = max(dc - top, 0)
     for d in range(0, dc + da + db + 3):
         lead = Fraction(0)
         if da - 1 == top:
@@ -270,24 +251,11 @@ def rational_solution(a, b, c, var="t"):
             lead += cb.get(db, 0)
         if lead == 0:
             deg_bound = max(deg_bound, d)
-    deg_bound = max(deg_bound, dc - top if top >= 0 else dc, 0)
-    # y = sum_d y_d t^d; the t^j coefficient of the residual is
-    # sum_d y_d (d a_{j-d+1} + b_{j-d}) + c_j, one linear equation per j
     ds = range(deg_bound + 1)
     powers = sorted({i + d - 1 for i in ca for d in ds if d}
                     | {i + d for i in cb for d in ds} | set(cc))
-    rows, pivots = rref([[d * ca.get(j - d + 1, 0) + cb.get(j - d, 0)
-                          for d in ds] + [cc.get(j, 0)] for j in powers],
-                        len(ds))
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * len(ds)
-    for row, d in zip(rows, pivots):
-        sol[d] = -row[-1]
-    out = MultiPoly()
-    for d, y in enumerate(sol):
-        out = out + MultiPoly.const(y) * MultiPoly.var(var) ** d
-    return out
+    y = _solve_ode(ca, cb, cc, ds, powers)
+    return None if y is None else MultiPoly({((var, d),): v for d, v in y.items()})
 
 
 def solve_2d_family(f):
@@ -300,7 +268,7 @@ def solve_2d_family(f):
         raise ValueError("f = 0 has no semisimple point")
     a, b, c = gamma_ode(f)
     poly = _coeffs_in(f, "t")
-    centers = [root for root, _ in _rational_roots(poly, max(poly))]
+    centers = [root for root, _ in _rational_roots(poly)]
     if 1 not in centers:
         centers.append(Fraction(1))
     series = {}

@@ -17,7 +17,7 @@ def run(args):
 
 
 def test_family_gamma_golden(tmp_path, capsys):
-    code = run(["rmatrix", "--family", "t*(t+1)", "--out", str(tmp_path)])
+    code = run(["family", "--family", "t*(t+1)", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "gamma = 1/12 + 1/6*t" in out
@@ -337,14 +337,15 @@ def test_verify_hand_written_document(tmp_path):
      "genus1 takes one --insertion index, got 2"),
     (["relations", "--chart", "a2", "--gn", "1,a"],
      "cannot read --gn '1,a': expected a grid like '1,1;0,4'"),
-    (["rmatrix", "--family", "t*s"], "must be a polynomial in t"),
-    (["rmatrix", "--family", "0"], "f = 0 has no semisimple point"),
-    (["rmatrix", "--family", "0*t"], "f = 0 has no semisimple point"),
-    (["rmatrix", "--family", "t^(1/0)"], "cannot read 't^(1/0)'"),
-    (["rmatrix", "--family", "1/0"], "cannot read '1/0'"),
-    (["rmatrix", "--family", "t/(t+1)"], "cannot read 't/(t+1)'"),
-    (["rmatrix", "--family", "t^(1/2)"], "must be a polynomial in t"),
-    (["rmatrix", "--family", "t^-1"], "must be a polynomial in t"),
+    (["family", "--family", "t*s"], "must be a polynomial in t"),
+    (["family", "--family", "0"], "f = 0 has no semisimple point"),
+    (["family", "--family", "0*t"], "f = 0 has no semisimple point"),
+    (["family", "--family", "t^(1/0)"], "cannot read 't^(1/0)'"),
+    (["family", "--family", "1/0"], "cannot read '1/0'"),
+    (["family", "--family", "t/(t+1)"], "cannot read 't/(t+1)'"),
+    (["family", "--family", "t^(1/2)"], "must be a polynomial in t"),
+    (["family", "--family", "t^-1"], "must be a polynomial in t"),
+    (["family"], "family needs 'family'"),
     (["frame", "--chart", _a2_chart_doc(potential="1/0")],
      "malformed chart document: cannot read '1/0'"),
     (["frame", "--chart", _a2_chart_doc(potential="t1/(t1+1)")],
@@ -385,7 +386,7 @@ def test_verify_hand_written_document(tmp_path):
         "genus1-two-insertions", "gn-text", "family-not-in-t", "family-zero",
         "family-zero-times-t", "family-zero-exponent-denominator",
         "family-zero-denominator", "family-non-monomial-denominator",
-        "family-fractional-power", "family-negative-power",
+        "family-fractional-power", "family-negative-power", "family-missing",
         "chart-file-potential-zero-denominator",
         "chart-file-potential-non-monomial-denominator",
         "chart-file-subs-zero-denominator",
@@ -426,9 +427,12 @@ def test_duplicate_gn_entries_give_one_cell(tmp_path, capsys):
      "--family"),
     (["verify", "--chart", "a2"], "--chart"),
     (["genus1", "--chart", "a2", "--gn", "1,1"], "--gn"),
+    # the 2d family is its own subcommand, with no chart to read
+    (["rmatrix", "--family", "t"], "--family"),
+    (["family", "--chart", "a2", "--family", "t"], "--chart"),
 ], ids=["relations-jobs", "frame-z-order", "rmatrix-codim",
         "reconstruct-chart2", "relations-insertion", "compare-family",
-        "verify-chart", "genus1-gn"])
+        "verify-chart", "genus1-gn", "rmatrix-family", "family-chart"])
 def test_unread_flag_exit_code_2(tmp_path, capsys, args, flag):
     # a subcommand takes only the flags it reads; argparse rejects the rest
     with pytest.raises(SystemExit) as exc:
@@ -512,6 +516,7 @@ def test_relations_command_deterministic(tmp_path):
 ECHO_RUNS = {
     "frame": ["--chart", "a2"],
     "rmatrix": ["--chart", "a2"],
+    "family": ["--family", "t*(t+1)"],
     "reconstruct": ["--chart", "a2", "--gn", "1,1", "--codim", "1"],
     "relations": ["--chart", "a2", "--gn", "1,1", "--codim", "1"],
     "compare": ["--chart", "a2", "--chart2", "a2xa1", "--gn", "1,1",
@@ -556,5 +561,5 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
         printed[line] = capsys.readouterr().out
         if "#" in line:
             assert line.split("#", 1)[1].strip() in printed[line], line
-    family, = [line for line in lines if "rmatrix --family" in line]
+    family, = [line for line in lines if "family --family" in line]
     assert "gamma = 1/12 + 1/6*t" in printed[family]

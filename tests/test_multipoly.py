@@ -51,6 +51,10 @@ def test_inverse_requires_monomial():
     x = MP.var("x")
     with pytest.raises(NonUnitError):
         (x + 1).inverse()
+    # zero is no non-unit but a zero divisor
+    for zero in (MP(), MP.const(0), x - x):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            zero.inverse()
 
 
 def test_derivative_antiderivative():

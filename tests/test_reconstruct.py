@@ -594,8 +594,8 @@ def test_reconstruct_artifact_pinned(tmp_path):
      "1ddbc0ebcaed540c5ee07fc36c672874e342235dbeef9e51ca5f3cd871e95000"),
     (["rmatrix", "--chart", "a2", "--z-order", "4"], "rmatrix.json",
      "1c66bc70ab66a6b5b2dc6c5fac3fffadf6c26e5e5ae46af24b8857aaeea20e2c"),
-    (["rmatrix", "--family", "t*(t+1)"], "rmatrix_family.json",
-     "cce940e75692480d58ee3397fc11bc7ce5045b84c7f574cd90daf04559be6fe5"),
+    (["family", "--family", "t*(t+1)"], "rmatrix_family.json",
+     "f9dc9aba58f984fb73857f80dd499eb9106252e2c0f9c7a16e99ae50ca3ca9a7"),
     (["genus1", "--chart", "a2xa1", "--param", "t1"], "genus1.json",
      "982979c7d153d86ad2e0705a57c776c4d15eb9f68a4c37db1544cd0db577e24a"),
     (["reconstruct", "--chart", "a2xa1", "--param", "t1", "--gn", "0,5",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -101,6 +102,102 @@ def test_ode_solve_edge_cases():
     # solve pivots on the low powers first and keeps the constant solution
     a = MP.const(-2) - t * F(3, 2)
     assert rational_solution(a, MP.const(3), MP.const(1)) == MP.const(F(-1, 3))
+
+
+def _recurrence_series(a, b, c, var, center, n_terms):
+    """Reference for ode_series_solution: the order-by-order recurrence.
+
+    At an ordinary point the t^j equation gives y_{j+1} (y_0 = 0); at a
+    simple root of a it gives y_j through the coefficient a_1 j + b_0, and
+    a zero coefficient with a nonzero right side is a resonance.
+    """
+    center = F(center)
+    if center:
+        shift = V(var) + MP.const(center)
+        a, b, c = (poly.substitute(var, shift) for poly in (a, b, c))
+    a, b, c = ({k: v.constant_value()
+                for k, v in PS.from_poly(poly, var).coeffs.items()}
+               for poly in (a, b, c))
+    deg = max(max(poly, default=0) for poly in (a, b, c))
+    a0, a1, b0 = a.get(0, 0), a.get(1, 0), b.get(0, 0)
+    y = {}
+
+    def equation_value(j):
+        val = c.get(j, F(0))
+        for m in range(deg + 1):
+            if j - m + 1 in y:
+                val += a.get(m, 0) * (j - m + 1) * y[j - m + 1]
+            if j - m in y:
+                val += b.get(m, 0) * y[j - m]
+        return val
+
+    if a0 != 0:
+        y[0] = F(0)
+        for j in range(n_terms + 1):
+            y[j + 1] = -equation_value(j) / (a0 * (j + 1))
+    elif a1 != 0 or b0 != 0:
+        for j in range(n_terms + 1):
+            piv, val = a1 * j + b0, equation_value(j)
+            if piv == 0:
+                if val != 0:
+                    raise ChartError("resonance at order %d" % j)
+                y[j] = F(0)
+            else:
+                y[j] = -val / piv
+    else:
+        raise ChartError("center is a multiple root of the leading coefficient")
+    coeffs = {k: MP.const(v) for k, v in y.items() if k <= n_terms and v != 0}
+    return PS(var, coeffs, 1, F(n_terms + 1))
+
+
+def _random_ode(rng):
+    """(a, b, c, center, n_terms) of a random first-order ODE: half of the
+    centers are roots of a, some multiple, some with b made resonant."""
+    t = V("t")
+    center = rng.choice([F(0), F(1), F(-1), F(1, 2)])
+
+    def poly(deg):
+        return MP({(("t", i),): F(rng.randint(-4, 4), rng.randint(1, 3))
+                   for i in range(deg + 1)})
+
+    def at_center(p):
+        return p.substitute("t", MP.const(center)).constant_value()
+
+    n_terms = rng.randint(0, 6)
+    a, b, c = poly(rng.randint(0, 3)), poly(rng.randint(0, 2)), poly(rng.randint(0, 3))
+    kind = rng.random()
+    if kind < 0.45:
+        q = a
+        a = (t - center) * q
+        if rng.random() < 0.4:
+            # a_1 k + b_0 = 0 at the order k
+            k = rng.randint(0, n_terms + 1)
+            b = b - at_center(b) - k * at_center(q)
+    elif kind < 0.55:
+        a = (t - center) ** 2 * a
+    return a, b, c, center, n_terms
+
+
+def test_ode_solve_matches_recurrence():
+    # the one exact solve agrees with the order-by-order recurrence, in
+    # value and truncation, or raises what it raises
+    rng = random.Random(20151)
+    outcomes = set()
+    for _ in range(1000):
+        a, b, c, center, n_terms = _random_ode(rng)
+        try:
+            want = _recurrence_series(a, b, c, "t", center, n_terms)
+        except ChartError as exc:
+            with pytest.raises(ChartError):
+                ode_series_solution(a, b, c, "t", center, n_terms)
+            outcomes.add(str(exc).split(" at ")[0])
+            continue
+        got = ode_series_solution(a, b, c, "t", center, n_terms)
+        assert (str(got), got.trunc) == (str(want), want.trunc), (a, b, c, center)
+        outcomes.add("simple root" if a.substitute(
+            "t", MP.const(center)).is_zero() else "ordinary")
+    assert outcomes == {"ordinary", "simple root", "resonance",
+                        "center is a multiple root of the leading coefficient"}
 
 
 def test_no_meromorphic_solution_for_cubic():

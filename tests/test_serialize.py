@@ -40,6 +40,11 @@ def test_parse_poly_errors():
         with pytest.raises(ParseError,
                            match=re.escape("cannot read %r" % text)):
             parse_poly(text)
+    # a zero divisor reads as a division by zero, not as a non-unit
+    for text in ("1/0", "t/0", "(t-t)^-1"):
+        with pytest.raises(ParseError, match=re.escape(
+                "cannot read %r: division by zero" % text)):
+            parse_poly(text)
 
 
 def test_chart_json_roundtrip():
