@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
-from .multipoly import MultiPoly, monomial_power
+from .multipoly import MultiPoly, monomial_power, unit_roots
 from .puiseux import PuiseuxSeries, SeriesMatrix, cofactor_det
 
 
@@ -166,13 +166,9 @@ class ChartExpansion:
         self._jacobian_inv = None
 
     def poly_series(self, poly):
-        """Expand a MultiPoly in flat coordinates into a PuiseuxSeries."""
-        out = poly
-        for c in self.chart.coords:
-            out = out.substitute(c, MultiPoly.var("__sub_%s" % c))
-        for c in self.chart.coords:
-            out = out.substitute("__sub_%s" % c, self.subs[c])
-        return PuiseuxSeries.from_poly(out, self.param)
+        """Expand a MultiPoly in flat coordinates into a PuiseuxSeries,
+        substituting every coordinate at once."""
+        return PuiseuxSeries.from_poly(poly.substitute(self.subs), self.param)
 
     def structure_series(self):
         if self._C_series is None:
@@ -279,28 +275,14 @@ def _initial_roots(points, coeffs, param):
                     "initial equation has non-monomial leading coefficient")
         # ansatz a = rho * M with M fixed by matching monomials
         i_lo = edge[0][0]
-        candidates = []
-        if len(edge) == 2:
-            # binomial: all k-th root branches of a monomial that we can express
-            k = edge[1][0] - i_lo
-            ratio = (-edge[0][1]) * edge[1][1].inverse()
-            root = monomial_power(ratio, Fraction(1, k))
-            candidates.append((root, 1))
-            if k % 2 == 0:
-                candidates.append((MultiPoly.const(-1) * root, 1))
-            if k == 4:
-                im = MultiPoly.var("@i")
-                candidates.append((im * root, 1))
-                candidates.append((MultiPoly.const(-1) * im * root, 1))
-            if k not in (1, 2, 4):
-                candidates = []  # fall through to the rational search
-        if not candidates:
+        k = edge[1][0] - i_lo
+        if len(edge) == 2 and k in (1, 2, 4):
+            # binomial: all k-th root branches of a monomial
+            root = monomial_power((-edge[0][1]) * edge[1][1].inverse(), Fraction(1, k))
+            candidates = [(u * root, 1) for u in unit_roots(k)]
+        else:
             # monomial part M from the first pair, rational equation for rho
-            M = MultiPoly.const(1)
-            if len(edge) >= 2:
-                k = edge[1][0] - i_lo
-                ratio = edge[0][1] * edge[1][1].inverse()
-                M = monomial_power(ratio, Fraction(1, k))
+            M = monomial_power(edge[0][1] * edge[1][1].inverse(), Fraction(1, k))
             rat = []
             for i, lc in edge:
                 coeff = lc * (M ** (i - i_lo))
@@ -672,11 +654,9 @@ def verify_frame(frame):
 
 
 def series_rational_power(series, exponent, trunc=None):
-    """series**(p/q) through an n-th root and an integer power."""
+    """series**(p/q) through a q-th root and an integer power."""
     exponent = Fraction(exponent)
-    root = series.nth_root(exponent.denominator, trunc=trunc)
-    p = exponent.numerator
-    return root ** p if p >= 0 else root.invert(trunc=trunc) ** (-p)
+    return series.nth_root(exponent.denominator, trunc=trunc) ** exponent.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ with ``Fraction`` exponents still finds its term.
 Branch convention for roots of negative rationals: ``(-c)**(1/2) = @i*c**(1/2)``,
 ``(-c)**(1/3) = -(c**(1/3))``, ``(-c)**(1/6) = -@i*c**(1/6)``.  Fourth and
 twelfth roots of negative numbers are not needed and raise.
+
+Powers (``MultiPoly.__pow__``, ``monomial_power``), roots (``root_of_rational``,
+``unit_roots``) and substitution (``substitute``, of a symbol map at once) live
+here alone; no other module spells an ``@``-symbol.
 """
 
 from __future__ import annotations
@@ -303,29 +307,23 @@ class MultiPoly:
             terms[new] = terms.get(new, Fraction(0)) + coeff * factor / (exp + 1)
         return MultiPoly(terms)
 
-    def substitute(self, symbol: str, value: "MultiPoly") -> "MultiPoly":
-        """Replace ``symbol`` by ``value``.
-
-        Non-integer powers of ``symbol`` require ``value`` to be a monomial.
-        """
-        out = MultiPoly()
+    def substitute(self, values: Dict[str, "MultiPoly"]) -> "MultiPoly":
+        """Replace every symbol of the map ``values`` by its MultiPoly at once,
+        so ``{"x": y, "y": x}`` swaps ``x`` and ``y``.  Each (symbol, exponent)
+        power is formed once; a fractional power needs a monomial value."""
+        powers = {}
+        terms: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            exp = Fraction(0)
-            rest = []
-            for sym, e in mono:
-                if sym == symbol:
-                    exp = e
-                else:
-                    rest.append((sym, e))
-            term = MultiPoly.monomial(coeff, rest)
-            if exp != 0:
-                if exp.denominator == 1 and exp >= 0:
-                    term = term * value ** int(exp)
-                elif exp.denominator == 1:
-                    term = term * value.inverse() ** int(-exp)
-                else:
-                    term = term * monomial_power(value, exp)
-            out = out + term
+            term = MultiPoly({tuple(p for p in mono if p[0] not in values): coeff})
+            for sym, exp in mono:
+                if sym in values:
+                    if (sym, exp) not in powers:
+                        powers[sym, exp] = monomial_power(values[sym], exp)
+                    term = term * powers[sym, exp]
+            for m, c in term.terms.items():
+                terms[m] = terms.get(m, 0) + c
+        out = MultiPoly.__new__(MultiPoly)
+        out.terms = {m: c for m, c in terms.items() if c}
         return out
 
     # -- formatting -----------------------------------------------------------
@@ -410,12 +408,25 @@ def root_of_rational(value, n: int) -> MultiPoly:
     return sign * MultiPoly.monomial(rational, pairs)
 
 
+def unit_roots(k: int):
+    """The k-th roots of unity for k dividing 4, principal root first."""
+    if 4 % k:
+        raise ValueError("no roots of unity of order %d" % k)
+    i = MultiPoly.var("@i")
+    return [MultiPoly.const(1), MultiPoly.const(-1), i, -i][:k]
+
+
 def monomial_power(poly: MultiPoly, exponent: Fraction) -> MultiPoly:
-    """``poly**exponent`` for monomial ``poly`` and rational ``exponent``."""
+    """``poly**exponent`` for rational ``exponent``; an integral one goes
+    through ``MultiPoly.__pow__``.  A fractional power needs a monomial
+    ``poly`` or zero; a negative power of zero raises ``ZeroDivisionError``."""
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
-        e = int(exponent)
-        return poly ** e if e >= 0 else poly.inverse() ** (-e)
+        return poly ** int(exponent)
+    if not poly.terms:
+        if exponent < 0:
+            raise ZeroDivisionError("division by zero")
+        return MultiPoly()
     if len(poly.terms) != 1:
         raise NonUnitError("non-unit leading term: fractional power of %s" % poly)
     (mono, coeff), = poly.terms.items()
@@ -427,7 +438,4 @@ def monomial_power(poly: MultiPoly, exponent: Fraction) -> MultiPoly:
         if _relation(sym) is not None and exp.denominator != 1:
             raise ValueError("cannot take %s-th root of %s" % (n, sym))
         pairs.append((sym, exp))
-    root = root * MultiPoly.monomial(1, pairs)
-    e = exponent.numerator
-    return root ** e if e >= 0 else root.inverse() ** (-e)
-
+    return (root * MultiPoly.monomial(1, pairs)) ** exponent.numerator

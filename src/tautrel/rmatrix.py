@@ -218,7 +218,7 @@ def ode_series_solution(a, b, c, var, center, n_terms):
     """
     if center:
         shift = MultiPoly.var(var) + MultiPoly.const(center)
-        a, b, c = (poly.substitute(var, shift) for poly in (a, b, c))
+        a, b, c = (poly.substitute({var: shift}) for poly in (a, b, c))
     a, b, c = (_coeffs_in(poly, var) for poly in (a, b, c))
     if not (a.get(0) or a.get(1) or b.get(0)):
         raise ChartError("center is a multiple root of the leading coefficient")

@@ -6,7 +6,7 @@ Polynomial grammar (also the output of MultiPoly.__str__):
     term    := factor ('*' factor)*
     factor  := base ('^' exponent)?
     base    := rational | symbol | '(' expr ')'
-    exponent:= integer | '(' integer '/' integer ')'
+    exponent:= ['-'] integer | '(' ['-'] integer '/' integer ')'
 
 Series text lists ``coeff*param^(p/q)`` terms sorted by exponent and ends
 with ``O(param^T)`` for a finite truncation.  Chart files are JSON with
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .frobenius import ChartError, FrobeniusChart
 from .graphs import DecoratedGraph, StrataVector
-from .multipoly import MultiPoly, NonUnitError
+from .multipoly import MultiPoly, NonUnitError, monomial_power
 
 SCHEMA_VERSION = 1
 
@@ -91,13 +91,7 @@ class _Parser:
         base = self.parse_base()
         if self.peek() in ("^", "**"):
             self.take()
-            exp = self.parse_exponent()
-            if exp.denominator == 1:
-                e = int(exp)
-                base = base ** e if e >= 0 else base.inverse() ** (-e)
-            else:
-                from .multipoly import monomial_power
-                base = monomial_power(base, exp)
+            base = monomial_power(base, self.parse_exponent())
         return base
 
     def parse_base(self):
@@ -118,18 +112,20 @@ class _Parser:
         raise ParseError("unexpected token %r" % tok)
 
     def parse_exponent(self):
-        if self.peek() == "(":
+        paren = self.peek() == "("
+        if paren:
             self.take("(")
-            num = int(self.take())
-            self.take("/")
-            den = int(self.take())
-            self.take(")")
-            return Fraction(num, den)
         sign = 1
         if self.peek() == "-":
             self.take()
             sign = -1
-        return Fraction(sign * int(self.take()))
+        num = sign * int(self.take())
+        if not paren:
+            return Fraction(num)
+        self.take("/")
+        den = int(self.take())
+        self.take(")")
+        return Fraction(num, den)
 
 
 def parse_poly(text) -> MultiPoly:

@@ -345,6 +345,7 @@ def test_verify_hand_written_document(tmp_path):
     (["family", "--family", "t/(t+1)"], "cannot read 't/(t+1)'"),
     (["family", "--family", "t^(1/2)"], "must be a polynomial in t"),
     (["family", "--family", "t^-1"], "must be a polynomial in t"),
+    (["family", "--family", "t^(-1/2)"], "must be a polynomial in t"),
     (["family"], "family needs 'family'"),
     (["frame", "--chart", _a2_chart_doc(potential="1/0")],
      "malformed chart document: cannot read '1/0'"),
@@ -386,7 +387,8 @@ def test_verify_hand_written_document(tmp_path):
         "genus1-two-insertions", "gn-text", "family-not-in-t", "family-zero",
         "family-zero-times-t", "family-zero-exponent-denominator",
         "family-zero-denominator", "family-non-monomial-denominator",
-        "family-fractional-power", "family-negative-power", "family-missing",
+        "family-fractional-power", "family-negative-power",
+        "family-negative-fractional-power", "family-missing",
         "chart-file-potential-zero-denominator",
         "chart-file-potential-non-monomial-denominator",
         "chart-file-subs-zero-denominator",

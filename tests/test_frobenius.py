@@ -112,6 +112,16 @@ def test_newton_puiseux_sqrt_t():
          str((-PS.unit("t1", F(1, 2))).truncate(4))])
 
 
+def test_newton_puiseux_fourth_roots():
+    # X^4 - t: the four branches i^k t^(1/4), principal root first
+    zero = PS.zero("t")
+    roots = newton_puiseux_roots([PS.from_poly(-V("t"), "t"), zero, zero, zero,
+                                  PS.const(1, "t")], "t", F(4))
+    assert [str(r) for r in roots] == [
+        "t^(1/4) + O(t^4)", "-1*t^(1/4) + O(t^4)", "@i*t^(1/4) + O(t^4)",
+        "-1*@i*t^(1/4) + O(t^4)"]
+
+
 def test_newton_puiseux_binomial_oracle():
     # X^2 - (1 + t): roots are the binomial series of +-sqrt(1+t)
     one = PS.const(1, "t")
@@ -312,7 +322,7 @@ def test_extend_chart_block_structure():
     for mono, c in disc.terms.items():
         assert len(mono) <= 1
     # at w = 0 (and any t0) the ratio to 4 t1 is a nonzero constant
-    val = disc.substitute("w2", MP.const(0)).substitute("t0", MP.const(0))
+    val = disc.substitute({"w2": MP.const(0), "t0": MP.const(0)})
     old_val = old
     assert len(val.terms) == 1
     ((mono, coeff),) = val.terms.items()

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -5,7 +7,7 @@ import pytest
 
 from tautrel.multipoly import (MultiPoly as MP, NonUnitError,
                                _reduce_monomial, monomial_power,
-                               root_of_rational)
+                               root_of_rational, unit_roots)
 
 
 def test_basic_ring_ops():
@@ -47,6 +49,39 @@ def test_monomial_power_mixed():
     assert monomial_power(mono, F(-1, 2)) * r == MP.const(1)
 
 
+def test_power_of_zero():
+    # a positive power of zero is zero, a negative one divides by zero
+    x = MP.var("x")
+    for zero in (MP(), x - x):
+        for exponent in (F(1, 2), F(3, 2), 2):
+            assert monomial_power(zero, exponent).is_zero()
+        for exponent in (F(-1, 2), -1):
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                monomial_power(zero, exponent)
+
+
+def test_unit_roots():
+    for k in (1, 2, 4):
+        roots = unit_roots(k)
+        assert len(set(roots)) == k and roots[0] == MP.const(1)
+        assert all(u ** k == MP.const(1) for u in roots)
+    assert unit_roots(4)[2:] == [MP.var("@i"), -MP.var("@i")]
+    with pytest.raises(ValueError):
+        unit_roots(3)
+
+
+def test_root_symbols_only_in_multipoly():
+    # the defining relations of @-symbols live in multipoly alone: no other
+    # module spells a root symbol
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "tautrel"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "multipoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not node.value.startswith("@"), (path.name, node.lineno)
+
+
 def test_inverse_requires_monomial():
     x = MP.var("x")
     with pytest.raises(NonUnitError):
@@ -68,7 +103,46 @@ def test_derivative_antiderivative():
 def test_substitute():
     x, t = MP.var("x"), MP.var("t")
     p = x * x + 2 * x + 1
-    assert p.substitute("x", t - 1) == t * t
+    assert p.substitute({"x": t - 1}) == t * t
+
+
+def test_substitute_is_simultaneous():
+    # one symbol after the other would turn x*y^2 into x^3, not x^2*y
+    x, y = MP.var("x"), MP.var("y")
+    assert (x * y ** 2).substitute({"x": y, "y": x}) == x ** 2 * y
+
+
+def _substitute_by_renaming(poly, values):
+    # reference: rename every symbol to a fresh one, then substitute the
+    # fresh symbols one at a time
+    for sym in values:
+        poly = poly.substitute({sym: MP.var("__sub_" + sym)})
+    for sym, value in values.items():
+        poly = poly.substitute({"__sub_" + sym: value})
+    return poly
+
+
+def test_substitute_matches_renaming():
+    # x takes polynomial values at positive integer powers; y takes monomial
+    # values at negative and fractional powers; z and the root symbols stay
+    rng = random.Random(26)
+
+    def rand_poly(exponents):
+        poly = MP()
+        for _ in range(rng.randint(0, 4)):
+            pairs = [(sym, rng.choice(exps)) for sym, exps in exponents.items()
+                     if rng.random() < 0.6]
+            poly = poly + MP.monomial(F(rng.randint(-5, 5), rng.randint(1, 3)), pairs)
+        return poly
+
+    for _ in range(150):
+        poly = rand_poly({"x": [1, 2, 3], "y": [-2, F(-1, 2), F(1, 3), 1, F(3, 2)],
+                          "z": [-1, F(1, 2), 1], "@i": [1], "@r2": [1, 7]})
+        values = {"x": rand_poly({"x": [1, 2], "y": [-1, 1], "z": [F(1, 2), 1]}),
+                  "y": MP.monomial(F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)),
+                                   [("x", rng.choice([-1, F(1, 2), 1])),
+                                    ("z", rng.choice([F(-3, 2), 1, 2]))])}
+        assert poly.substitute(values) == _substitute_by_renaming(poly, values), poly
 
 
 def test_random_ring_axioms():
@@ -146,8 +220,8 @@ def test_canonical_exponent_types():
         (x ** 3 * y).derivative("x"), (x ** 3 * y).derivative("y"),
         MP.var("x", F(3, 2)).derivative("x"),
         MP.var("x", F(-1, 2)).antiderivative("x"), (x * y).antiderivative("x"),
-        (x * x + x).substitute("x", y + 1),
-        MP.var("x", F(3, 2)).substitute("x", MP.var("y", 2)),
+        (x * x + x).substitute({"x": y + 1}),
+        MP.var("x", F(3, 2)).substitute({"x": MP.var("y", 2)}),
         monomial_power(mono, F(1, 2)), monomial_power(mono, F(-3, 2)),
         monomial_power(mono, 3), monomial_power(MP.var("x", 2), F(1, 2)),
         root_of_rational(F(-2), 2), root_of_rational(F(18, 5), 12),

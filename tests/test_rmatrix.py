@@ -114,7 +114,7 @@ def _recurrence_series(a, b, c, var, center, n_terms):
     center = F(center)
     if center:
         shift = V(var) + MP.const(center)
-        a, b, c = (poly.substitute(var, shift) for poly in (a, b, c))
+        a, b, c = (poly.substitute({var: shift}) for poly in (a, b, c))
     a, b, c = ({k: v.constant_value()
                 for k, v in PS.from_poly(poly, var).coeffs.items()}
                for poly in (a, b, c))
@@ -161,7 +161,7 @@ def _random_ode(rng):
                    for i in range(deg + 1)})
 
     def at_center(p):
-        return p.substitute("t", MP.const(center)).constant_value()
+        return p.substitute({"t": MP.const(center)}).constant_value()
 
     n_terms = rng.randint(0, 6)
     a, b, c = poly(rng.randint(0, 3)), poly(rng.randint(0, 2)), poly(rng.randint(0, 3))
@@ -195,7 +195,7 @@ def test_ode_solve_matches_recurrence():
         got = ode_series_solution(a, b, c, "t", center, n_terms)
         assert (str(got), got.trunc) == (str(want), want.trunc), (a, b, c, center)
         outcomes.add("simple root" if a.substitute(
-            "t", MP.const(center)).is_zero() else "ordinary")
+            {"t": MP.const(center)}).is_zero() else "ordinary")
     assert outcomes == {"ordinary", "simple root", "resonance",
                         "center is a multiple root of the leading coefficient"}
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction as F
 
@@ -27,6 +28,28 @@ def test_parse_poly_roundtrip():
     for chart in (a2_chart(), a3_chart(), extend_chart(a2_chart(), 2)):
         text = str(chart.potential)
         assert parse_poly(text) == chart.potential
+    # a negative fractional exponent is written in parentheses with its sign
+    assert str(MP.var("t", F(-1, 2))) == "t^(-1/2)"
+    assert parse_poly("t^(-1/2)") == MP.var("t", F(-1, 2))
+    # a positive power of zero is zero, also a fractional one
+    assert parse_poly("(t-t)^(1/2)") == MP()
+
+
+def test_parse_poly_reads_multipoly_str():
+    # parse_poly inverts MultiPoly.__str__ on Laurent polynomials with
+    # fractional exponents and adjoined root symbols
+    rng = random.Random(26)
+    symbols = [("t", [F(-1, 2), -2, -1, F(1, 3), 1, F(5, 2)]),
+               ("x", [-1, F(-2, 3), 1, 3]), ("@i", [1]), ("@r2", [1, 5, 11]),
+               ("@r3", [4, 7])]
+    for _ in range(200):
+        poly = MP()
+        for _ in range(rng.randint(0, 4)):
+            pairs = [(sym, rng.choice(exps))
+                     for sym, exps in rng.sample(symbols, rng.randint(0, 3))]
+            coeff = F(rng.randint(-9, 9), rng.randint(1, 4))
+            poly = poly + MP.monomial(coeff, pairs)
+        assert parse_poly(str(poly)) == poly, str(poly)
 
 
 def test_parse_poly_errors():
@@ -35,13 +58,12 @@ def test_parse_poly_errors():
     with pytest.raises(ParseError):
         parse_poly("(t")
     # arithmetic that fails while parsing is a parse error naming the text
-    for text in ("1/0", "t^(1/0)", "t/(t+1)", "(1+t)^-1", "(1+t)^(1/2)",
-                 "t^(-1/2)"):
+    for text in ("1/0", "t^(1/0)", "t/(t+1)", "(1+t)^-1", "(1+t)^(1/2)"):
         with pytest.raises(ParseError,
                            match=re.escape("cannot read %r" % text)):
             parse_poly(text)
     # a zero divisor reads as a division by zero, not as a non-unit
-    for text in ("1/0", "t/0", "(t-t)^-1"):
+    for text in ("1/0", "t/0", "(t-t)^-1", "(t-t)^(-1/2)"):
         with pytest.raises(ParseError, match=re.escape(
                 "cannot read %r: division by zero" % text)):
             parse_poly(text)
