@@ -37,7 +37,7 @@ def _as_poly(value) -> MultiPoly:
 
 # Interned reduced monomials: id -> monomial and monomial -> id, id 0 the
 # constant monomial.  _PRODUCTS[i][j] memoizes (id of m_i * m_j, relation
-# factor as an int).  Ids are only ever appended, so an id stays valid for
+# factor as an int), stored under both orders.  Ids are only ever appended, so an id stays valid for
 # the life of the process; the tables grow with the distinct monomials a
 # process meets, about a hundred on the paper's A3 chart.
 _MONOS = [ONE_MONOMIAL]
@@ -66,7 +66,7 @@ def _product(i: int, j: int):
         raise ArithmeticError("relation factor %s of %s * %s is not integral"
                               % (factor, _MONOS[i], _MONOS[j]))
     out = (_intern(mono), factor.numerator)
-    _PRODUCTS[i][j] = out
+    _PRODUCTS[i][j] = _PRODUCTS[j][i] = out
     return out
 
 

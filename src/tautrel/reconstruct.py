@@ -44,7 +44,7 @@ class CohFTSpec:
         self._leg_cache = []        # see leg_series
         self._leaf_cache = None     # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
-        self._weight_cache = {}     # see graph_weights
+        self._plan_cache = {}       # see contraction_plan
 
     @property
     def dim(self):
@@ -72,7 +72,12 @@ def leg_series(spec, vector_normalized, bound):
     else:
         comps = [a.apply(vector_normalized) for a in spec.R.orders]
         spec._leg_cache.append((list(vector_normalized), comps))
-    return {p: comps[p] for p in range(min(len(comps), bound + 1))}
+    return {p: comps[p] for p in _leg_powers(spec, bound)}
+
+
+def _leg_powers(spec, bound):
+    """The psi powers of a leg at ``bound``: those of A(psi) up to it."""
+    return range(min(len(spec.R.orders), bound + 1))
 
 
 def edge_series(spec, bound):
@@ -197,24 +202,19 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     ``insertions`` is a list of normalized-coordinate vectors, one per
     marking; see ``to_normalized_insertion``.  A psi class on a leg is not an
     insertion: multiply the class by it with ``graphs.multiply_psi``, as
-    ``dilaton_shift`` does.  The class is multilinear in the insertions: the
-    leg-independent table of each graph is built once per spec
-    (``graph_weights``), and only the leg components are formed here.
+    ``dilaton_shift`` does.  The class is multilinear in the insertions:
+    everything that does not depend on them is formed once per spec
+    (``contraction_plan``), and only the leg factors are formed here.
 
     A leg factor depends only on the multiset of (insertion class, psi
     power, color) of its legs, where legs with equal insertions share a
     class; it is keyed by that sorted tuple and formed once per call
-    (``_leg_factor``).  For each leg-psi assignment, each group of a table,
-    one per leg colors, gives one factor and the prefix of its terms that
-    fits the budget the leg psi leave (``_prefix``); a zero factor leaves
-    out the whole group.
-
-    The (leg factor, weight) pairs are grouped by leg psi and decorated
-    graph, and each coefficient is formed once, by
-    ``PuiseuxSeries.sum_of_products``, with no series built per term; only
-    then do the leg psi go on its decorated graph.  The coefficient is known
-    below the least truncation of its products, so products that cancel
-    still bound it; one that cancels completely is left out of the class.
+    (``_leg_factor``), for the slots of the plan that name it.  A zero factor
+    leaves out its pairs, and an entry with no pair left is left out.  Each
+    other coefficient is formed once, by ``PuiseuxSeries.sum_of_products``,
+    with no series built per term.  It is known below the least truncation
+    of its products, so products that cancel still bound it; one that
+    cancels completely is left out of the class.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
@@ -230,32 +230,53 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
             distinct.append(v)
         leg_class.append(c)
     class_data = [leg_series(spec, v, bound) for v in distinct]
-    leg_choices = [sorted(class_data[c]) for c in leg_class]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
-    groups = {}     # (leg psi, decorated graph) -> [(leg factor, weight)]
-    for graph, table in graph_weights(spec, g, n, bound):
-        budget = bound - len(graph.edges)
-        for leg_psi in _bounded_assignments(leg_choices, budget):
-            rem = budget - sum(leg_psi)
-            for colors, terms in table.items():
-                terms = _prefix(terms, rem)
-                key = tuple(sorted(zip(leg_class, leg_psi, colors)))
-                factor = _leg_factor(memo, key, class_data)
-                if factor.is_zero():
-                    continue
-                for _, dg, weight in terms:
-                    pairs = groups.get((leg_psi, dg))
-                    if pairs is None:
-                        groups[leg_psi, dg] = [(factor, weight)]
-                    else:
-                        pairs.append((factor, weight))
+    factors = {}    # slot -> its leg factor
     out = StrataVector(g, n)
-    for (leg_psi, dg), pairs in groups.items():
-        coeff = PuiseuxSeries.sum_of_products(pairs, spec.param)
-        if not coeff.is_zero():
-            psi_by_label = dict(enumerate(leg_psi, start=1))
-            out.terms[dg.with_leg_psi(psi_by_label)] = coeff
+    for dg, slots in contraction_plan(spec, g, n, bound):
+        pairs = []
+        for slot, weight in slots:
+            factor = factors.get(slot)
+            if factor is None:
+                leg_psi, colors = slot
+                factor = factors[slot] = _leg_factor(
+                    memo, tuple(sorted(zip(leg_class, leg_psi, colors))),
+                    class_data)
+            if not factor.is_zero():
+                pairs.append((factor, weight))
+        if pairs:
+            coeff = PuiseuxSeries.sum_of_products(pairs, spec.param)
+            if not coeff.is_zero():
+                out.terms[dg] = coeff
     return out
+
+
+def contraction_plan(spec, g, n, bound):
+    """The graph sum of type (g, n) less its leg factors, cached on the spec:
+    (decorated graph with its leg psi, [(slot, weight)]) per coefficient the
+    class can have, a slot (leg psi, leg colors) naming a leg factor.  For
+    each leg-psi assignment, each group of a ``graph_weights`` table, one
+    per leg colors, gives the prefix of its terms that fits the budget the
+    leg psi leave (``_prefix``); the pairs are collected per (leg psi,
+    decorated graph), and only then do the leg psi go on the graph."""
+    key = (g, n, bound)
+    plan = spec._plan_cache.get(key)
+    if plan is None:
+        powers = [list(_leg_powers(spec, bound))] * n
+        groups = {}     # (leg psi, decorated graph) -> [(slot, weight)]
+        for graph, table in graph_weights(spec, g, n, bound):
+            budget = bound - len(graph.edges)
+            for leg_psi in _bounded_assignments(powers, budget):
+                rem = budget - sum(leg_psi)
+                for colors, terms in table.items():
+                    slot = (leg_psi, colors)
+                    for _, dg, weight in _prefix(terms, rem):
+                        groups.setdefault((leg_psi, dg), []).append(
+                            (slot, weight))
+        plan = spec._plan_cache[key] = [
+            (dg.with_leg_psi(dict(enumerate(leg_psi, start=1))), pairs)
+            for (leg_psi, dg), pairs in groups.items()]
+    return plan
 
 
 def _prefix(terms, rem):
@@ -285,18 +306,12 @@ def _leg_factor(memo, key, class_data):
 
 
 def graph_weights(spec, g, n, bound):
-    """Leg-independent data of the graph sum of type (g, n), cached on the spec.
-
-    Returns, per stable graph, (graph, table), the table formed once per
-    spec by ``_graph_terms``.
-    """
-    cache = spec._weight_cache
-    key = (g, n, bound)
-    if key not in cache:
-        B = edge_series(spec, bound)
-        cache[key] = [(graph, _graph_terms(spec, graph, B, bound))
-                      for graph in enumerate_stable_graphs(g, n, bound)]
-    return cache[key]
+    """Leg-independent data of the graph sum of type (g, n): per stable
+    graph, (graph, table), the table formed by ``_graph_terms``.  Uncached:
+    ``contraction_plan`` reads it once per spec."""
+    B = edge_series(spec, bound)
+    return [(graph, _graph_terms(spec, graph, B, bound))
+            for graph in enumerate_stable_graphs(g, n, bound)]
 
 
 def _graph_terms(spec, graph, B, bound):
@@ -308,8 +323,8 @@ def _graph_terms(spec, graph, B, bound):
     the sum.  The series is 1/|Aut| * prod edge bivector entries * prod
     vertex k-sums; times the leg components of the colors it is a term of
     the class.  The extra codim is that of the edge psi and kappa
-    decoration, and a term is kept when it is at most ``bound - E``.  A
-    vertex k-sum term of extra codim ``x`` is the same series at every
+    decoration, whose DecoratedGraph is built once for every coloring, and
+    a term is kept when it is at most ``bound - E``.  A vertex k-sum term of extra codim ``x`` is the same series at every
     budget of at least ``x``, so the terms of a leg psi assignment are the
     prefix of extra codim at most its budget, and the leg psi go on the
     decorated graph unchanged (``DecoratedGraph.with_leg_psi``).  Only a
@@ -333,6 +348,7 @@ def _graph_terms(spec, graph, B, bound):
         # per-vertex budgets are coupled only through rem
         edge_codim = sum(edge_assign)
         rem = budget - edge_codim
+        decorated = {}      # vertex kappas -> DecoratedGraph
         for coloring in itertools.product(range(spec.dim), repeat=nv):
             edge_entries = [mat.entries[coloring[a]][coloring[b]]
                             for mat, (a, b) in zip(mats, graph.edges)]
@@ -352,10 +368,12 @@ def _graph_terms(spec, graph, B, bound):
                 coeff = factor
                 for _, series in combo:
                     coeff = coeff * series
-                dg = DecoratedGraph(graph, None, edge_psi,
-                                    [key[1] for key, _ in combo])
+                kappa = tuple(key[1] for key, _ in combo)
+                if kappa not in decorated:
+                    decorated[kappa] = DecoratedGraph(graph, None, edge_psi,
+                                                      kappa)
                 table.setdefault(colors, []).append(
-                    (edge_codim + vertex_codim, dg, coeff))
+                    (edge_codim + vertex_codim, decorated[kappa], coeff))
     for terms in table.values():
         terms.sort(key=lambda term: term[0])
     return table

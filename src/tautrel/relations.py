@@ -149,8 +149,8 @@ def extract_relations(spec, cells):
 
     The class is reconstructed once per insertion multiset of flat basis
     fields, serially and in a fixed order.  All tuples of a (g, n) share one
-    leg-independent graph sum (``reconstruct.graph_weights``, cached on the
-    spec), so each reconstruction only contracts its own leg components.
+    leg-independent graph sum (``reconstruct.contraction_plan``, cached on
+    the spec), so each reconstruction only forms its own leg factors.
     """
     rs = RelationSet(cells)
     units = unit_insertions(spec.frame)

@@ -95,6 +95,25 @@ def test_fused_product_matches_schoolbook():
         _assert_product(rand_series(), rand_series())
 
 
+def test_product_memo_is_symmetric():
+    """``a * b`` and ``b * a`` have identical integer forms, and a monomial
+    product formed in one order is memoized under both."""
+    from tautrel import puiseux
+    # exponents of "w" no other test uses, so the products are memo misses
+    w = MP.monomial(F(3, 5), [("@i", 1), ("w", F(2, 7))])
+    u = MP.monomial(-2, [("@r2", 7), ("w", F(-1, 3))])
+    a = PS("t", {-1: w + MP.var("@r2", 5), 2: u}, 2, trunc=F(9, 2))
+    b = PS("t", {0: u * w, 1: MP.monomial(2, [("@i", 1), ("@r2", 11)])}, 3,
+           trunc=4)
+    ab = a * b
+    for i in {i for t in a.num.values() for i in t}:
+        for j in {j for t in b.num.values() for j in t}:
+            assert puiseux._PRODUCTS[j][i] == puiseux._PRODUCTS[i][j]
+    ba = b * a
+    assert ab.num and (ab.ram, ab.trunc, ab.num, ab.den) == (
+        ba.ram, ba.trunc, ba.num, ba.den)
+
+
 def test_fused_product_edge_cases():
     t = PS.unit("t", 1)
     half = PS.unit("t", F(1, 2))

@@ -378,9 +378,9 @@ def test_class_symmetry_under_leg_permutation():
         assert diff.is_zero()
 
 
-def test_cached_graph_weights_do_not_change_the_class():
-    """A spec whose weight cache other cells and tuples have filled gives
-    the same classes, truncations included, as a fresh spec."""
+def test_cached_contraction_plans_do_not_change_the_class():
+    """A spec whose plan cache other cells and tuples have filled gives the
+    same classes, truncations included, as a fresh spec."""
     frame = idempotent_frame(a2_expansion(trunc=10))
     R = solve_flatness(frame, K=3)
     warm = CohFTSpec(frame, R)
@@ -398,6 +398,75 @@ def test_cached_graph_weights_do_not_change_the_class():
         _assert_same_class(a, b)
         sizes.append(len(a.terms))
     assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
+
+
+@pytest.mark.parametrize("expansion, probe, cells", [
+    (lambda: a2_expansion(trunc=10), None, [(0, 5, 2), (1, 2, 2), (2, 0, 2)]),
+    # c = 1: the A1 color gives zero leg components
+    (lambda: a2x_a1_expansion(1, trunc=8), None,
+     [(0, 5, 2), (1, 2, 2), (2, 0, 2)]),
+    # (0, 5, 2) would take a3 about 5 s
+    (lambda: a3_expansion(trunc=8), [0, 1, 0], [(1, 2, 2), (2, 0, 2)]),
+], ids=["a2", "a2xa1", "a3"])
+def test_plan_matches_per_call_grouping(expansion, probe, cells):
+    """For every insertion tuple of flat basis fields, the class contracted
+    on the cached plan is the class grouped afresh per call, truncations and
+    term order included, on a cold spec and on a warm one whose plan another
+    tuple built."""
+    frame = idempotent_frame(expansion(), probe=probe)
+    R = solve_flatness(frame, K=3)
+    units = unit_insertions(frame)
+    oracle_spec = CohFTSpec(frame, R)
+    sizes = []
+    for g, n, d in cells:
+        warm = CohFTSpec(frame, R)
+        combos = list(itertools.combinations_with_replacement(
+            range(frame.dim), n))
+        reconstruct_class(warm, g, n, [units[mu] for mu in combos[-1]], d)
+        for combo in combos:
+            insertions = [units[mu] for mu in combo]
+            want = _per_call_class(oracle_spec, g, n, insertions, d)
+            for spec in (CohFTSpec(frame, R), warm):
+                got = reconstruct_class(spec, g, n, insertions, d)
+                _assert_same_class(got, want)
+                assert list(got.terms) == list(want.terms)
+            sizes.append(len(want.terms))
+    assert max(sizes) > 0
+
+
+def test_second_tuple_reads_the_plan_alone(monkeypatch):
+    """A plan build forms one DecoratedGraph per distinct (graph, edge psi,
+    kappa) decoration; on the warm spec, another insertion tuple of the same
+    (g, n, bound) forms no table and builds no decorated graph."""
+    frame = idempotent_frame(a2x_a1_expansion(1, trunc=8))
+    spec = CohFTSpec(frame, solve_flatness(frame, K=3))
+    e0, e1, e2 = unit_insertions(frame)
+    built = []
+
+    class Counted(DecoratedGraph):
+        def __init__(self, graph, leg_psi=None, edge_psi=None, kappa=None):
+            built.append((graph.key(), tuple(edge_psi), tuple(kappa)))
+            super().__init__(graph, leg_psi, edge_psi, kappa)
+
+    monkeypatch.setattr(reconstruct, "DecoratedGraph", Counted)
+    assert reconstruct_class(spec, 1, 2, [e0, e1], 2).terms
+    assert built and len(built) == len(set(built))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("graph_weights", "_graph_terms"):
+        monkeypatch.setattr(reconstruct, name,
+                            counted(name, getattr(reconstruct, name)))
+    monkeypatch.setattr(DecoratedGraph, "_store",
+                        counted("_store", DecoratedGraph._store))
+    assert reconstruct_class(spec, 1, 2, [e1, e1], 2).terms
+    assert reconstruct_class(spec, 1, 2, [e2, e2], 2).terms
+    assert not calls
 
 
 def _direct_leg_psi_weights(spec, graph, leg_psi, B, bound):
@@ -474,6 +543,45 @@ def _leg_order_class(spec, g, n, insertions, codim_bound):
                 if not factor.is_zero():
                     pairs.append((dg, factor * weight))
     return StrataVector(g, n, pairs)
+
+
+def _per_call_class(spec, g, n, insertions, codim_bound):
+    """The graph sum with every insertion-independent step redone per call:
+    the tables of ``graph_weights`` walked for each leg-psi assignment and
+    color group, the (leg factor, weight) pairs grouped per (leg psi,
+    decorated graph), a zero leg factor leaving out its whole group, and the
+    leg psi put on each decorated graph afresh."""
+    bound = min(codim_bound, 3 * g - 3 + n)
+    distinct = []
+    leg_class = []
+    for v in insertions:
+        if v not in distinct:
+            distinct.append(v)
+        leg_class.append(distinct.index(v))
+    class_data = [leg_series(spec, v, bound) for v in distinct]
+    leg_choices = [sorted(class_data[c]) for c in leg_class]
+    memo = {(): PS.const(1, spec.param)}
+    groups = {}
+    for graph, table in reconstruct.graph_weights(spec, g, n, bound):
+        budget = bound - len(graph.edges)
+        for leg_psi in reconstruct._bounded_assignments(leg_choices, budget):
+            rem = budget - sum(leg_psi)
+            for colors, terms in table.items():
+                terms = reconstruct._prefix(terms, rem)
+                key = tuple(sorted(zip(leg_class, leg_psi, colors)))
+                factor = reconstruct._leg_factor(memo, key, class_data)
+                if factor.is_zero():
+                    continue
+                for _, dg, weight in terms:
+                    groups.setdefault((leg_psi, dg), []).append(
+                        (factor, weight))
+    out = StrataVector(g, n)
+    for (leg_psi, dg), pairs in groups.items():
+        coeff = PS.sum_of_products(pairs, spec.param)
+        if not coeff.is_zero():
+            out.terms[dg.with_leg_psi(dict(enumerate(leg_psi, start=1)))] = \
+                coeff
+    return out
 
 
 def _assert_same_class(a, b):

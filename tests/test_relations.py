@@ -224,12 +224,12 @@ def test_extraction_empty_on_zero_dimensional_moduli():
 
 
 def test_extraction_repeatable_on_warm_caches():
-    # the second run reads the graph weights and vertex sums cached on the
-    # spec by the first
+    # the second run reads the contraction plans and vertex sums cached on
+    # the spec by the first
     spec = a2_spec()
     cells = [(1, 1, 1), (0, 4, 1), (0, 5, 2)]
     cold = extract_relations(spec, cells)
-    assert spec._weight_cache
+    assert set(spec._plan_cache) == {(1, 1, 1), (0, 4, 1), (0, 5, 2)}
     warm = extract_relations(spec, cells)
     for cell in cells:
         assert cold.pivots[cell] == warm.pivots[cell]
