@@ -6,15 +6,18 @@ for integer ``k`` (negative exponents allowed) together with an explicit
 the minimal trustworthy truncation; nothing ever silently extends precision.
 ``trunc = INF`` marks exact data such as polynomial input.
 
-The coefficients are stored in one integer form: ``num`` maps each grid
-index ``k`` to a map from monomial id to ``int`` numerator, over one
-positive ``int`` denominator ``den`` shared by the whole series.  The form
-is normalized: no zero numerators, gcd(den, numerators) == 1 and ``ram`` the
-least index of the support, so equal series have equal forms.  Monomial ids
-intern reduced ``MultiPoly`` monomials, and products of ids are memoized
-with their integral relation factor, so arithmetic never touches a
-``Fraction`` coefficient or hashes a ``Fraction`` exponent.  ``coeffs`` is
-the derived view ``{k: MultiPoly}``.
+The coefficients are stored in one integer form, the term tuple ``terms``:
+a ``(k, id, n)`` triple per monomial, sorted by ``(k, id)``, where ``id``
+names an interned monomial and ``n`` is an ``int`` numerator over one
+positive ``int`` denominator ``den``.  The form is normalized (no zero
+numerators, gcd(den, numerators) == gcd(ram, indices) == 1), so equal series
+have equal tuples.  ``tq`` is the truncation as an integer pair, or None when
+exact.  Products of ids are memoized with their integral relation factor, so
+arithmetic never touches a ``Fraction`` coefficient, and the product kernel
+compares truncations as integers and stops each walk at the cap.  Against a
+map per grid index and a truncation pass per call, this took ``a3-extract2``
+``solve_s`` from 0.119 s to 0.086 s (``BENCH_28.json``).  ``coeffs`` is the
+derived view ``{k: MultiPoly}``.
 
 The text form, used by golden tests, lists ``coeff*param^(p/q)`` terms sorted
 by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
@@ -22,8 +25,11 @@ by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, inf as INF, lcm
+from operator import itemgetter
 
 from .multipoly import (ONE_MONOMIAL, MultiPoly, NonUnitError,
                         _reduce_monomial, monomial_power)
@@ -37,12 +43,15 @@ def _as_poly(value) -> MultiPoly:
 
 # Interned reduced monomials: id -> monomial and monomial -> id, id 0 the
 # constant monomial.  _PRODUCTS[i][j] memoizes (id of m_i * m_j, relation
-# factor as an int), stored under both orders.  Ids are only ever appended, so an id stays valid for
-# the life of the process; the tables grow with the distinct monomials a
-# process meets, about a hundred on the paper's A3 chart.
+# factor as an int), stored under both orders; _DERIVATIVES[i, symbol] holds
+# (id of d m_i / d symbol, exponent times relation factor), or None when
+# ``symbol`` does not occur in m_i.  Ids are only ever appended, so an id stays
+# valid for the life of the process; the tables grow with the distinct
+# monomials a process meets, about a hundred on the paper's A3 chart.
 _MONOS = [ONE_MONOMIAL]
 _IDS = {ONE_MONOMIAL: 0}
 _PRODUCTS = [{}]
+_DERIVATIVES = {}
 
 
 def _intern(mono) -> int:
@@ -70,25 +79,51 @@ def _product(i: int, j: int):
     return out
 
 
-def _poly(terms, den) -> MultiPoly:
-    """The ``MultiPoly`` of one grid index: ``terms`` over ``den``."""
-    out = MultiPoly.__new__(MultiPoly)
-    out.terms = {_MONOS[i]: Fraction(c, den) for i, c in terms.items()}
+def _derivative(i: int, symbol):
+    """(id, rational factor) of d m_i / d ``symbol``, or None, memoized."""
+    mono = _MONOS[i]
+    for pos, (sym, exp) in enumerate(mono):
+        if sym == symbol:
+            rest = mono[:pos] + mono[pos + 1:]
+            new, factor = _reduce_monomial(
+                rest if exp == 1 else rest + ((sym, exp - 1),))
+            out = (_intern(new), exp * factor)
+            break
+    else:
+        out = None
+    _DERIVATIVES[i, symbol] = out
     return out
 
 
-def _series(param, ram, trunc, num, den):
-    return PuiseuxSeries.__new__(PuiseuxSeries)._set(param, ram, trunc, num, den)
+def _poly(terms, den) -> MultiPoly:
+    """The ``MultiPoly`` of the ``(k, id, n)`` triples of one grid index."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = {_MONOS[i]: Fraction(n, den) for _, i, n in terms}
+    return out
 
 
-def _nonzero(sums):
-    """``sums`` without zero numerators and without emptied indices."""
-    num = {}
-    for k, acc in sums.items():
-        acc = {i: c for i, c in acc.items() if c}
-        if acc:
-            num[k] = acc
-    return num
+def _series(param, ram, trunc, terms, den):
+    return PuiseuxSeries.__new__(PuiseuxSeries)._set(param, ram, trunc,
+                                                     terms, den)
+
+
+def _sorted_terms(acc):
+    """The triples of an accumulator ``{(k, id): n}``, sorted by (k, id)."""
+    return [(k, i, n) for (k, i), n in sorted(acc.items())]
+
+
+def _cleared(terms, den=1):
+    """Sorted ``(k, id, c)`` triples with rational ``c`` over ``den``, as
+    ``int`` triples over one denominator: ``(triples, denominator)``."""
+    m = lcm(*[c.denominator for _, _, c in terms])
+    return ([(k, i, c.numerator * (m // c.denominator)) for k, i, c in terms],
+            den * m)
+
+
+def _as_trunc(trunc):
+    """``trunc`` as a ``Fraction``, or the one INF object, so that the kernel
+    tests ``trunc is INF``."""
+    return INF if trunc == INF else Fraction(trunc)
 
 
 def _kcap(trunc, ram):
@@ -98,77 +133,16 @@ def _kcap(trunc, ram):
     return -(-trunc.numerator * ram // trunc.denominator)
 
 
-def _truncation(pairs, ram):
-    """``(trunc, kcap)`` of a sum of products ``a * b`` over ``pairs``, read
-    on the grid of ``ram``: the least of the products' truncations, and the
-    least grid index ``kcap`` with ``kcap / ram >= trunc``.
-
-    A product is known below ``min(a.trunc + ord b, b.trunc + ord a)``, where
-    the order of a zero operand reads as its truncation.  Each candidate is
-    kept as an unreduced ``x / y`` equal to ``trunc * ram`` and compared as
-    integers; on the grid the order of a nonzero series is its least index
-    carried over, so only the least truncation becomes a ``Fraction``.
-    """
-    x = y = None
-    for a, b in pairs:
-        for t, s in ((a.trunc, b), (b.trunc, a)):
-            if t is INF:
-                continue
-            tn, d = t.numerator, t.denominator
-            if s.num:
-                n = tn * ram + min(s.num) * (ram // s.ram) * d
-            elif s.trunc is INF:
-                continue
-            else:
-                u = s.trunc
-                n = (tn * u.denominator + u.numerator * d) * ram
-                d *= u.denominator
-            if x is None or n * y < x * d:
-                x, y = n, d
-    if x is None:
-        return INF, INF
-    return Fraction(x, y * ram), -(-x // y)
-
-
-def _add_product(sums, a, fa, b, fb, kcap, scale):
-    """Add ``scale`` times the product of the integer forms ``a`` and ``b``
-    into ``sums``, read on a common grid through the factors ``fa``, ``fb``.
-
-    Pairs with ``k1 + k2 >= kcap`` are skipped.  Numerators multiply through
-    the memoized monomial products and sum straight into one map per output
-    index.
-    """
-    products = _PRODUCTS
-    for k1, t1 in a.items():
-        k1 *= fa
-        for k2, t2 in b.items():
-            k = k1 + k2 * fb
-            if k >= kcap:
-                continue
-            acc = sums.get(k)
-            if acc is None:
-                acc = sums[k] = {}
-            for i1, c1 in t1.items():
-                row = products[i1]
-                c1 *= scale
-                for i2, c2 in t2.items():
-                    p = row.get(i2)
-                    if p is None:
-                        p = _product(i1, i2)
-                    i, f = p
-                    acc[i] = acc.get(i, 0) + c1 * c2 * f
+_KEY = itemgetter(0)
 
 
 class PuiseuxSeries:
-    __slots__ = ("param", "ram", "trunc", "num", "den")
+    __slots__ = ("param", "ram", "trunc", "tq", "terms", "den")
 
     def __init__(self, param, coeffs=None, ram=1, trunc=INF):
-        if trunc is not INF:
-            # one infinity object, so the kernel tests ``trunc is INF``
-            trunc = INF if trunc == INF else Fraction(trunc)
+        trunc = _as_trunc(trunc)
         kcap = _kcap(trunc, ram)
-        polys = {}
-        den = 1
+        terms = []
         if coeffs:
             for k, poly in coeffs.items():
                 poly = _as_poly(poly)
@@ -176,45 +150,37 @@ class PuiseuxSeries:
                     continue
                 if param in poly.variables():
                     raise ValueError("coefficient contains the parameter %s" % param)
-                polys[k] = poly.terms
-                for c in poly.terms.values():
-                    den = lcm(den, c.denominator)
-        num = {k: {_intern(m): c.numerator * (den // c.denominator)
-                   for m, c in terms.items()} for k, terms in polys.items()}
-        self._set(param, ram, trunc, num, den)
+                terms += [(k, _intern(m), c) for m, c in poly.terms.items()]
+        terms.sort()
+        self._set(param, ram, trunc, *_cleared(terms))
 
-    def _set(self, param, ram, trunc, num, den):
-        """Store an integer form without zero numerators, normalized: ``ram``
-        drops to the least index of the support and gcd(den, numerators) is
-        divided out, in one pass each."""
-        if not num:
+    def _set(self, param, ram, trunc, terms, den):
+        """Store sorted ``(k, id, n)`` triples in normal form, normalized
+        once: zero numerators dropped, and ``ram`` and ``den`` divided by
+        their gcds with the indices and with the numerators."""
+        terms = [t for t in terms if t[2]]
+        if not terms:
             ram = den = 1
         else:
-            g = gcd(ram, *num)
-            if g > 1:
-                num = {k // g: t for k, t in num.items()}
+            ks, _, ns = zip(*terms)
+            g, h = gcd(ram, *ks), gcd(den, *ns)
+            if g > 1 or h > 1:
+                terms = [(k // g, i, n // h) for k, i, n in terms]
                 ram //= g
-            if den > 1:
-                g = den
-                for t in num.values():
-                    g = gcd(g, *t.values())
-                    if g == 1:
-                        break
-                else:
-                    num = {k: {i: c // g for i, c in t.items()}
-                           for k, t in num.items()}
-                    den //= g
+                den //= h
         self.param = param
         self.ram = ram
         self.trunc = trunc
-        self.num = num
+        self.tq = None if trunc is INF else (trunc.numerator,
+                                             trunc.denominator)
+        self.terms = tuple(terms)
         self.den = den
         return self
 
     @property
     def coeffs(self):
         """The coefficients as ``{k: MultiPoly}``, built on each access."""
-        return {k: _poly(t, self.den) for k, t in self.num.items()}
+        return {k: _poly(t, self.den) for k, t in groupby(self.terms, _KEY)}
 
     # -- constructors ------------------------------------------------------
 
@@ -236,35 +202,35 @@ class PuiseuxSeries:
     def from_poly(poly, param, trunc=INF):
         """Split a MultiPoly into a series in ``param``."""
         poly = _as_poly(poly)
-        ram = 1
-        for mono in poly.terms:
-            for sym, exp in mono:
-                if sym == param:
-                    ram = lcm(ram, exp.denominator)
-        coeffs = {}
+        ram = lcm(*[e.denominator for mono in poly.terms
+                    for sym, e in mono if sym == param])
+        terms = []
         for mono, coeff in poly.terms.items():
-            exp = Fraction(0)
+            exp = 0
             rest = []
             for sym, e in mono:
                 if sym == param:
                     exp = e
                 else:
                     rest.append((sym, e))
-            k = int(exp * ram)
-            coeffs[k] = coeffs.get(k, MultiPoly()) + MultiPoly.monomial(coeff, rest)
-        return PuiseuxSeries(param, coeffs, ram, trunc)
+            # the rest of a reduced monomial is reduced
+            terms.append((int(exp * ram), _intern(tuple(rest)), coeff))
+        trunc = _as_trunc(trunc)
+        kcap = _kcap(trunc, ram)
+        return _series(param, ram, trunc,
+                       *_cleared(sorted(t for t in terms if t[0] < kcap)))
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self):
         """Zero up to the stored truncation."""
-        return not self.num
+        return not self.terms
 
     def order(self):
         """Least exponent with nonzero coefficient, or None if zero to trunc."""
-        if not self.num:
+        if not self.terms:
             return None
-        return Fraction(min(self.num), self.ram)
+        return Fraction(self.terms[0][0], self.ram)
 
     def order_or_trunc(self):
         o = self.order()
@@ -274,17 +240,16 @@ class PuiseuxSeries:
         exponent = Fraction(exponent)
         if exponent >= self.trunc:
             raise ValueError("exponent %s beyond truncation %s" % (exponent, self.trunc))
-        k = exponent * self.ram
-        if k.denominator != 1:
-            return MultiPoly()
-        return _poly(self.num.get(int(k), {}), self.den)
+        k, r = divmod(exponent.numerator * self.ram, exponent.denominator)
+        return _poly(() if r else [t for t in self.terms if t[0] == k],
+                     self.den)
 
     def support(self):
-        return sorted(Fraction(k, self.ram) for k in self.num)
+        return [Fraction(k, self.ram) for k, _ in groupby(self.terms, _KEY)]
 
     def leading(self) -> MultiPoly:
         """The coefficient of the least exponent; the series must be nonzero."""
-        return _poly(self.num[min(self.num)], self.den)
+        return _poly(next(groupby(self.terms, _KEY))[1], self.den)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -295,10 +260,10 @@ class PuiseuxSeries:
         return PuiseuxSeries.const(_as_poly(value), param)
 
     def truncate(self, trunc):
-        trunc = min(self.trunc, Fraction(trunc) if trunc != INF else INF)
-        kcap = _kcap(trunc, self.ram)
+        trunc = min(self.trunc, _as_trunc(trunc))
+        terms = self.terms
         return _series(self.param, self.ram, trunc,
-                       {k: t for k, t in self.num.items() if k < kcap},
+                       terms[:bisect_left(terms, (_kcap(trunc, self.ram),))],
                        self.den)
 
     def _scaled(self, c):
@@ -308,41 +273,33 @@ class PuiseuxSeries:
         c = Fraction(c)
         n = c.numerator
         return _series(self.param, self.ram, self.trunc,
-                       {k: {i: v * n for i, v in t.items()}
-                        for k, t in self.num.items()},
+                       [(k, i, v * n) for k, i, v in self.terms],
                        self.den * c.denominator)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _add(self, other, sign):
         """``self + sign * other`` on the common grid and the lcm of the two
-        denominators, truncated at the lesser truncation."""
+        denominators, truncated at the lesser truncation: the two sorted
+        tuples, cut at the cap, merged."""
         other = PuiseuxSeries._coerce(other, self.param)
         if other.param != self.param:
             raise ValueError("parameter mismatch: %s vs %s"
                              % (self.param, other.param))
         ram = lcm(self.ram, other.ram)
-        fa, fb = ram // self.ram, ram // other.ram
         den = lcm(self.den, other.den)
-        ma, mb = den // self.den, sign * (den // other.den)
         trunc = min(self.trunc, other.trunc)
         kcap = _kcap(trunc, ram)
-        sums = {}
-        for k, t in self.num.items():
-            k *= fa
-            if k < kcap:
-                sums[k] = {i: c * ma for i, c in t.items()}
-        for k, t in other.num.items():
-            k *= fb
-            if k >= kcap:
-                continue
-            acc = sums.get(k)
-            if acc is None:
-                sums[k] = {i: c * mb for i, c in t.items()}
-            else:
-                for i, c in t.items():
-                    acc[i] = acc.get(i, 0) + c * mb
-        return _series(self.param, ram, trunc, _nonzero(sums), den)
+        acc = {}
+        for s, m in ((self, den // self.den),
+                     (other, sign * (den // other.den))):
+            f = ram // s.ram
+            for k, i, n in s.terms:
+                k *= f
+                if k >= kcap:
+                    break
+                acc[k, i] = acc.get((k, i), 0) + n * m
+        return _series(self.param, ram, trunc, _sorted_terms(acc), den)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -351,8 +308,7 @@ class PuiseuxSeries:
 
     def __neg__(self):
         return _series(self.param, self.ram, self.trunc,
-                       {k: {i: -c for i, c in t.items()}
-                        for k, t in self.num.items()}, self.den)
+                       [(k, i, -n) for k, i, n in self.terms], self.den)
 
     def __sub__(self, other):
         return self._add(other, -1)
@@ -378,16 +334,16 @@ class PuiseuxSeries:
 
         Every product is read on one grid ``k / ram``, ``ram`` the lcm of all
         operand ``ram``s, and over one denominator, the lcm of the
-        ``a.den * b.den``.  There the truncation becomes the integer cap
-        ``kcap = ceil(trunc * ram)``: for integer ``k``, ``k / ram >= trunc``
-        holds exactly when ``k >= kcap``, so pairs of indices with
-        ``k1 + k2 >= kcap`` are skipped without building a ``Fraction``.  The
-        numerators of every pair go straight into one map per output index,
-        and the result is normalized once.  Its truncation is the least of
-        the products' truncations, each ``min(a.trunc + ord b, b.trunc +
-        ord a)`` with the order of a zero operand read as its truncation,
-        compared as integers (``_truncation``): a zero operand keeps its
-        truncation, and a sum of products that cancel still carries theirs.
+        ``a.den * b.den``.  The truncation is the least of the products'
+        ``min(a.trunc + ord b, b.trunc + ord a)``, the order of a zero operand
+        read as its truncation, so cancelled products still bound the sum.
+        Each candidate is an unreduced ``x / y`` equal to ``trunc * ram``,
+        formed from the integer truncations ``tq`` and least indices and
+        compared as integers; one ``Fraction`` is built.  On the grid, ``k /
+        ram >= trunc`` holds exactly when ``k >= kcap = ceil(trunc * ram)``,
+        so each walk over the sorted term tuples stops at ``kcap``.  Every
+        product adds into one accumulator per (index, monomial), and the
+        result is normalized once.
         """
         ram = den = 1
         for a, b in pairs:
@@ -396,12 +352,49 @@ class PuiseuxSeries:
                     a.param if a.param != param else b.param, param))
             ram = lcm(ram, a.ram, b.ram)
             den = lcm(den, a.den * b.den)
-        trunc, kcap = _truncation(pairs, ram)
-        sums = {}
+        x = y = None
         for a, b in pairs:
-            _add_product(sums, a.num, ram // a.ram, b.num, ram // b.ram, kcap,
-                         den // (a.den * b.den))
-        return _series(param, ram, trunc, _nonzero(sums), den)
+            for t, s in ((a.tq, b), (b.tq, a)):
+                if t is None:
+                    continue
+                n, d = t
+                if s.terms:
+                    n = n * ram + s.terms[0][0] * (ram // s.ram) * d
+                elif s.tq is None:
+                    continue
+                else:
+                    u, v = s.tq
+                    n = (n * v + u * d) * ram
+                    d *= v
+                if x is None or n * y < x * d:
+                    x, y = n, d
+        if x is None:
+            trunc = kcap = INF
+        else:
+            trunc, kcap = Fraction(x, y * ram), -(-x // y)
+        products = _PRODUCTS
+        acc = {}
+        for a, b in pairs:
+            bt = b.terms
+            if not bt:
+                continue
+            fa, fb = ram // a.ram, ram // b.ram
+            scale = den // (a.den * b.den)
+            cap = kcap - bt[0][0] * fb
+            for k1, i1, c1 in a.terms:
+                k1 *= fa
+                if k1 >= cap:
+                    break
+                row = products[i1]
+                c1 *= scale
+                for k2, i2, c2 in bt:
+                    k = k1 + k2 * fb
+                    if k >= kcap:
+                        break
+                    p = row.get(i2) or _product(i1, i2)
+                    key = k, p[0]
+                    acc[key] = acc.get(key, 0) + c1 * c2 * p[1]
+        return _series(param, ram, trunc, _sorted_terms(acc), den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -428,7 +421,7 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             other = PuiseuxSeries._coerce(other, self.param)
         return (self.param == other.param and self.ram == other.ram
-                and self.den == other.den and self.num == other.num
+                and self.den == other.den and self.terms == other.terms
                 and self.trunc == other.trunc)
 
     def invert(self, trunc=None):
@@ -439,7 +432,7 @@ class PuiseuxSeries:
         lead = self.leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
-        if self.trunc == INF and len(self.num) == 1:
+        if self.trunc == INF and len(self.terms) == 1:
             out = PuiseuxSeries.unit(self.param, -o, lead.inverse())
             return out if trunc is None else out.truncate(trunc)
         if self.trunc == INF:
@@ -451,15 +444,16 @@ class PuiseuxSeries:
             if trunc is not None:
                 t_res = min(t_res, Fraction(trunc))
         t_x = t_res + o
-        # v = self * mono_inv has leading term 1; Newton x -> x(2 - vx) for 1/v
+        # v = self * mono_inv has leading term 1; Newton x -> x(2 - vx) for
+        # 1/v, with vx formed once per step
         mono_inv = PuiseuxSeries.unit(self.param, -o, lead.inverse())
         v = (self * mono_inv).truncate(t_x)
         x = PuiseuxSeries.const(1, self.param, trunc=t_x)
         while True:
-            resid = (v * x - 1).truncate(t_x)
-            if resid.is_zero():
+            vx = v * x
+            if (vx - 1).truncate(t_x).is_zero():
                 break
-            x = (x * (2 - v * x)).truncate(t_x)
+            x = (x * (2 - vx)).truncate(t_x)
         return x * mono_inv
 
     def nth_root(self, n: int, trunc=None):
@@ -473,7 +467,7 @@ class PuiseuxSeries:
         root_exp = o / n
         lead_root = monomial_power(lead, Fraction(1, n))
         mono = PuiseuxSeries.unit(self.param, root_exp, lead_root)
-        if len(self.num) == 1 and self.trunc == INF:
+        if len(self.terms) == 1 and self.trunc == INF:
             return mono if trunc is None else mono.truncate(trunc)
         if self.trunc == INF:
             if trunc is None:
@@ -504,36 +498,42 @@ class PuiseuxSeries:
     def derivative(self):
         """d/d(param)."""
         ram = self.ram
-        num = {k - ram: {i: c * k for i, c in t.items()}
-               for k, t in self.num.items() if k}
         trunc = self.trunc if self.trunc == INF else self.trunc - 1
-        return _series(self.param, ram, trunc, num, self.den * ram)
+        return _series(self.param, ram, trunc,
+                       [(k - ram, i, n * k) for k, i, n in self.terms if k],
+                       self.den * ram)
 
     def derivative_sym(self, symbol):
-        """Coefficient-wise derivative with respect to a background symbol."""
+        """Coefficient-wise derivative with respect to a background symbol:
+        each monomial maps through the memo ``_DERIVATIVES``."""
         if symbol == self.param:
             return self.derivative()
-        coeffs = {k: v.derivative(symbol) for k, v in self.coeffs.items()}
-        return PuiseuxSeries(self.param, coeffs, self.ram, self.trunc)
+        acc = {}
+        for k, i, n in self.terms:
+            key = i, symbol
+            d = _DERIVATIVES[key] if key in _DERIVATIVES else _derivative(*key)
+            if d is not None:
+                key = k, d[0]
+                acc[key] = acc.get(key, 0) + n * d[1]
+        return _series(self.param, self.ram, self.trunc,
+                       *_cleared(_sorted_terms(acc), self.den))
 
     def antiderivative(self):
         """Antiderivative in param with zero constant term."""
-        coeffs = {}
-        for k, v in self.coeffs.items():
-            if k == -self.ram:
-                raise ArithmeticError("antiderivative produces a log term")
-            coeffs[k + self.ram] = v / (Fraction(k, self.ram) + 1)
+        ram = self.ram
+        if any(k == -ram for k, _, _ in self.terms):
+            raise ArithmeticError("antiderivative produces a log term")
         trunc = self.trunc if self.trunc == INF else self.trunc + 1
-        return PuiseuxSeries(self.param, coeffs, self.ram, trunc)
+        return _series(self.param, ram, trunc, *_cleared(
+            [(k + ram, i, Fraction(n * ram, k + ram))
+             for k, i, n in self.terms], self.den))
 
     # -- formatting ----------------------------------------------------------
 
     def __str__(self):
         parts = []
-        coeffs = self.coeffs
-        for k in sorted(coeffs):
+        for k, coeff in self.coeffs.items():
             exp = Fraction(k, self.ram)
-            coeff = coeffs[k]
             cs = str(coeff)
             if len(coeff.terms) > 1:
                 cs = "(%s)" % cs

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -106,12 +106,12 @@ def test_product_memo_is_symmetric():
     b = PS("t", {0: u * w, 1: MP.monomial(2, [("@i", 1), ("@r2", 11)])}, 3,
            trunc=4)
     ab = a * b
-    for i in {i for t in a.num.values() for i in t}:
-        for j in {j for t in b.num.values() for j in t}:
+    for i in {i for _, i, _ in a.terms}:
+        for j in {j for _, j, _ in b.terms}:
             assert puiseux._PRODUCTS[j][i] == puiseux._PRODUCTS[i][j]
     ba = b * a
-    assert ab.num and (ab.ram, ab.trunc, ab.num, ab.den) == (
-        ba.ram, ba.trunc, ba.num, ba.den)
+    assert ab.terms and (ab.ram, ab.trunc, ab.terms, ab.den) == (
+        ba.ram, ba.trunc, ba.terms, ba.den)
 
 
 def test_fused_product_edge_cases():
@@ -218,7 +218,7 @@ def _assert_kernel(got, ref, trunc):
     assert str(got) == _ref_str(ref, trunc)
     assert got == _ref_series(ref, trunc)
     # normal form: positive denominator prime to all numerators, no zeros
-    nums = [c for t in got.num.values() for c in t.values()]
+    nums = [n for _, _, n in got.terms]
     assert got.den > 0 and all(nums) and gcd(got.den, *nums) == 1
 
 
@@ -300,8 +300,8 @@ def test_sum_of_products_matches_products_and_sums():
             seen["zero product"] += prod.is_zero() and prod.trunc != INF
             seen["rams"].add(x.ram)
         assert got.trunc == min((x * y).trunc for x, y in pairs)
-        assert (got.ram, got.den, got.num, got.trunc) == (
-            want.ram, want.den, want.num, want.trunc)
+        assert (got.ram, got.den, got.terms, got.trunc) == (
+            want.ram, want.den, want.terms, want.trunc)
         assert got == want and str(got) == str(want)
         _assert_kernel(got, *ref)
         seen["cancelled"] += got.is_zero() and all(
@@ -328,6 +328,204 @@ def test_sum_of_products_checks_parameters():
     assert t != PS.unit("s", 1) and t + 1 == PS.const(1, "t") + t
     with pytest.raises(ValueError, match="coefficient contains the param"):
         t + MP.var("t")
+
+
+# -- the term tuple against the former nested-dict kernel ------------------
+# The kernel before the term tuple, kept as a reference: per grid index a map
+# from monomial id to numerator, a truncation pass over every pair, then a
+# product pass over every pair of indices, each checked against the cap.
+
+def _nested(s):
+    """The former form of a series: ``{k: {id: n}}``."""
+    num = {}
+    for k, i, n in s.terms:
+        num.setdefault(k, {})[i] = n
+    return num
+
+
+def _ref_truncation(pairs, ram):
+    x = y = None
+    for a, b in pairs:
+        for t, s in ((a.trunc, b), (b.trunc, a)):
+            if t == INF:
+                continue
+            tn, d = t.numerator, t.denominator
+            num = _nested(s)
+            if num:
+                n = tn * ram + min(num) * (ram // s.ram) * d
+            elif s.trunc == INF:
+                continue
+            else:
+                u = s.trunc
+                n = (tn * u.denominator + u.numerator * d) * ram
+                d *= u.denominator
+            if x is None or n * y < x * d:
+                x, y = n, d
+    if x is None:
+        return INF, INF
+    return F(x, y * ram), -(-x // y)
+
+
+def _ref_add_product(sums, a, fa, b, fb, kcap, scale):
+    from tautrel import puiseux
+    for k1, t1 in a.items():
+        for k2, t2 in b.items():
+            k = k1 * fa + k2 * fb
+            if k >= kcap:
+                continue
+            acc = sums.setdefault(k, {})
+            for i1, c1 in t1.items():
+                for i2, c2 in t2.items():
+                    i, f = puiseux._product(i1, i2)
+                    acc[i] = acc.get(i, 0) + c1 * scale * c2 * f
+
+
+def _ref_sum_of_products(pairs):
+    """``(ram, den, terms, trunc)`` of the sum of the products over
+    ``pairs``, by the nested-dict kernel."""
+    ram = den = 1
+    for a, b in pairs:
+        ram = lcm(ram, a.ram, b.ram)
+        den = lcm(den, a.den * b.den)
+    trunc, kcap = _ref_truncation(pairs, ram)
+    sums = {}
+    for a, b in pairs:
+        _ref_add_product(sums, _nested(a), ram // a.ram, _nested(b),
+                         ram // b.ram, kcap, den // (a.den * b.den))
+    num = {k: {i: c for i, c in t.items() if c} for k, t in sums.items()}
+    num = {k: t for k, t in num.items() if t}
+    if not num:
+        return 1, 1, (), trunc
+    g = gcd(ram, *num)
+    h = gcd(den, *(c for t in num.values() for c in t.values()))
+    terms = sorted((k // g, i, c // h) for k, t in num.items()
+                   for i, c in t.items())
+    return ram // g, den // h, tuple(terms), trunc
+
+
+TUPLE_SYMBOLS = [("@i", [1]), ("@r2", range(1, 12)), ("x", [-1, 1, 2]),
+                 ("y", [F(1, 2), F(-3, 2), F(2, 3)])]
+
+
+def _rand_poly(rng, size):
+    poly = MP()
+    while len(poly.terms) < size:
+        pairs = [(sym, rng.choice(list(exps))) for sym, exps in TUPLE_SYMBOLS
+                 if rng.random() < 0.5]
+        poly = poly + MP.monomial(F(rng.choice([-5, -2, -1, 1, 3, 4]),
+                                    rng.choice([1, 2, 3, 5, 7])), pairs)
+    return poly
+
+
+def _rand_operand(rng):
+    """A seeded series: zero to a finite or infinite truncation, an exact
+    monomial, or up to six coefficients of one to three monomials; ram 1-4,
+    finite truncations on the grid of 1/12."""
+    ram = rng.choice([1, 2, 3, 4])
+    trunc = rng.choice([INF, F(rng.randint(-24, 72), 12)])
+    kind = rng.random()
+    if kind < 0.1:
+        return PS.zero("t", trunc=trunc)
+    if kind < 0.25:
+        return PS.unit("t", F(rng.randint(-4 * ram, 4 * ram), ram),
+                       _rand_poly(rng, 1))
+    coeffs = {rng.randint(-3 * ram, 5 * ram): _rand_poly(rng, rng.choice(
+        [1, 1, 1, 2, 3])) for _ in range(rng.randint(1, 6))}
+    return PS("t", coeffs, ram, trunc)
+
+
+def test_kernel_matches_nested_dict_reference():
+    """``sum_of_products`` on the term tuple gives the former kernel's
+    (ram, den, terms, trunc) on seeded pair lists."""
+    rng = random.Random(28)
+    seen = {"zero finite": 0, "zero exact": 0, "exact monomial": 0,
+            "cancelled": 0, "on the cap": 0, "relation factor": 0,
+            "rams": set()}
+    for _ in range(400):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = _rand_operand(rng), _rand_operand(rng)
+            pairs.append((a, b))
+            if rng.random() < 0.25:
+                pairs.append((a, -b) if rng.random() < 0.5 else (-a, b))
+        got = PS.sum_of_products(pairs, "t")
+        assert (got.ram, got.den, got.terms, got.trunc) == \
+            _ref_sum_of_products(pairs)
+        ops = [s for p in pairs for s in p]
+        seen["rams"] |= {s.ram for s in ops}
+        seen["zero finite"] += any(s.is_zero() and s.trunc != INF
+                                   for s in ops)
+        seen["zero exact"] += any(s.is_zero() and s.trunc == INF for s in ops)
+        seen["exact monomial"] += any(len(s.terms) == 1 and s.trunc == INF
+                                      for s in ops)
+        seen["cancelled"] += got.is_zero() and any(
+            not (a * b).is_zero() for a, b in pairs)
+        seen["relation factor"] += any(
+            len(c.terms) > 1 and any(sym[0] == "@" for m in c.terms
+                                     for sym, _ in m)
+            for s in ops for c in s.coeffs.values())
+        if got.trunc != INF:
+            kcap = got.trunc * lcm(*(s.ram for s in ops))
+            seen["on the cap"] += kcap.denominator == 1 and any(
+                F(k1, a.ram) + F(k2, b.ram) == got.trunc
+                for a, b in pairs for k1, _, _ in a.terms
+                for k2, _, _ in b.terms)
+    assert all(seen.values()), seen
+    assert seen["rams"] == {1, 2, 3, 4}
+
+
+def test_term_tuple_normal_form():
+    """Triples strictly increasing in (k, id), no zero numerator, den and ram
+    prime to the numerators and to the indices, ``tq`` the truncation; equal
+    series built different ways have equal tuples."""
+    rng = random.Random(29)
+
+    def check(s):
+        keys = [(k, i) for k, i, _ in s.terms]
+        assert all(p < q for p, q in zip(keys, keys[1:]))
+        nums = [n for _, _, n in s.terms]
+        assert all(nums) and s.den > 0 and gcd(s.den, *nums) == 1
+        assert gcd(s.ram, *(k for k, _ in keys)) == 1
+        assert s.tq == (None if s.trunc == INF
+                        else (s.trunc.numerator, s.trunc.denominator))
+
+    for _ in range(200):
+        a, b = _rand_operand(rng), _rand_operand(rng)
+        c = F(rng.randint(-4, 4), rng.randint(1, 5))
+        for s in (a, b, a * b, a + b, a - b, -a, a * c, a.derivative(),
+                  a.derivative_sym("y"), a.truncate(F(rng.randint(-6, 18), 4)),
+                  PS.sum_of_products([(a, b), (b, a)], "t")):
+            check(s)
+        assert (a * b).terms == (b * a).terms
+        assert PS("t", {3 * k: v for k, v in a.coeffs.items()}, a.ram * 3,
+                  a.trunc).terms == a.terms
+        assert ((a + b) - b).terms == a.truncate(b.trunc).terms
+        assert (a + a).terms == (a * 2).terms
+    # a finer grid than the support needs is dropped
+    assert PS("t", {2: 1, -4: 3}, 4) == PS("t", {1: 1, -2: 3}, 2)
+    assert PS("t", {2: 1, -4: 3}, 4).terms == ((-2, 0, 3), (1, 0, 1))
+
+
+def test_derivative_sym_matches_coeffs_round_trip():
+    """``derivative_sym`` on the term tuple equals the derivative of each
+    ``coeffs`` entry built back into a series, fractional exponents and
+    @-symbols included."""
+    rng = random.Random(30)
+    fractional = nonzero = 0
+    for _ in range(200):
+        s = _rand_operand(rng)
+        for sym in ("x", "y", "@i", "@r2", "z"):
+            got = s.derivative_sym(sym)
+            want = PS("t", {k: v.derivative(sym)
+                            for k, v in s.coeffs.items()}, s.ram, s.trunc)
+            assert (got.ram, got.den, got.terms, got.trunc) == (
+                want.ram, want.den, want.terms, want.trunc)
+            assert str(got) == str(want)
+            nonzero += not got.is_zero()
+            fractional += sym == "y" and not got.is_zero()
+    assert fractional and nonzero
+    assert PS.unit("t", 2, MP.var("x")).derivative_sym("t") == \
+        PS.unit("t", 1, 2 * MP.var("x"))
 
 
 def test_leading_is_least_coefficient():

@@ -640,9 +640,7 @@ def _entry_key(entry):
     """A hashable form of a (leg colors, DecoratedGraph, series) entry that
     tells series apart by value and truncation."""
     colors, dg, s = entry
-    num = tuple(sorted((k, tuple(sorted(t.items())))
-                       for k, t in s.num.items()))
-    return tuple(colors), dg, (s.param, s.ram, s.den, s.trunc, num)
+    return tuple(colors), dg, (s.param, s.ram, s.den, s.trunc, s.terms)
 
 
 @pytest.mark.parametrize("expansion", [
