@@ -6,6 +6,8 @@ the chart along a declared one-parameter transversal to the discriminant
 (flat coordinates become functions of the local parameter and background
 symbols), and ``idempotent_frame`` computes idempotents, canonical
 coordinates, norms and basis-change data as exact Puiseux series there.
+``rref`` is the package's one exact row reducer: relation spans, the metric
+inverse and the 2-d family's ODE solve all go through it.
 
 Vector fields are lists of ``PuiseuxSeries`` components in the flat basis.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from .multipoly import MultiPoly, monomial_power, unit_roots
@@ -29,43 +31,86 @@ class NonSemisimpleError(ChartError):
     pass
 
 
-def _frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def integer_row(row):
+    """The ``{column: int}`` multiple of a ``{column: rational}`` row with
+    its denominators cleared by their lcm and its zero entries dropped."""
+    m = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (m // x.denominator) for c, x in row.items() if x}
 
 
-def rref(rows, ncols):
-    """Exact Gauss-Jordan on ``Fraction`` rows, pivoting in the first
-    ``ncols`` columns (later columns ride along, as in an augmented matrix).
+def rref(rows, pivots=None):
+    """Fraction-free reduced row echelon form as a ``pivot column -> row`` map.
 
-    Returns the reduced rows, pivot rows first, and the pivot columns.
+    Rows are sparse ``{column: int}`` dicts with no zero entry (see
+    ``integer_row``).  Each of ``rows`` is reduced against ``pivots`` (a new
+    map when None) and, unless it vanishes, kept under its least column and
+    eliminated from the other rows, all in place.  A kept row is primitive,
+    positive at its pivot and zero at every other pivot, so the map depends
+    only on the span and the column order; row p over its entry at p is the
+    rational RREF row.  A pivot in an augmented column means no solution.
     """
-    rows = [list(row) for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
+    if pivots is None:
+        pivots = {}
+    for row in rows:
+        if not reduce_row(pivots, row):
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        d = rows[r][col]
-        rows[r] = [x / d for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return rows, pivots
+        piv = min(row)
+        _make_primitive(row, piv)
+        for p, r in pivots.items():
+            if piv in r:
+                _eliminate(r, piv, row)
+                _make_primitive(r, p)
+        pivots[piv] = row
+    return pivots
+
+
+def reduce_row(pivots, row):
+    """Eliminate (in place) every pivot column of the map that ``row`` hits
+    and return it; empty exactly when ``row`` lies in the span.  The map is
+    fully reduced, so one pass is exact."""
+    for c in [c for c in row if c in pivots]:
+        _eliminate(row, c, pivots[c])
+    return row
+
+
+def _eliminate(row, c, other):
+    """row := a * row - b * other with a, b coprime and ``row[c]`` cleared,
+    on sparse integer rows (``a = other[c] > 0``); entries that cancel are
+    dropped."""
+    a, b = other[c], row[c]
+    k = gcd(a, b)
+    a, b = a // k, b // k
+    if a != 1:
+        for i in row:
+            row[i] *= a
+    for i, y in other.items():
+        x = row.get(i, 0) - b * y
+        if x:
+            row[i] = x
+        else:
+            del row[i]
+
+
+def _make_primitive(row, piv):
+    """Divide a nonzero integer row by its content, signed so that the
+    entry at ``piv`` comes out positive."""
+    k = gcd(*row.values())
+    if row[piv] < 0:
+        k = -k
+    if k != 1:
+        for i in row:
+            row[i] //= k
 
 
 def _mat_inv_rational(m):
-    """Exact inverse of a rational matrix."""
+    """Exact inverse of a rational matrix: the RREF of ``[m | 1]``."""
     n = len(m)
-    rows, pivots = rref([[Fraction(x) for x in m[i]] +
-                         [Fraction(i == j) for j in range(n)]
-                         for i in range(n)], n)
-    if len(pivots) < n:
+    pivots = rref(integer_row(dict(enumerate(row)) | {n + i: 1})
+                  for i, row in enumerate(m))
+    if any(p >= n for p in pivots):
         raise ChartError("metric is singular")
-    return [row[n:] for row in rows]
+    return [[Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(n)]
+            for i in range(n)]
 
 
 class FrobeniusChart:
@@ -80,7 +125,7 @@ class FrobeniusChart:
                  expansion_point=None):
         self.coords = list(coords)
         self.dim = len(self.coords)
-        self.metric = _frac_matrix(metric)
+        self.metric = [[Fraction(x) for x in row] for row in metric]
         self.metric_inv = _mat_inv_rational(self.metric)
         self.potential = potential
         if isinstance(unit, int):
@@ -317,8 +362,7 @@ def _divisors(n):
 
 def _rational_roots(poly):
     """All rational roots with multiplicity of a Fraction-coefficient poly."""
-    denom = lcm(*(c.denominator for c in poly.values()))
-    ints = {e: int(c * denom) for e, c in poly.items() if c != 0}
+    ints = integer_row(poly)
     a0_e = min(ints)
     a0, an = ints[a0_e], ints[max(ints)]
     cands = set()

@@ -534,14 +534,10 @@ def _flatten(graph, inner):
     edge_psi = []
     for v in range(graph.num_vertices):
         dg = inner[v]
+        # inner edges are canonical (a <= b) and vmap increases in w
         for (a, b), (xa, xb) in zip(dg.graph.edges, dg.edge_psi):
-            na, nb = vmap[(v, a)], vmap[(v, b)]
-            if na <= nb:
-                edges.append((na, nb))
-                edge_psi.append((xa, xb))
-            else:
-                edges.append((nb, na))
-                edge_psi.append((xb, xa))
+            edges.append((vmap[(v, a)], vmap[(v, b)]))
+            edge_psi.append((xa, xb))
     # outer legs and edges attach through the ordered vertex markings
     leg_psi = {}
     for v in range(graph.num_vertices):

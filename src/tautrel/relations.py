@@ -19,8 +19,8 @@ import functools
 import heapq
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
 
+from .frobenius import integer_row, reduce_row, rref
 from .graphs import (DecoratedGraph, StrataVector, _rebuild, cell_basis,
                      enumerate_stable_graphs, forgetful_pushforward,
                      gluing_pushforward, multiply_kappa, multiply_psi)
@@ -46,12 +46,12 @@ def to_row(cell, vector):
 class RelationSet:
     """Per-(g, n, codim) spans of rational strata vectors, kept reduced.
 
-    Each cell holds its reduced row echelon basis as a ``pivot column ->
-    row`` map.  A row is a sparse ``{column: int}`` dict, primitive (its
-    entries have gcd 1) with a positive pivot entry, and fully reduced (zero
-    at every other row's pivot), so one pass of ``_reduce`` is exact and the
-    rows depend only on the span.  ``vectors`` divides each row by its pivot
-    entry, which gives the rational RREF basis in ascending pivot order.
+    Each cell holds its span as the ``pivot column -> row`` map of
+    ``frobenius.rref``: sparse primitive ``{column: int}`` rows with a
+    positive entry at their pivot, the least column, and zero at every other
+    pivot, so the rows depend only on the span.  ``vectors`` divides each row
+    by its pivot entry, which gives the rational RREF basis in ascending
+    pivot order.
     """
 
     def __init__(self, cells):
@@ -65,32 +65,15 @@ class RelationSet:
         cleared, or a copy of an integer row without its zero entries."""
         if not isinstance(vector, StrataVector):
             return {c: x for c, x in vector.items() if x}
-        row = to_row(cell, vector)
-        m = lcm(*(x.denominator for x in row.values()))
-        return {c: x.numerator * (m // x.denominator) for c, x in row.items()}
-
-    def _reduce(self, cell, row):
-        """Eliminate (in place) every pivot column that ``row`` hits."""
-        pivots = self.pivots[cell]
-        for c in [c for c in row if c in pivots]:
-            _eliminate(row, c, pivots[c])
-        return row
+        return integer_row(to_row(cell, vector))
 
     def add(self, cell, vector):
         """Row-reduce a StrataVector or an integer row into the cell; True
         if it was independent."""
-        row = self._reduce(cell, self._integer_row(cell, vector))
-        if not row:
-            return False
-        piv = min(row)
-        _make_primitive(row, piv)
         pivots = self.pivots[cell]
-        for p, r in pivots.items():
-            if piv in r:
-                _eliminate(r, piv, row)
-                _make_primitive(r, p)
-        pivots[piv] = row
-        return True
+        dim = len(pivots)
+        rref([self._integer_row(cell, vector)], pivots)
+        return len(pivots) > dim
 
     def vectors(self, cell):
         pivots = self.pivots[cell]
@@ -101,7 +84,8 @@ class RelationSet:
 
     def contains(self, cell, vector):
         """Whether a StrataVector or an integer row lies in the span."""
-        return not self._reduce(cell, self._integer_row(cell, vector))
+        return not reduce_row(self.pivots[cell],
+                              self._integer_row(cell, vector))
 
 
 def _row_vector(cell, row):
@@ -113,35 +97,6 @@ def _row_vector(cell, row):
     for i in sorted(row):
         vec.terms[basis[i]] = Fraction(row[i], lead)
     return vec
-
-
-def _eliminate(row, c, other):
-    """row := a * row - b * other with a, b coprime and ``row[c]`` cleared,
-    on sparse integer rows (``a = other[c] > 0``); entries that cancel are
-    dropped."""
-    a, b = other[c], row[c]
-    k = gcd(a, b)
-    a, b = a // k, b // k
-    if a != 1:
-        for i in row:
-            row[i] *= a
-    for i, y in other.items():
-        x = row.get(i, 0) - b * y
-        if x:
-            row[i] = x
-        else:
-            del row[i]
-
-
-def _make_primitive(row, piv):
-    """Divide a nonzero integer row by its content, signed so that the
-    entry at ``piv`` comes out positive."""
-    k = gcd(*row.values())
-    if row[piv] < 0:
-        k = -k
-    if k != 1:
-        for i in row:
-            row[i] //= k
 
 
 def extract_relations(spec, cells):

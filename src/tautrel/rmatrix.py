@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .frobenius import (ChartError, NonSemisimpleError, _rational_roots,
-                        integrate_oneform, rref)
+                        integer_row, integrate_oneform, rref)
 from .multipoly import MultiPoly
 from .puiseux import PuiseuxSeries, SeriesMatrix
 
@@ -196,14 +196,15 @@ def _solve_ode(a, b, c, ds, equations):
     in ``equations`` (None if none does).  ``a``, ``b``, ``c`` map powers to
     Fractions; pivots go in the order of ``ds``, free y_d are 0."""
     ds = list(ds)
-    rows, pivots = rref([[d * a.get(j - d + 1, 0) + b.get(j - d, 0)
-                          for d in ds] + [c.get(j, 0)] for j in equations],
-                        len(ds))
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
+    k = len(ds)
+    pivots = rref(integer_row({i: d * a.get(j - d + 1, 0) + b.get(j - d, 0)
+                               for i, d in enumerate(ds)} | {k: c.get(j, 0)})
+                  for j in equations)
+    if k in pivots:
         return None
     y = dict.fromkeys(ds, Fraction(0))
-    for row, col in zip(rows, pivots):
-        y[ds[col]] = -row[-1]
+    for i, row in pivots.items():
+        y[ds[i]] = -Fraction(row.get(k, 0), row[i])
     return y
 
 

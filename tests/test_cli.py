@@ -363,6 +363,11 @@ def test_verify_hand_written_document(tmp_path):
     (["frame", "--config", {"chart": "a2", "param": "t1",
                             "expansion": {"subs": {"t0": "t1/(t1+1)"}}}],
      "cannot read 't1/(t1+1)'"),
+    (["frame"], "no chart given"),
+    (["compare", "--chart", "a2"], "compare needs 'chart2'"),
+    (["verify"], "verify needs 'relations_file'"),
+    (["reconstruct", "--chart", "a2", "--gn", "1,2", "--insertion", "0"],
+     "need 2 insertion indices"),
 ], ids=["unstable-gn", "relations-gn-no-cell", "compare-gn-no-cell",
         "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
@@ -394,7 +399,9 @@ def test_verify_hand_written_document(tmp_path):
         "chart-file-subs-zero-denominator",
         "chart-file-subs-non-monomial-denominator",
         "config-expansion-zero-exponent-denominator",
-        "config-expansion-non-monomial-denominator"])
+        "config-expansion-non-monomial-denominator", "frame-no-chart",
+        "compare-missing-chart2", "verify-missing-file",
+        "reconstruct-short-insertion"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory

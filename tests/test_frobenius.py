@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
-                            a2x_a1_expansion, a3_chart, a3_expansion, expand,
-                            extend_chart, family_expansion)
+from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_chart,
+                            a2_tilted_expansion, a2x_a1_expansion, a3_chart,
+                            a3_expansion, expand, extend_chart,
+                            family_expansion)
+from tautrel.cli import BUILTIN_CHARTS
 from tautrel.frobenius import (ChartError, FrobeniusChart, NonSemisimpleError,
                                _shift_poly, idempotent_frame,
                                local_structure_probe, newton_puiseux_roots,
@@ -80,6 +82,19 @@ def test_singular_metric_raises():
     with pytest.raises(ChartError, match="metric is singular"):
         FrobeniusChart(["t0", "t1"], [[1, 2], [2, 4]],
                        V("t0") ** 2 * V("t1") / 2 + V("t1") ** 4 / 72, 0)
+    # the inverse of every builtin chart's metric (a2_tilted's is not
+    # diagonal) is exact, and so is that of a2_tilted scaled by 3, which
+    # has non-integral entries
+    tilted = a2_tilted_chart()
+    scaled = FrobeniusChart(tilted.coords, [[3 * x for x in row]
+                                            for row in tilted.metric],
+                            3 * tilted.potential, tilted.unit)
+    for chart in [make() for make in BUILTIN_CHARTS.values()] + [scaled]:
+        n = chart.dim
+        assert [[sum(chart.metric_inv[i][k] * chart.metric[k][j]
+                     for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[int(i == j) for j in range(n)]
+                                       for i in range(n)]
 
 
 def test_discriminants():

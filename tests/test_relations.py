@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tautrel.charts import a2_expansion, a2x_a1_expansion
-from tautrel.frobenius import idempotent_frame
+from tautrel.frobenius import idempotent_frame, integer_row, rref
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
                             cell_basis, forgetful_pushforward,
                             gluing_pushforward, multiply_kappa, multiply_psi)
@@ -380,6 +380,19 @@ def dense_reduce(rows, pivots, vec):
     return row
 
 
+def direct_rref(vectors):
+    """``frobenius.rref`` of dense rational rows against ``dense_rref``: the
+    same pivots and the same rational rows.  Returns the pivot map."""
+    ncols = len(vectors[0])
+    pivots = rref(integer_row(dict(enumerate(vec))) for vec in vectors)
+    rows, expected = dense_rref(vectors, ncols)
+    assert sorted(pivots) == sorted(expected)
+    assert [[F(row.get(i, 0), row[p]) for i in range(ncols)]
+            for p, row in sorted(pivots.items())] == \
+        [row for _, row in sorted(zip(expected, rows))]
+    return pivots
+
+
 def test_sparse_rref_matches_dense_reference():
     cell = (0, 5, 2)
     basis, index = cell_basis(cell)
@@ -449,6 +462,26 @@ def test_sparse_rref_matches_dense_reference():
 
         back = relations_from_json(relations_to_json(rs))
         assert back.pivots[cell] == rs.pivots[cell]
+        assert direct_rref(inputs) == rs.pivots[cell]
+
+    # an augmented system [A | b] of rank 3 in four unknowns: consistent,
+    # the augmented column 4 holds no pivot and the pivot map's solution
+    # (free unknowns 0) solves it; with one entry of b moved, it does
+    rng = random.Random(1510)
+    a = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+         for _ in range(3)]
+    a += [[x + 2 * y for x, y in zip(a[0], a[1])],
+          [x - y / 3 for x, y in zip(a[1], a[2])]]
+    x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+    b = [sum(r * y for r, y in zip(row, x)) for row in a]
+    pivots = direct_rref([row + [c] for row, c in zip(a, b)])
+    assert 4 not in pivots and len(pivots) == 3
+    y = [F(0)] * 4
+    for p, row in pivots.items():
+        y[p] = F(row.get(4, 0), row[p])
+    assert [sum(r * v for r, v in zip(row, y)) for row in a] == b
+    b[4] += 1
+    assert 4 in direct_rref([row + [c] for row, c in zip(a, b)])
 
 
 def reference_operation(op, vec):
