@@ -568,13 +568,13 @@ def _flatten(graph, inner):
 # forgetful pushforward
 
 
-def forgetful_pushforward(vector, leg_label=None):
-    """Push forward along the map forgetting one leg (default: the last)."""
-    if leg_label is None:
-        leg_label = vector.n
+def forgetful_pushforward(vector):
+    """Push forward along the map forgetting the last leg."""
+    if vector.n == 0:
+        raise ValueError("(g, n) = (%d, 0) has no leg to forget" % vector.g)
     return StrataVector(vector.g, vector.n - 1,
                         (pair for dg, c in vector.terms.items()
-                         for pair in _forget_one(dg, c, leg_label)))
+                         for pair in _forget_one(dg, c, vector.n)))
 
 
 def _forget_one(dg, coeff, leg_label):
@@ -652,9 +652,6 @@ def _drop_leg(dg, v, leg_label, kappa):
     legs = [list(l) for l in graph.legs]
     legs[v].remove(leg_label)
     leg_psi = {l: e for l, e in dg.leg_psi if l != leg_label}
-    # relabel legs above the forgotten one
-    legs = [[l - 1 if l > leg_label else l for l in ls] for ls in legs]
-    leg_psi = {(l - 1 if l > leg_label else l): e for l, e in leg_psi.items()}
     gv = graph.genera[v]
     val = len(legs[v]) + sum((a == v) + (b == v) for a, b in graph.edges)
     if 2 * gv - 2 + val > 0:

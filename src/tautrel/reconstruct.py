@@ -59,25 +59,18 @@ class CohFTSpec:
         return self.frame.sqrt_delta[i] ** m
 
 
-def leg_series(spec, vector_normalized, bound):
-    """The leg insertion A(psi) v in normalized coordinates.
-
-    Returns {psi power p: component list over colors}.  The components
-    A[p] v are formed once per spec and vector: ``spec._leg_cache`` lists
-    (vector, [A[p] v for every order p]), found by equality.
-    """
+def leg_series(spec, vector_normalized):
+    """The leg insertion A(psi) v in normalized coordinates: the component
+    list A[p] v over colors for every order p of A, formed once per spec and
+    vector (``spec._leg_cache`` lists (vector, components), found by
+    equality).  The slots of a contraction plan name only the powers up to
+    its bound."""
     for v, comps in spec._leg_cache:
         if v == vector_normalized:
-            break
-    else:
-        comps = [a.apply(vector_normalized) for a in spec.R.orders]
-        spec._leg_cache.append((list(vector_normalized), comps))
-    return {p: comps[p] for p in _leg_powers(spec, bound)}
-
-
-def _leg_powers(spec, bound):
-    """The psi powers of a leg at ``bound``: those of A(psi) up to it."""
-    return range(min(len(spec.R.orders), bound + 1))
+            return comps
+    comps = [a.apply(vector_normalized) for a in spec.R.orders]
+    spec._leg_cache.append((list(vector_normalized), comps))
+    return comps
 
 
 def edge_series(spec, bound):
@@ -208,13 +201,14 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
 
     A leg factor depends only on the multiset of (insertion class, psi
     power, color) of its legs, where legs with equal insertions share a
-    class; it is keyed by that sorted tuple and formed once per call
-    (``_leg_factor``), for the slots of the plan that name it.  A zero factor
-    leaves out its pairs, and an entry with no pair left is left out.  Each
-    other coefficient is formed once, by ``PuiseuxSeries.sum_of_products``,
-    with no series built per term.  It is known below the least truncation
-    of its products, so products that cancel still bound it; one that
-    cancels completely is left out of the class.
+    class and its components (``leg_series``); it is keyed by that sorted
+    tuple and formed once per call (``_leg_factor``), for the plan's slots.
+    A zero factor leaves out its pairs, and an entry with no pair left is
+    left out.  Each other coefficient is formed once, by
+    ``PuiseuxSeries.sum_of_products``, with no series built per term.  It is
+    known below the least truncation of its products, so products that
+    cancel still bound it; one that cancels completely is left out of the
+    class.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
@@ -229,7 +223,7 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
             c = len(distinct)
             distinct.append(v)
         leg_class.append(c)
-    class_data = [leg_series(spec, v, bound) for v in distinct]
+    class_data = [leg_series(spec, v) for v in distinct]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
     factors = {}    # slot -> its leg factor
     out = StrataVector(g, n)
@@ -254,37 +248,33 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
 def contraction_plan(spec, g, n, bound):
     """The graph sum of type (g, n) less its leg factors, cached on the spec:
     (decorated graph with its leg psi, [(slot, weight)]) per coefficient the
-    class can have, a slot (leg psi, leg colors) naming a leg factor.  For
-    each leg-psi assignment, each group of a ``graph_weights`` table, one
-    per leg colors, gives the prefix of its terms that fits the budget the
-    leg psi leave (``_prefix``); the pairs are collected per (leg psi,
+    class can have, a slot (leg psi, leg colors) naming a leg factor.
+
+    One pass over the stable graphs: each term of ``_graph_terms``, of extra
+    codim ``x`` on a graph with E edges, goes into every leg-psi assignment
+    of total at most ``bound - E - x``, of powers among those of A(psi),
+    listed once per remaining budget.  The pairs are collected per (leg psi,
     decorated graph), and only then do the leg psi go on the graph."""
     key = (g, n, bound)
     plan = spec._plan_cache.get(key)
     if plan is None:
-        powers = [list(_leg_powers(spec, bound))] * n
+        B = edge_series(spec, bound)
+        powers = [range(min(len(spec.R.orders), bound + 1))] * n
+        # fits[rem]: the leg psi assignments of total at most rem
+        fits = [list(_bounded_assignments(powers, rem))
+                for rem in range(bound + 1)]
         groups = {}     # (leg psi, decorated graph) -> [(slot, weight)]
-        for graph, table in graph_weights(spec, g, n, bound):
+        for graph in enumerate_stable_graphs(g, n, bound):
             budget = bound - len(graph.edges)
-            for leg_psi in _bounded_assignments(powers, budget):
-                rem = budget - sum(leg_psi)
-                for colors, terms in table.items():
-                    slot = (leg_psi, colors)
-                    for _, dg, weight in _prefix(terms, rem):
-                        groups.setdefault((leg_psi, dg), []).append(
-                            (slot, weight))
+            for extra, colors, dg, weight in _graph_terms(spec, graph, B,
+                                                          bound):
+                for leg_psi in fits[budget - extra]:
+                    groups.setdefault((leg_psi, dg), []).append(
+                        ((leg_psi, colors), weight))
         plan = spec._plan_cache[key] = [
             (dg.with_leg_psi(dict(enumerate(leg_psi, start=1))), pairs)
             for (leg_psi, dg), pairs in groups.items()]
     return plan
-
-
-def _prefix(terms, rem):
-    """The leading ``terms``, sorted by extra codim, of extra codim <= rem."""
-    for i, (extra, _, _) in enumerate(terms):
-        if extra > rem:
-            return terms[:i]
-    return terms
 
 
 def _leg_factor(memo, key, class_data):
@@ -305,29 +295,18 @@ def _leg_factor(memo, key, class_data):
     return factor
 
 
-def graph_weights(spec, g, n, bound):
-    """Leg-independent data of the graph sum of type (g, n): per stable
-    graph, (graph, table), the table formed by ``_graph_terms``.  Uncached:
-    ``contraction_plan`` reads it once per spec."""
-    B = edge_series(spec, bound)
-    return [(graph, _graph_terms(spec, graph, B, bound))
-            for graph in enumerate_stable_graphs(g, n, bound)]
-
-
 def _graph_terms(spec, graph, B, bound):
-    """The terms of one graph with no leg psi, legs left out, as one table.
+    """The terms of one graph with no leg psi, legs left out, generated as
+    (extra codim, leg colors, DecoratedGraph, series).
 
-    The table maps the colors of the legs' vertices, in label order, to a
-    list of (extra codim, DecoratedGraph, series), sorted by extra codim
-    with a stable sort, so that within a codim the terms keep the order of
-    the sum.  The series is 1/|Aut| * prod edge bivector entries * prod
-    vertex k-sums; times the leg components of the colors it is a term of
-    the class.  The extra codim is that of the edge psi and kappa
-    decoration, whose DecoratedGraph is built once for every coloring, and
-    a term is kept when it is at most ``bound - E``.  A vertex k-sum term of extra codim ``x`` is the same series at every
-    budget of at least ``x``, so the terms of a leg psi assignment are the
-    prefix of extra codim at most its budget, and the leg psi go on the
-    decorated graph unchanged (``DecoratedGraph.with_leg_psi``).  Only a
+    The leg colors are those of the legs' vertices, in label order; the
+    series is 1/|Aut| * prod edge bivector entries * prod vertex k-sums, and
+    times the leg components of the colors it is a term of the class.  The
+    extra codim is that of the edge psi and kappa decoration, whose
+    DecoratedGraph is built once for every coloring; a term is generated
+    when it is at most ``bound - E``.  A vertex k-sum term of extra codim
+    ``x`` is the same series at every budget of at least ``x``, so one term
+    serves every leg psi assignment that leaves room for ``x``.  Only a
     coloring with a zero edge entry is left out: a term that vanishes to
     truncation still bounds the class coefficient it goes into.
     """
@@ -340,7 +319,6 @@ def _graph_terms(spec, graph, B, bound):
     budget = bound - E
     p_values = sorted({p for p, q in B})
     q_values = sorted({q for p, q in B})
-    table = {}
     for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
                                             budget):
         edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
@@ -372,11 +350,8 @@ def _graph_terms(spec, graph, B, bound):
                 if kappa not in decorated:
                     decorated[kappa] = DecoratedGraph(graph, None, edge_psi,
                                                       kappa)
-                table.setdefault(colors, []).append(
-                    (edge_codim + vertex_codim, decorated[kappa], coeff))
-    for terms in table.values():
-        terms.sort(key=lambda term: term[0])
-    return table
+                yield (edge_codim + vertex_codim, colors, decorated[kappa],
+                       coeff)
 
 
 # ---------------------------------------------------------------------------

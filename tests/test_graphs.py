@@ -286,6 +286,11 @@ def test_forgetful_pushforward_to_unstable_type_raises():
         v = StrataVector.single(DecoratedGraph.smooth(g, n))
         with pytest.raises(ValueError):
             forgetful_pushforward(v)
+    # a vector with no legs has none to forget
+    v = StrataVector.single(DecoratedGraph.smooth(2, 0, kappa=(1,)))
+    with pytest.raises(ValueError,
+                       match=r"^\(g, n\) = \(2, 0\) has no leg to forget$"):
+        forgetful_pushforward(v)
 
 
 def test_adding_vectors_of_different_types_raises():
@@ -308,9 +313,12 @@ def test_forgetful_string_case():
 def test_forgetful_order_independence():
     v = StrataVector.single(
         DecoratedGraph.smooth(1, 3, leg_psi={1: 1, 2: 2, 3: 1}, kappa=(1,)))
-    a = forgetful_pushforward(forgetful_pushforward(v, 3), 2)
-    b = forgetful_pushforward(forgetful_pushforward(v, 2), 2)
-    # forgetting leg 3 then 2 equals forgetting leg 2 then (relabeled) 2
+    # v with legs 2 and 3 swapped
+    w = StrataVector.single(
+        DecoratedGraph.smooth(1, 3, leg_psi={1: 1, 2: 1, 3: 2}, kappa=(1,)))
+    a = forgetful_pushforward(forgetful_pushforward(v))
+    b = forgetful_pushforward(forgetful_pushforward(w))
+    # forgetting leg 3 then 2 of v equals forgetting leg 2 then 3 of v
     assert {d.key() for d in a.terms} == {d.key() for d in b.terms}
     for dg, c in a.terms.items():
         assert b.terms[dg] == c
@@ -320,7 +328,7 @@ def test_forgetful_contraction():
     # forgetting the only leg of a (0,3) vertex in a 1-edge graph of (1,2)
     graph = StableGraph([1, 0], [[], [1, 2]], [(0, 1)])
     v = StrataVector.single(DecoratedGraph(graph))
-    out = forgetful_pushforward(v, 2)  # leg 2 sits on the (0,3) vertex
+    out = forgetful_pushforward(v)  # leg 2 sits on the (0,3) vertex
     # contraction joins the half-edges: leg 1 moves onto the genus-1 vertex
     (dg, c), = out.terms.items()
     assert dg.graph.num_vertices == 1 and dg.graph.genera == (1,)

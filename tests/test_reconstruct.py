@@ -48,10 +48,15 @@ def test_tqft_case_split():
 def test_leg_term_basics():
     spec = family_spec(V("t"))
     v = to_normalized_insertion(spec.frame, [1, 0])
-    legs = leg_series(spec, v, 2)
+    legs = leg_series(spec, v)
+    # one component list per order of A, the z^p term being A[p] v
+    assert len(legs) == len(spec.R.orders)
+    for p, comps in enumerate(legs):
+        want = spec.R.orders[p].apply(v)
+        assert all((a - b).is_zero() for a, b in zip(comps, want))
     for i in range(2):
         assert (legs[0][i] - v[i]).is_zero()  # z^0 term is the vector itself
-    assert max(legs) <= 2  # truncation keeps the object finite
+    assert leg_series(spec, v) is legs  # formed once per spec and vector
 
 
 def test_edge_term_symmetry_and_z0():
@@ -410,9 +415,9 @@ def test_cached_contraction_plans_do_not_change_the_class():
 ], ids=["a2", "a2xa1", "a3"])
 def test_plan_matches_per_call_grouping(expansion, probe, cells):
     """For every insertion tuple of flat basis fields, the class contracted
-    on the cached plan is the class grouped afresh per call, truncations and
-    term order included, on a cold spec and on a warm one whose plan another
-    tuple built."""
+    on the cached plan is the class summed afresh per call in leg order
+    (``_leg_order_class``), truncations included, on a cold spec and on a
+    warm one whose plan another tuple built."""
     frame = idempotent_frame(expansion(), probe=probe)
     R = solve_flatness(frame, K=3)
     units = unit_insertions(frame)
@@ -425,11 +430,11 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
         reconstruct_class(warm, g, n, [units[mu] for mu in combos[-1]], d)
         for combo in combos:
             insertions = [units[mu] for mu in combo]
-            want = _per_call_class(oracle_spec, g, n, insertions, d)
+            want = _leg_order_class(oracle_spec, g, n,
+                                    [(v, 0) for v in insertions], d)
             for spec in (CohFTSpec(frame, R), warm):
                 got = reconstruct_class(spec, g, n, insertions, d)
                 _assert_same_class(got, want)
-                assert list(got.terms) == list(want.terms)
             sizes.append(len(want.terms))
     assert max(sizes) > 0
 
@@ -437,7 +442,8 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
 def test_second_tuple_reads_the_plan_alone(monkeypatch):
     """A plan build forms one DecoratedGraph per distinct (graph, edge psi,
     kappa) decoration; on the warm spec, another insertion tuple of the same
-    (g, n, bound) forms no table and builds no decorated graph."""
+    (g, n, bound) forms no graph term, no edge series and no decorated
+    graph."""
     frame = idempotent_frame(a2x_a1_expansion(1, trunc=8))
     spec = CohFTSpec(frame, solve_flatness(frame, K=3))
     e0, e1, e2 = unit_insertions(frame)
@@ -459,7 +465,7 @@ def test_second_tuple_reads_the_plan_alone(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("graph_weights", "_graph_terms"):
+    for name in ("_graph_terms", "edge_series"):
         monkeypatch.setattr(reconstruct, name,
                             counted(name, getattr(reconstruct, name)))
     monkeypatch.setattr(DecoratedGraph, "_store",
@@ -545,45 +551,6 @@ def _leg_order_class(spec, g, n, insertions, codim_bound):
     return StrataVector(g, n, pairs)
 
 
-def _per_call_class(spec, g, n, insertions, codim_bound):
-    """The graph sum with every insertion-independent step redone per call:
-    the tables of ``graph_weights`` walked for each leg-psi assignment and
-    color group, the (leg factor, weight) pairs grouped per (leg psi,
-    decorated graph), a zero leg factor leaving out its whole group, and the
-    leg psi put on each decorated graph afresh."""
-    bound = min(codim_bound, 3 * g - 3 + n)
-    distinct = []
-    leg_class = []
-    for v in insertions:
-        if v not in distinct:
-            distinct.append(v)
-        leg_class.append(distinct.index(v))
-    class_data = [leg_series(spec, v, bound) for v in distinct]
-    leg_choices = [sorted(class_data[c]) for c in leg_class]
-    memo = {(): PS.const(1, spec.param)}
-    groups = {}
-    for graph, table in reconstruct.graph_weights(spec, g, n, bound):
-        budget = bound - len(graph.edges)
-        for leg_psi in reconstruct._bounded_assignments(leg_choices, budget):
-            rem = budget - sum(leg_psi)
-            for colors, terms in table.items():
-                terms = reconstruct._prefix(terms, rem)
-                key = tuple(sorted(zip(leg_class, leg_psi, colors)))
-                factor = reconstruct._leg_factor(memo, key, class_data)
-                if factor.is_zero():
-                    continue
-                for _, dg, weight in terms:
-                    groups.setdefault((leg_psi, dg), []).append(
-                        (factor, weight))
-    out = StrataVector(g, n)
-    for (leg_psi, dg), pairs in groups.items():
-        coeff = PS.sum_of_products(pairs, spec.param)
-        if not coeff.is_zero():
-            out.terms[dg.with_leg_psi(dict(enumerate(leg_psi, start=1)))] = \
-                coeff
-    return out
-
-
 def _assert_same_class(a, b):
     assert a.terms.keys() == b.terms.keys()
     for dg, c in a.terms.items():
@@ -649,17 +616,18 @@ def _entry_key(entry):
     lambda: a3_expansion(trunc=8),
 ], ids=["a2", "a2xa1", "a3"])
 def test_leg_psi_weights_match_direct_terms(expansion):
-    """The terms of every graph and leg psi, read as prefixes of the graph's
-    table formed once, are the terms formed directly for that leg psi, as
-    multisets of (leg colors, decorated graph, series), truncations
-    included."""
+    """The terms of every graph and leg psi, read from the graph's terms
+    formed once (those of extra codim at most the budget the leg psi leave),
+    are the terms formed directly for that leg psi, as multisets of (leg
+    colors, decorated graph, series), truncations included."""
     frame = idempotent_frame(expansion())
     spec = CohFTSpec(frame, solve_flatness(frame, K=3))
     sizes = []
     for g, n, d in [(0, 5, 2), (1, 2, 2), (2, 0, 2)]:
         bound = min(d, 3 * g - 3 + n)
         B = edge_series(spec, bound)
-        for graph, table in reconstruct.graph_weights(spec, g, n, bound):
+        for graph in enumerate_stable_graphs(g, n, bound):
+            terms = list(reconstruct._graph_terms(spec, graph, B, bound))
             leg_vertex = {label: v for v, legs in enumerate(graph.legs)
                           for label in legs}
             budget = bound - len(graph.edges)
@@ -667,9 +635,8 @@ def test_leg_psi_weights_match_direct_terms(expansion):
                     [list(range(bound + 1))] * n, budget):
                 psi_by_label = dict(enumerate(leg_psi, start=1))
                 got = [(colors, dg.with_leg_psi(psi_by_label), series)
-                       for colors, terms in table.items()
-                       for _, dg, series in reconstruct._prefix(
-                           terms, budget - sum(leg_psi))]
+                       for extra, colors, dg, series in terms
+                       if extra <= budget - sum(leg_psi)]
                 want = [(tuple(coloring[leg_vertex[label]]
                                for label in range(1, n + 1)), dg, series)
                         for coloring, dg, series in _direct_leg_psi_weights(

@@ -496,7 +496,7 @@ def reference_operation(op, vec):
     if kind == "kappa":
         return multiply_kappa(vec, op[1])
     if kind == "forget":
-        return forgetful_pushforward(vec, vec.n)
+        return forgetful_pushforward(vec)
     _, graph, v = op
     local = []
     for w in range(graph.num_vertices):
