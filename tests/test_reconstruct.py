@@ -687,10 +687,15 @@ def test_reconstruct_artifact_pinned(tmp_path):
      "b509cf4bd78dd926e6badca1c4d1ba5bec6ed1d45c4447c0d2cf7489a31ea3fe"),
     (["relations", "--chart", "a3"], "relations.json",
      "3ef6246d60165ca18737b0c7a6e83c1b0fc378344e9db4566a04cdc98972563b"),
+    (["frame", "--chart", "a2_tilted"], "frame.json",
+     "21023c3d6da944302ea32dbd1575a08665be99166f69a9f268d20e1bf09a4d0c"),
+    (["rmatrix", "--chart", "a2_tilted", "--z-order", "4"], "rmatrix.json",
+     "5d68a21da19afb71f4d20633bfc8ca47d086b82048419fc305b9c722a1c5ec4d"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
         "rmatrix-a3", "genus1-a3", "relations-a2-eight-cells",
-        "relations-a2xa1", "relations-a3"])
+        "relations-a2xa1", "relations-a3", "frame-a2-tilted",
+        "rmatrix-a2-tilted"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
     from tautrel.cli import main
