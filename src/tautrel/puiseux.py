@@ -425,70 +425,87 @@ class PuiseuxSeries:
                 and self.trunc == other.trunc)
 
     def invert(self, trunc=None):
-        """Multiplicative inverse; the leading coefficient must be a unit."""
+        """Multiplicative inverse, known below ``self.trunc - 2 * order`` or
+        ``trunc`` if less, by the power recurrence of ``_power``; the leading
+        coefficient must be a unit."""
         o = self.order()
         if o is None:
             raise ZeroDivisionError("inversion of a series that is zero to truncation")
         lead = self.leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
-        if self.trunc == INF and len(self.terms) == 1:
-            out = PuiseuxSeries.unit(self.param, -o, lead.inverse())
-            return out if trunc is None else out.truncate(trunc)
-        if self.trunc == INF:
-            if trunc is None:
-                raise ValueError("inversion of exact non-monomial series needs a target truncation")
-            t_res = Fraction(trunc)
-        else:
-            t_res = self.trunc - 2 * o
-            if trunc is not None:
-                t_res = min(t_res, Fraction(trunc))
-        t_x = t_res + o
-        # v = self * mono_inv has leading term 1; Newton x -> x(2 - vx) for
-        # 1/v, with vx formed once per step
-        mono_inv = PuiseuxSeries.unit(self.param, -o, lead.inverse())
-        v = (self * mono_inv).truncate(t_x)
-        x = PuiseuxSeries.const(1, self.param, trunc=t_x)
-        while True:
-            vx = v * x
-            if (vx - 1).truncate(t_x).is_zero():
-                break
-            x = (x * (2 - vx)).truncate(t_x)
-        return x * mono_inv
+        mono = PuiseuxSeries.unit(self.param, -o, lead.inverse())
+        return self._power(-1, 1, mono, trunc, "inversion")
 
     def nth_root(self, n: int, trunc=None):
-        """A branch of the n-th root; ramification extends as needed."""
+        """The n-th root that starts with ``monomial_power`` of the leading
+        term, known below ``self.trunc - order + order / n`` or ``trunc`` if
+        less, by the power recurrence of ``_power``; ramification extends as
+        needed."""
         o = self.order()
         if o is None:
             raise ValueError("root of a series that is zero to truncation")
         lead = self.leading()
         if not lead.is_monomial():
             raise NonUnitError("non-unit leading term: %s" % lead)
-        root_exp = o / n
-        lead_root = monomial_power(lead, Fraction(1, n))
-        mono = PuiseuxSeries.unit(self.param, root_exp, lead_root)
-        if len(self.terms) == 1 and self.trunc == INF:
+        mono = PuiseuxSeries.unit(self.param, o / n,
+                                  monomial_power(lead, Fraction(1, n)))
+        return self._power(1, n, mono, trunc, "root")
+
+    def _power(self, p, q, mono, trunc, name):
+        """``self ** a`` for a = p/q = -1 or 1/n, leading term ``mono``.
+
+        Exact input of one term gives ``mono``; other exact input needs
+        ``trunc``.  v = self / (lead t^o) starts with exactly 1 at exponent 0
+        (o the order), and y = v^a on v's grid satisfies v y' = a v' y, so
+        q k y_k = sum_{j=1..k} ((p+q) j - q k) v_j y_{k-j} (J. C. P. Miller's
+        recurrence, Knuth, TAOCP 4.7): one pass of monomial products through
+        ``_PRODUCTS``, y_k kept as int numerators over its own denominator.
+        """
+        if self.trunc == INF and len(self.terms) == 1:
             return mono if trunc is None else mono.truncate(trunc)
+        o = self.order()
         if self.trunc == INF:
             if trunc is None:
-                raise ValueError("root of exact non-monomial series needs a target truncation")
+                raise ValueError("%s of exact non-monomial series needs a "
+                                 "target truncation" % name)
             t_res = Fraction(trunc)
         else:
-            # self known below T: root known below T - o + o/n
-            t_res = self.trunc - o + root_exp
+            t_res = self.trunc - o + o * p / q
             if trunc is not None:
                 t_res = min(t_res, Fraction(trunc))
-        t_resid = t_res + (n - 1) * root_exp
-        known = self.truncate(t_resid)
-        y = mono.truncate(t_res)
-        inv_n = Fraction(1, n)
-        while True:
-            resid = (known - y ** n).truncate(t_resid)
-            if resid.is_zero():
-                break
-            corr = resid * (y ** (n - 1)).invert(trunc=t_res - o + root_exp) * inv_n
-            y = (y + corr).truncate(t_res)
-        return y
+        v = self * PuiseuxSeries.unit(self.param, -o,
+                                      self.leading().inverse())
+        vt = v.terms
+        if vt[0] != (0, 0, v.den) or len(vt) > 1 and vt[1][0] == 0:
+            raise ArithmeticError("normalized series %s does not start with "
+                                  "exactly 1" % v)
+        t_y = t_res - o * p / q
+        kcap = _kcap(t_y, v.ram)
+        steps = [(j, [(i, n) for _, i, n in g])
+                 for j, g in groupby(vt[1:bisect_left(vt, (kcap,))], _KEY)]
+        ys, dens = [((0, 1),)], [1]
+        for k in range(1, kcap):
+            m = lcm(*[dens[k - j] for j, _ in steps if j <= k])
+            acc = {}
+            for j, vj in steps:
+                if j > k:
+                    break
+                c = ((p + q) * j - q * k) * (m // dens[k - j])
+                for i1, n1 in vj:
+                    row = _PRODUCTS[i1]
+                    for i2, n2 in ys[k - j]:
+                        pr = row.get(i2) or _product(i1, i2)
+                        acc[pr[0]] = acc.get(pr[0], 0) + c * n1 * n2 * pr[1]
+            d = q * k * v.den * m
+            g = gcd(d, *acc.values())
+            ys.append(tuple((i, n // g) for i, n in acc.items() if n))
+            dens.append(d // g)
+        den = lcm(*dens)
+        terms = sorted((k, i, n * (den // dk))
+                       for k, (y, dk) in enumerate(zip(ys, dens)) if k < kcap
+                       for i, n in y)
+        return _series(self.param, v.ram, t_y, terms, den) * mono
 
     def sqrt(self, trunc=None):
         return self.nth_root(2, trunc=trunc)

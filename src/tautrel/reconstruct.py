@@ -45,6 +45,7 @@ class CohFTSpec:
         self._leaf_cache = None     # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
         self._plan_cache = {}       # see contraction_plan
+        self._delta_cache = {}      # see delta_power
 
     @property
     def dim(self):
@@ -55,8 +56,12 @@ class CohFTSpec:
         return self.frame.param
 
     def delta_power(self, i, m):
-        """Delta_i^(m/2) as a series, for an integer m."""
-        return self.frame.sqrt_delta[i] ** m
+        """Delta_i^(m/2) as a series, for an integer m, formed once per
+        (i, m)."""
+        out = self._delta_cache.get((i, m))
+        if out is None:
+            out = self._delta_cache[i, m] = self.frame.sqrt_delta[i] ** m
+        return out
 
 
 def leg_series(spec, vector_normalized):

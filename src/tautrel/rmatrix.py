@@ -21,6 +21,7 @@ R(z) R^t(-z) = Id and odd-order ones are free (default 0).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from .frobenius import (ChartError, NonSemisimpleError, _rational_roots,
@@ -109,6 +110,18 @@ def solve_flatness(frame, K, constants=None):
     nvars = len(frame.vars)
     W = [frame.psi_connection(a) for a in range(nvars)]
     du = frame.du_chart
+    # per pair i != j, the first chart variable a along which du_j - du_i
+    # inverts, and that inverse, formed once for all z-orders
+    solve_by = {}
+    for i, j in permutations(range(n), 2):
+        for a in range(nvars):
+            diff = du[j][a] - du[i][a]
+            if not diff.is_zero() and diff.leading().is_monomial():
+                solve_by[i, j] = a, diff.invert()
+                break
+        else:
+            raise NonSemisimpleError(
+                "non-semisimple chart: du_%d - du_%d vanishes" % (j, i))
     for k in range(1, K + 1):
         prev = orders[-1]
         rhs = []  # rhs[a] = -(d_a R^{k-1} - R^{k-1} W_a)
@@ -117,24 +130,8 @@ def solve_flatness(frame, K, constants=None):
             dprev = prev.map(lambda e: e.derivative_sym(var))
             rhs.append(prev * W[a] - dprev)
         entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                solved = False
-                for a in range(nvars):
-                    diff = du[j][a] - du[i][a]
-                    o = diff.order()
-                    if o is None:
-                        continue
-                    if not diff.leading().is_monomial():
-                        continue
-                    entries[i][j] = rhs[a].entries[i][j] * diff.invert()
-                    solved = True
-                    break
-                if not solved:
-                    raise NonSemisimpleError(
-                        "non-semisimple chart: du_%d - du_%d vanishes" % (j, i))
+        for (i, j), (a, inv) in solve_by.items():
+            entries[i][j] = rhs[a].entries[i][j] * inv
         # diagonal
         if k % 2 == 0:
             # pinned by the symplectic condition:

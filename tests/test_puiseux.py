@@ -4,7 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
-from tautrel.multipoly import MultiPoly as MP, NonUnitError
+from tautrel.multipoly import MultiPoly as MP, NonUnitError, monomial_power
 from tautrel.puiseux import INF, PuiseuxSeries as PS, SeriesMatrix
 
 
@@ -633,6 +633,212 @@ def test_nth_root_randomized_property():
         s = PS("t", terms, 1, trunc=4)
         root = s.nth_root(n)
         assert ((root ** n) - s).is_zero()
+
+
+# -- the power recurrence against the former Newton iterations -------------
+# invert and nth_root before the power recurrence, kept as a reference:
+# Newton's x -> x(2 - vx) for 1/v, and y -> y + (s - y^n) / (n y^(n-1)) for
+# the root, each correction formed by a further Newton inverse.
+
+def _newton_invert(s, trunc=None):
+    o = s.order()
+    if o is None:
+        raise ZeroDivisionError("inversion of a series that is zero to truncation")
+    lead = s.leading()
+    if not lead.is_monomial():
+        raise NonUnitError("non-unit leading term: %s" % lead)
+    if s.trunc == INF and len(s.terms) == 1:
+        out = PS.unit(s.param, -o, lead.inverse())
+        return out if trunc is None else out.truncate(trunc)
+    if s.trunc == INF:
+        if trunc is None:
+            raise ValueError("inversion of exact non-monomial series needs a target truncation")
+        t_res = F(trunc)
+    else:
+        t_res = s.trunc - 2 * o
+        if trunc is not None:
+            t_res = min(t_res, F(trunc))
+    t_x = t_res + o
+    mono_inv = PS.unit(s.param, -o, lead.inverse())
+    v = (s * mono_inv).truncate(t_x)
+    x = PS.const(1, s.param, trunc=t_x)
+    while True:
+        vx = v * x
+        if (vx - 1).truncate(t_x).is_zero():
+            break
+        x = (x * (2 - vx)).truncate(t_x)
+    return x * mono_inv
+
+
+def _newton_nth_root(s, n, trunc=None):
+    o = s.order()
+    if o is None:
+        raise ValueError("root of a series that is zero to truncation")
+    lead = s.leading()
+    if not lead.is_monomial():
+        raise NonUnitError("non-unit leading term: %s" % lead)
+    root_exp = o / n
+    mono = PS.unit(s.param, root_exp, monomial_power(lead, F(1, n)))
+    if len(s.terms) == 1 and s.trunc == INF:
+        return mono if trunc is None else mono.truncate(trunc)
+    if s.trunc == INF:
+        if trunc is None:
+            raise ValueError("root of exact non-monomial series needs a target truncation")
+        t_res = F(trunc)
+    else:
+        t_res = s.trunc - o + root_exp
+        if trunc is not None:
+            t_res = min(t_res, F(trunc))
+    t_resid = t_res + (n - 1) * root_exp
+    known = s.truncate(t_resid)
+    y = mono.truncate(t_res)
+    while True:
+        resid = (known - y ** n).truncate(t_resid)
+        if resid.is_zero():
+            break
+        corr = _newton_invert(y ** (n - 1), trunc=t_res - o + root_exp) \
+            * resid * F(1, n)
+        y = (y + corr).truncate(t_res)
+    return y
+
+
+POWER_SYMBOLS = [("@i", [1]), ("@r3", range(1, 12)),
+                 ("zeta3", [-2, -1, 1, 2]), ("x", [-1, 1, 2])]
+
+
+def _rand_power_coeff(rng, size):
+    poly = MP()
+    while len(poly.terms) < size:
+        pairs = [(sym, rng.choice(list(exps))) for sym, exps in POWER_SYMBOLS
+                 if rng.random() < 0.5]
+        poly = poly + MP.monomial(F(rng.choice([-3, -1, 1, 2, 5]),
+                                    rng.choice([1, 2, 3, 4])), pairs)
+    return poly
+
+
+def _rand_power_lead(rng, n):
+    """A monomial with a branch of its n-th root (n = 1: any monomial)."""
+    if n == 1:
+        return _rand_power_coeff(rng, 1)
+    # (-1)^(1/4) has no branch, and @i^(1/n) none for n > 1
+    sign = -1 if n < 4 and rng.random() < 0.5 else 1
+    pairs = [("zeta3", rng.choice([-2, -1, 1, 2])), ("x", rng.choice([-1, 1])),
+             ("@r3", n * rng.randint(0, 11 // n))]
+    pairs = [p for p in pairs if rng.random() < 0.6]
+    return MP.monomial(sign * F(rng.choice([1, 2, 3, 4, 9]),
+                                rng.choice([1, 2, 3, 4])), pairs)
+
+
+def _rand_power_case(rng):
+    """(n, series, trunc target): n = 1 stands for invert; ram 1-3, order
+    -3 to 3, exact or finite truncation, with or without a target."""
+    n = rng.choice([1, 1, 2, 3, 4])
+    ram = rng.choice([1, 2, 3])
+    k0 = rng.randint(-3 * ram, 3 * ram)
+    kind = rng.random()
+    if kind < 0.04:
+        s = PS.zero("t", trunc=F(k0, ram))
+    else:
+        lead = (_rand_power_lead(rng, n) if kind > 0.08
+                else _rand_power_coeff(rng, 2))
+        coeffs = {k0: lead}
+        if rng.random() < 0.9:
+            for _ in range(rng.randint(1, 5)):
+                coeffs[k0 + rng.randint(1, 3 * ram)] = _rand_power_coeff(
+                    rng, rng.choice([1, 1, 2]))
+        exact = rng.random() < 0.25
+        trunc = INF if exact else F(k0, ram) + F(rng.randint(1, 48), 12)
+        s = PS("t", coeffs, ram, trunc)
+    target = None
+    if s.trunc == INF or rng.random() < 0.4:
+        if rng.random() < 0.9:
+            target = F(k0, ram) + F(rng.randint(-6, 36), 12)
+    return n, s, target
+
+
+def _power_call(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_power_recurrence_matches_newton_reference():
+    """invert and nth_root (n = 2, 3, 4) give the former Newton result in
+    terms, den, ram and trunc wherever Newton meets its stated truncation,
+    and raise as it did; where it falls short, the new result truncates to
+    Newton's and solves y s = 1 or y^n = s to its full truncation."""
+    rng = random.Random(31)
+    seen = {"met": 0, "short": 0, "exact": 0, "target": 0,
+            "exact monomial": 0, "relation": 0, "raised": set(), "ns": set(),
+            "rams": set(), "orders": set()}
+    for _ in range(400):
+        n, s, target = _rand_power_case(rng)
+        if n == 1:
+            got = _power_call(s.invert, target)
+            want = _power_call(_newton_invert, s, target)
+        else:
+            got = _power_call(s.nth_root, n, target)
+            want = _power_call(_newton_nth_root, s, n, target)
+        if isinstance(want, tuple):
+            assert got == want
+            seen["raised"].add(want[0])
+            continue
+        o = s.order()
+        stated = INF if s.trunc == INF else s.trunc - o + o * (
+            -1 if n == 1 else F(1, n))
+        if target is not None:
+            stated = min(stated, F(target))
+        assert got.trunc == stated
+        if want.trunc == stated:
+            assert (got.terms, got.den, got.ram, got.trunc) == \
+                (want.terms, want.den, want.ram, want.trunc)
+            seen["met"] += 1
+        else:
+            assert want.trunc < stated
+            assert got.truncate(want.trunc) == want
+            check = s * got - 1 if n == 1 else got ** n - s
+            assert check.is_zero()
+            seen["short"] += 1
+        seen["ns"].add(n)
+        seen["rams"].add(s.ram)
+        seen["orders"].add(o)
+        seen["exact"] += s.trunc == INF
+        seen["target"] += target is not None
+        seen["exact monomial"] += len(s.terms) == 1 and s.trunc == INF
+        seen["relation"] += any(sym in ("@i", "@r3") for c in s.coeffs.values()
+                                for m in c.terms for sym, _ in m)
+    assert all(seen.values()), seen
+    assert seen["ns"] == {1, 2, 3, 4} and seen["rams"] == {1, 2, 3}
+    assert seen["raised"] == {ZeroDivisionError, NonUnitError, ValueError}
+    assert {F(k) for k in range(-3, 4)} <= seen["orders"]
+
+
+def test_power_raises_when_normalization_fails(monkeypatch):
+    """A leading monomial whose inverse does not cancel it is an error, not a
+    computed series."""
+    s = PS("t", {0: MP.var("x"), 1: MP.const(1)}, 1, trunc=4)
+    inverse = MP.inverse
+    monkeypatch.setattr(MP, "inverse", lambda self: inverse(self) * 2)
+    with pytest.raises(ArithmeticError, match="does not start with exactly 1"):
+        s.invert()
+    with pytest.raises(ArithmeticError, match="does not start with exactly 1"):
+        s.sqrt()
+
+
+def test_nth_root_meets_its_truncation_at_negative_order():
+    """Roots of series of negative order are known below T - o + o/n, and a
+    target truncation is met in full."""
+    s = PS("t", {-3: 1, -2: 1}, 2, trunc=F(3, 2))
+    root = s.sqrt()
+    assert root.trunc == F(9, 4)
+    assert str(root).endswith("+ 7/256*t^(7/4) + O(t^(9/4))")
+    assert (root ** 2 - s).is_zero()
+    s = PS("t", {-3: -MP.var("x"), -2: F(1, 3)}, 1, trunc=6)
+    root = s.sqrt(trunc=0)
+    assert str(root) == ("@i*x^(1/2)*t^(-3/2)"
+                         " - 1/6*@i*x^(-1/2)*t^(-1/2) + O(t^0)")
+    assert (root ** 2 - s.truncate(F(3, 2))).is_zero()
 
 
 def test_truncation_monotonicity():
