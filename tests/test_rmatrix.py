@@ -30,6 +30,15 @@ def test_flatness_and_symplectic_residuals():
             assert R.flatness_residual(k, a).is_zero()
 
 
+
+def test_flatness_solve_needs_an_inverting_direction():
+    """An off-diagonal entry is solved along a chart variable in which
+    du_j - du_i inverts; with none, the chart is not semisimple."""
+    frame = idempotent_frame(a2_expansion(trunc=10))
+    frame.du_chart = [frame.du_chart[0], frame.du_chart[0]]
+    with pytest.raises(NonSemisimpleError, match="du_1 - du_0 vanishes"):
+        solve_flatness(frame, 2)
+
 def test_a2_flat_entries():
     # for f(t) = t: b - fc - fdot/(4f) = 0 with a = d = 0
     R = a2_rmatrix(K=2)
