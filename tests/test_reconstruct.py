@@ -691,11 +691,19 @@ def test_reconstruct_artifact_pinned(tmp_path):
      "21023c3d6da944302ea32dbd1575a08665be99166f69a9f268d20e1bf09a4d0c"),
     (["rmatrix", "--chart", "a2_tilted", "--z-order", "4"], "rmatrix.json",
      "5d68a21da19afb71f4d20633bfc8ca47d086b82048419fc305b9c722a1c5ec4d"),
+    # cells where several stable graphs share one leg-free shape
+    (["reconstruct", "--chart", "a2", "--gn", "1,3", "--codim", "2",
+      "--insertion", "0,1,1"], "reconstruct.json",
+     "ee5abf390771b36fcd8c456074902a2c19cf83a65a2b7800c2a9117e6d21b27b"),
+    (["reconstruct", "--chart", "a2", "--gn", "0,6", "--codim", "2",
+      "--insertion", "0,1,0,1,1,1"], "reconstruct.json",
+     "048c823a67fde225687a1821f713084ec663b9b1fa9d303b6c916ef06a6527fa"),
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
         "rmatrix-a3", "genus1-a3", "relations-a2-eight-cells",
         "relations-a2xa1", "relations-a3", "frame-a2-tilted",
-        "rmatrix-a2-tilted"])
+        "rmatrix-a2-tilted", "reconstruct-a2-13-shapes",
+        "reconstruct-a2-06-shapes"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
     from tautrel.cli import main
