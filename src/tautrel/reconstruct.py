@@ -36,7 +36,12 @@ from .puiseux import PuiseuxSeries
 
 
 class CohFTSpec:
-    """Frame + R-matrix, with the graph-sum caches built on them."""
+    """Frame + R-matrix, with the graph-sum caches built on them.
+
+    Each cache lives as long as the spec and is formed once: the edge
+    bivector at the largest bound a plan has asked for, each vertex k-sum
+    per (genus, markings, color) at the largest budget asked for, and each
+    contraction plan per (g, n, bound)."""
 
     def __init__(self, frame, R):
         self.frame = frame
@@ -44,6 +49,7 @@ class CohFTSpec:
         self._leg_cache = []        # see leg_series
         self._leaf_cache = None     # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
+        self._edge_cache = (-1, None)   # see contraction_plan
         self._plan_cache = {}       # see contraction_plan
         self._delta_cache = {}      # see delta_power
 
@@ -145,11 +151,15 @@ def vertex_contributions(spec, gv, nmark, color, budget):
     terms of a k-tuple come from ``forgetful_pushforward`` applied k times to
     prod psi^(b_l) at the extra points; as every b_l >= 2, no string or
     kappa_0 term arises.
+
+    A term of extra codim x is the same series at every budget of at least
+    x, so ``spec._vertex_cache`` keeps one dict per (gv, nmark, color),
+    formed at the largest budget asked for so far.  The dict returned may
+    hold terms of extra codim above ``budget``; the caller skips them.
     """
-    cache = spec._vertex_cache
-    key = (gv, nmark, color, budget)
-    if key in cache:
-        return cache[key]
+    cached = spec._vertex_cache.get((gv, nmark, color))
+    if cached is not None and cached[0] >= budget:
+        return cached[1]
     T = dilaton_leaf(spec, budget + 1)
     out = {}
     base = 2 * gv - 2 + nmark
@@ -175,7 +185,7 @@ def vertex_contributions(spec, gv, nmark, color, budget):
                 out[okey] = term if prev is None else prev + term
         if not T:
             break
-    cache[key] = out
+    spec._vertex_cache[gv, nmark, color] = (budget, out)
     return out
 
 
@@ -259,20 +269,28 @@ def contraction_plan(spec, g, n, bound):
     codim ``x`` on a graph with E edges, goes into every leg-psi assignment
     of total at most ``bound - E - x``, of powers among those of A(psi),
     listed once per remaining budget.  The pairs are collected per (leg psi,
-    decorated graph), and only then do the leg psi go on the graph."""
+    decorated graph), and only then do the leg psi go on the graph.  The
+    series are formed once per graph shape of the pass (``_graph_terms``).
+    The edge bivector is formed once per spec, at the largest bound asked
+    for (``spec._edge_cache`` holds (bound, B)): its entries of degree at
+    most ``bound`` do not depend on the bound it was formed at."""
     key = (g, n, bound)
     plan = spec._plan_cache.get(key)
     if plan is None:
-        B = edge_series(spec, bound)
+        edge_bound, B = spec._edge_cache
+        if edge_bound < bound:
+            B = edge_series(spec, bound)
+            spec._edge_cache = (bound, B)
         powers = [range(min(len(spec.R.orders), bound + 1))] * n
         # fits[rem]: the leg psi assignments of total at most rem
         fits = [list(_bounded_assignments(powers, rem))
                 for rem in range(bound + 1)]
         groups = {}     # (leg psi, decorated graph) -> [(slot, weight)]
+        shapes = {}     # see _graph_terms
         for graph in enumerate_stable_graphs(g, n, bound):
             budget = bound - len(graph.edges)
             for extra, colors, dg, weight in _graph_terms(spec, graph, B,
-                                                          bound):
+                                                          bound, shapes):
                 for leg_psi in fits[budget - extra]:
                     groups.setdefault((leg_psi, dg), []).append(
                         ((leg_psi, colors), weight))
@@ -300,50 +318,75 @@ def _leg_factor(memo, key, class_data):
     return factor
 
 
-def _graph_terms(spec, graph, B, bound):
+def _graph_terms(spec, graph, B, bound, shapes):
     """The terms of one graph with no leg psi, legs left out, generated as
     (extra codim, leg colors, DecoratedGraph, series).
 
     The leg colors are those of the legs' vertices, in label order; the
     series is 1/|Aut| * prod edge bivector entries * prod vertex k-sums, and
     times the leg components of the colors it is a term of the class.  The
-    extra codim is that of the edge psi and kappa decoration, whose
-    DecoratedGraph is built once for every coloring; a term is generated
-    when it is at most ``bound - E``.  A vertex k-sum term of extra codim
-    ``x`` is the same series at every budget of at least ``x``, so one term
-    serves every leg psi assignment that leaves room for ``x``.  Only a
+    series depend only on the graph's shape: genera, marking count per
+    vertex, edges and |Aut|, in canonical vertex order.  ``shapes`` maps
+    each shape met in one plan build to its leg-free terms (extra codim,
+    coloring, edge psi, kappa, series), formed on its first graph
+    (``_shape_terms``); each graph of the shape adds its leg colors and one
+    DecoratedGraph per (edge psi, kappa).
+    """
+    nmarks = tuple(len(graph.vertex_markings(v))
+                   for v in range(graph.num_vertices))
+    shape = (graph.genera, nmarks, graph.edges, graph.aut_order())
+    terms = shapes.get(shape)
+    if terms is None:
+        terms = shapes[shape] = _shape_terms(spec, shape, B, bound)
+    leg_vertex = [v for _, v in sorted(
+        (label, v) for v, legs in enumerate(graph.legs) for label in legs)]
+    decorated = {}      # (edge psi, kappa) -> DecoratedGraph
+    for extra, coloring, edge_psi, kappa, series in terms:
+        dg = decorated.get((edge_psi, kappa))
+        if dg is None:
+            dg = decorated[edge_psi, kappa] = DecoratedGraph(
+                graph, None, edge_psi, kappa)
+        yield extra, tuple(coloring[v] for v in leg_vertex), dg, series
+
+
+def _shape_terms(spec, shape, B, bound):
+    """The leg-free terms of a graph shape (genera, marking counts, edges,
+    |Aut|) as a list of (extra codim, coloring, edge psi, kappa, series).
+
+    A term is listed when its extra codim, that of the edge psi and kappa
+    decoration, is at most ``bound - E``.  A vertex k-sum term of extra
+    codim ``x`` is the same series at every budget of at least ``x``, so one
+    term serves every leg psi assignment that leaves room for ``x``.  Only a
     coloring with a zero edge entry is left out: a term that vanishes to
     truncation still bounds the class coefficient it goes into.
     """
-    E = len(graph.edges)
-    nv = graph.num_vertices
-    nmarks = [len(graph.vertex_markings(v)) for v in range(nv)]
-    leg_vertex = [v for _, v in sorted(
-        (label, v) for v, legs in enumerate(graph.legs) for label in legs)]
-    inv_aut = PuiseuxSeries.const(Fraction(1, graph.aut_order()), spec.param)
-    budget = bound - E
+    genera, nmarks, edges, aut = shape
+    E = len(edges)
+    inv_aut = PuiseuxSeries.const(Fraction(1, aut), spec.param)
     p_values = sorted({p for p, q in B})
     q_values = sorted({q for p, q in B})
+    terms = []
     for edge_assign in _bounded_assignments([p_values] * E + [q_values] * E,
-                                            budget):
-        edge_psi = list(zip(edge_assign[:E], edge_assign[E:]))
+                                            bound - E):
+        edge_psi = tuple(zip(edge_assign[:E], edge_assign[E:]))
         mats = [B[pq] for pq in edge_psi]
         # per-vertex budgets are coupled only through rem
         edge_codim = sum(edge_assign)
-        rem = budget - edge_codim
-        decorated = {}      # vertex kappas -> DecoratedGraph
-        for coloring in itertools.product(range(spec.dim), repeat=nv):
+        rem = bound - E - edge_codim
+        for coloring in itertools.product(range(spec.dim), repeat=len(genera)):
             edge_entries = [mat.entries[coloring[a]][coloring[b]]
-                            for mat, (a, b) in zip(mats, graph.edges)]
+                            for mat, (a, b) in zip(mats, edges)]
             if any(e.is_zero() for e in edge_entries):
                 continue
             factor = inv_aut
             for e in edge_entries:
                 factor = factor * e
-            vertex_terms = [sorted(vertex_contributions(
-                spec, graph.genera[v], nmarks[v], coloring[v], rem).items())
-                for v in range(nv)]
-            colors = tuple(coloring[v] for v in leg_vertex)
+            # a cached k-sum may hold terms above rem: drop them before the
+            # product over the vertices
+            vertex_terms = [sorted(
+                item for item in vertex_contributions(
+                    spec, gv, m, color, rem).items() if item[0][0] <= rem)
+                for gv, m, color in zip(genera, nmarks, coloring)]
             for combo in itertools.product(*vertex_terms):
                 vertex_codim = sum(key[0] for key, _ in combo)
                 if vertex_codim > rem:
@@ -351,12 +394,9 @@ def _graph_terms(spec, graph, B, bound):
                 coeff = factor
                 for _, series in combo:
                     coeff = coeff * series
-                kappa = tuple(key[1] for key, _ in combo)
-                if kappa not in decorated:
-                    decorated[kappa] = DecoratedGraph(graph, None, edge_psi,
-                                                      kappa)
-                yield (edge_codim + vertex_codim, colors, decorated[kappa],
-                       coeff)
+                terms.append((edge_codim + vertex_codim, coloring, edge_psi,
+                              tuple(key[1] for key, _ in combo), coeff))
+    return terms
 
 
 # ---------------------------------------------------------------------------

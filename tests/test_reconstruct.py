@@ -385,31 +385,73 @@ def test_class_symmetry_under_leg_permutation():
 
 def test_cached_contraction_plans_do_not_change_the_class():
     """A spec whose plan cache other cells and tuples have filled gives the
-    same classes, truncations included, as a fresh spec."""
+    same classes, truncations included, as a fresh spec.  One warm spec
+    builds the cells in order of bound, the other builds (0, 5, 2) first, so
+    that the codim-1 cells read its edge bivector and vertex k-sums below
+    the bound they were formed at."""
     frame = idempotent_frame(a2_expansion(trunc=10))
     R = solve_flatness(frame, K=3)
-    warm = CohFTSpec(frame, R)
     units = unit_insertions(frame)
-    combos = list(itertools.combinations_with_replacement(range(2), 5))
-    reconstruct_class(warm, 0, 4, [units[mu] for mu in (0, 1, 1, 1)], 1)
-    reconstruct_class(warm, 1, 2, [units[1], units[1]], 2)
-    for combo in reversed(combos):
-        reconstruct_class(warm, 0, 5, [units[mu] for mu in combo], 2)
+    cells = [(0, 4, 1), (1, 1, 1), (0, 5, 2)]
+    tuples = {(g, n, d): [[units[mu] for mu in combo] for combo in
+                          itertools.combinations_with_replacement(range(2), n)]
+              for g, n, d in cells}
+    fresh = {(cell, k): reconstruct_class(CohFTSpec(frame, R), *cell[:2],
+                                          insertions, cell[2])
+             for cell in cells for k, insertions in enumerate(tuples[cell])}
+    for order in (cells, cells[::-1]):
+        warm = CohFTSpec(frame, R)
+        for g, n, d in order:
+            reconstruct_class(warm, g, n, tuples[g, n, d][-1], d)
+        for (cell, k), want in fresh.items():
+            g, n, d = cell
+            _assert_same_class(
+                reconstruct_class(warm, g, n, tuples[cell][k], d), want)
+    sizes = {cell[:2]: [len(fresh[cell, k].terms)
+                        for k in range(len(tuples[cell]))] for cell in cells}
+    assert max(sizes[0, 4]) > 0 and max(sizes[1, 1]) > 0
+    # only the all-unit tuple gives the zero class
+    assert min(sizes[0, 5][1:]) > 0
+
+
+@pytest.mark.parametrize("expansion", [
+    lambda: a2_expansion(trunc=8),
+    lambda: a2x_a1_expansion(1, trunc=8),
+    lambda: a3_expansion(trunc=8),
+], ids=["a2", "a2xa1", "a3"])
+def test_graph_sum_series_restrict_to_smaller_bounds(expansion):
+    """The edge bivector and the vertex k-sums formed at bound 3 hold those
+    formed at bound 1, each on a fresh spec, values and truncations
+    included: the plan reads them below the bound they were formed at."""
+    frame = idempotent_frame(expansion())
+    R = solve_flatness(frame, K=3)
+    low = edge_series(CohFTSpec(frame, R), 1)
+    high = edge_series(CohFTSpec(frame, R), 3)
+    assert low and set(low) < set(high)
+    assert all(p + q <= 1 for p, q in low)
+    assert {pq for pq in high if sum(pq) <= 1} == set(low)
+    for pq, mat in low.items():
+        assert mat.entries == high[pq].entries
     sizes = []
-    for combo in combos:
-        insertions = [units[mu] for mu in combo]
-        a = reconstruct_class(CohFTSpec(frame, R), 0, 5, insertions, 2)
-        b = reconstruct_class(warm, 0, 5, insertions, 2)
-        _assert_same_class(a, b)
-        sizes.append(len(a.terms))
-    assert min(sizes[1:]) > 0  # only the all-unit tuple gives the zero class
+    for gv, nmark in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 0)]:
+        for color in range(frame.dim):
+            low = reconstruct.vertex_contributions(
+                CohFTSpec(frame, R), gv, nmark, color, 1)
+            high = reconstruct.vertex_contributions(
+                CohFTSpec(frame, R), gv, nmark, color, 3)
+            assert low == {key: s for key, s in high.items() if key[0] <= 1}
+            sizes.append(len(high) - len(low))
+    assert max(sizes) > 0
 
 
 @pytest.mark.parametrize("expansion, probe, cells", [
-    (lambda: a2_expansion(trunc=10), None, [(0, 5, 2), (1, 2, 2), (2, 0, 2)]),
+    # (1, 3, 2) has 16 graphs in 11 shapes, among them repeated shapes with
+    # |Aut| = 2, a double edge and a loop
+    (lambda: a2_expansion(trunc=10), None,
+     [(0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
     # c = 1: the A1 color gives zero leg components
     (lambda: a2x_a1_expansion(1, trunc=8), None,
-     [(0, 5, 2), (1, 2, 2), (2, 0, 2)]),
+     [(0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
     # (0, 5, 2) would take a3 about 5 s
     (lambda: a3_expansion(trunc=8), [0, 1, 0], [(1, 2, 2), (2, 0, 2)]),
 ], ids=["a2", "a2xa1", "a3"])
@@ -626,8 +668,10 @@ def test_leg_psi_weights_match_direct_terms(expansion):
     for g, n, d in [(0, 5, 2), (1, 2, 2), (2, 0, 2)]:
         bound = min(d, 3 * g - 3 + n)
         B = edge_series(spec, bound)
+        shapes = {}
         for graph in enumerate_stable_graphs(g, n, bound):
-            terms = list(reconstruct._graph_terms(spec, graph, B, bound))
+            terms = list(reconstruct._graph_terms(spec, graph, B, bound,
+                                                  shapes))
             leg_vertex = {label: v for v, legs in enumerate(graph.legs)
                           for label in legs}
             budget = bound - len(graph.edges)
