@@ -407,8 +407,9 @@ def test_cached_contraction_plans_do_not_change_the_class():
             g, n, d = cell
             _assert_same_class(
                 reconstruct_class(warm, g, n, tuples[cell][k], d), want)
-    sizes = {cell[:2]: [len(fresh[cell, k].terms)
-                        for k in range(len(tuples[cell]))] for cell in cells}
+    sizes = {}
+    for (cell, _), cls in fresh.items():
+        sizes.setdefault(cell[:2], []).append(len(cls.terms))
     assert max(sizes[0, 4]) > 0 and max(sizes[1, 1]) > 0
     # only the all-unit tuple gives the zero class
     assert min(sizes[0, 5][1:]) > 0
