@@ -578,93 +578,63 @@ def forgetful_pushforward(vector):
 
 
 def _forget_one(dg, coeff, leg_label):
-    """(decorated graph, coefficient) pairs of one forgotten-leg image."""
-    graph = dg.graph
-    v = next(i for i in range(graph.num_vertices) if leg_label in graph.legs[i])
-    b = dg.leg_exponent(leg_label)
-    gv = graph.genera[v]
-    val = graph.valence(v)
-    if 2 * gv - 2 + (val - 1) <= 0:
-        # the vertex contracts; psi at the forgotten point lives on a
-        # 0-dimensional fiber and is zero
-        if b > 0:
-            return
-        term = _drop_leg(dg, v, leg_label, [list(k) for k in dg.kappa])
-        if term is not None:
-            yield term, coeff
-        return
-    # stable vertex: expand each kappa over kappa^up = pi^* kappa + psi^b
-    kappas = list(dg.kappa[v])
-    for subset in itertools.product([0, 1], repeat=len(kappas)):
-        taken = [k for k, s in zip(kappas, subset) if s]
-        kept = [k for k, s in zip(kappas, subset) if not s]
-        B = b + sum(taken)
-        if B == 0:
-            # string case: lower one other psi at this vertex
-            for term in _string_terms(dg, v, leg_label, kept):
-                yield term, coeff
-        else:
-            # kappa_{B-1} at the vertex; kappa_0 is the scalar 2g-2+(val-1)
-            new_kappa = [list(k) for k in dg.kappa]
-            new_kappa[v] = kept
-            factor = coeff
-            if B == 1:
-                factor = factor * (2 * gv - 2 + (val - 1))
-            else:
-                new_kappa[v] = kept + [B - 1]
-            yield _drop_leg(dg, v, leg_label, new_kappa), factor
+    """(decorated graph, coefficient) pairs of one forgotten-leg image.
 
-
-def _string_terms(dg, v, leg_label, kept_kappa):
-    """Decorated graphs with one other psi at vertex v lowered by one."""
-    graph = dg.graph
-    new_kappa = [list(k) for k in dg.kappa]
-    new_kappa[v] = list(kept_kappa)
-    for mk in graph.vertex_markings(v):
-        if mk == ("leg", leg_label):
-            continue
-        if mk[0] == "leg":
-            e = dg.leg_exponent(mk[1])
-            if e >= 1:
-                leg_psi = dict(dg.leg_psi)
-                leg_psi[mk[1]] = e - 1
-                lowered = DecoratedGraph(graph, leg_psi, dg.edge_psi,
-                                         [tuple(k) for k in new_kappa])
-                yield _drop_leg(lowered, v, leg_label, new_kappa)
-        else:
-            _, idx, side = mk
-            e = dg.edge_psi[idx][side]
-            if e >= 1:
-                edge_psi = [list(x) for x in dg.edge_psi]
-                edge_psi[idx][side] = e - 1
-                lowered = DecoratedGraph(graph, dict(dg.leg_psi), edge_psi,
-                                         [tuple(k) for k in new_kappa])
-                yield _drop_leg(lowered, v, leg_label, new_kappa)
-
-
-def _drop_leg(dg, v, leg_label, kappa):
-    """Remove the leg, with ``kappa`` the vertex kappa lists of the image;
-    stabilize if the vertex becomes unstable.
-
-    Returns the decorated graph, or None when the class is zero.
+    The leg comes off the raw decoration once, with its psi exponent b.
+    Every image is one ``_rebuild`` of that data with one change at the
+    leg's vertex, or one ``_contract_vertex`` when the vertex is left an
+    unstable (0, 2): no intermediate graph is formed.
     """
     graph = dg.graph
-    legs = [list(l) for l in graph.legs]
-    legs[v].remove(leg_label)
-    leg_psi = {l: e for l, e in dg.leg_psi if l != leg_label}
+    v = next(i for i, ls in enumerate(graph.legs) if leg_label in ls)
+    legs = [[l for l in ls if l != leg_label] for ls in graph.legs]
+    leg_psi = dict(dg.leg_psi)
+    b = leg_psi.pop(leg_label, 0)
     gv = graph.genera[v]
-    val = len(legs[v]) + sum((a == v) + (b == v) for a, b in graph.edges)
-    if 2 * gv - 2 + val > 0:
-        return _rebuild(graph.genera, legs, graph.edges, leg_psi, dg.edge_psi,
+    val = graph.valence(v) - 1
+    if 2 * gv - 2 + val <= 0:
+        # one removal from a stable vertex leaves (0, 2), or (1, 0) when the
+        # whole graph was (1, 1), whose forgetful map has no stable target
+        if gv != 0 or val != 2:
+            raise ValueError("forgetting leg %d leaves an unstable (%d, %d) "
+                             "vertex" % (leg_label, gv, val))
+        # psi at the forgotten point lives on a 0-dimensional fiber, and a
+        # kappa class on the contracting M_{0,3} is zero
+        if b == 0 and not dg.kappa[v]:
+            term = _contract_vertex(graph, legs, leg_psi, dg.edge_psi,
+                                    dg.kappa, v)
+            if term is not None:
+                yield term, coeff
+        return
+
+    def image(kappa_v, leg_psi=leg_psi, edge_psi=dg.edge_psi):
+        kappa = [kappa_v if w == v else k for w, k in enumerate(dg.kappa)]
+        return _rebuild(graph.genera, legs, graph.edges, leg_psi, edge_psi,
                         kappa)
-    # one removal from a stable vertex leaves (0, 2), or (1, 0) when the
-    # whole graph was (1, 1), whose forgetful map has no stable target
-    if gv != 0 or val != 2:
-        raise ValueError("forgetting leg %d leaves an unstable (%d, %d) vertex"
-                         % (leg_label, gv, val))
-    if kappa[v]:
-        return None  # a kappa class on the contracting M_{0,3} is zero
-    return _contract_vertex(graph, legs, leg_psi, dg.edge_psi, kappa, v)
+
+    # stable vertex: expand each kappa over kappa^up = pi^* kappa + psi^b
+    kappas = dg.kappa[v]
+    for subset in itertools.product([0, 1], repeat=len(kappas)):
+        kept = [k for k, s in zip(kappas, subset) if not s]
+        B = b + sum(k for k, s in zip(kappas, subset) if s)
+        if B == 1:
+            # kappa_0 is the scalar 2g - 2 + val
+            yield image(kept), coeff * (2 * gv - 2 + val)
+        elif B:
+            yield image(kept + [B - 1]), coeff
+        else:
+            # string case: lower one other psi at this vertex
+            for l in legs[v]:
+                if leg_psi.get(l):
+                    lowered = dict(leg_psi)
+                    lowered[l] -= 1
+                    yield image(kept, leg_psi=lowered), coeff
+            for idx, ends in enumerate(graph.edges):
+                for side, w in enumerate(ends):
+                    if w == v and dg.edge_psi[idx][side]:
+                        lowered = [list(x) for x in dg.edge_psi]
+                        lowered[idx][side] -= 1
+                        yield image(kept, edge_psi=lowered), coeff
 
 
 def _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa):

@@ -39,9 +39,9 @@ class CohFTSpec:
     """Frame + R-matrix, with the graph-sum caches built on them.
 
     Each cache lives as long as the spec and is formed once: the edge
-    bivector at the largest bound a plan has asked for, each vertex k-sum
-    per (genus, markings, color) at the largest budget asked for, and each
-    contraction plan per (g, n, bound)."""
+    bivector to one degree below the largest bound a plan has asked for,
+    each vertex k-sum per (genus, markings, color) at the largest budget
+    asked for, and each contraction plan per (g, n, bound)."""
 
     def __init__(self, frame, R):
         self.frame = frame
@@ -49,7 +49,7 @@ class CohFTSpec:
         self._leg_cache = []        # see leg_series
         self._leaf_cache = None     # see dilaton_leaf
         self._vertex_cache = {}     # see vertex_contributions
-        self._edge_cache = (-1, None)   # see contraction_plan
+        self._edge_cache = (-1, {})     # see contraction_plan
         self._plan_cache = {}       # see contraction_plan
         self._delta_cache = {}      # see delta_power
 
@@ -271,16 +271,18 @@ def contraction_plan(spec, g, n, bound):
     listed once per remaining budget.  The pairs are collected per (leg psi,
     decorated graph), and only then do the leg psi go on the graph.  The
     series are formed once per graph shape of the pass (``_graph_terms``).
-    The edge bivector is formed once per spec, at the largest bound asked
-    for (``spec._edge_cache`` holds (bound, B)): its entries of degree at
-    most ``bound`` do not depend on the bound it was formed at."""
+    The edge bivector is formed once per spec, to degree ``bound - 1`` for
+    the largest bound asked for (``spec._edge_cache`` holds (degree, B)): a
+    graph with E >= 1 edges reads its entries only to degree ``bound - E``,
+    and these do not depend on the degree it was formed to.  A bound-0
+    plan has only edgeless graphs and gets the empty B."""
     key = (g, n, bound)
     plan = spec._plan_cache.get(key)
     if plan is None:
-        edge_bound, B = spec._edge_cache
-        if edge_bound < bound:
-            B = edge_series(spec, bound)
-            spec._edge_cache = (bound, B)
+        edge_degree, B = spec._edge_cache
+        if edge_degree < bound - 1:
+            B = edge_series(spec, bound - 1)
+            spec._edge_cache = (bound - 1, B)
         powers = [range(min(len(spec.R.orders), bound + 1))] * n
         # fits[rem]: the leg psi assignments of total at most rem
         fits = [list(_bounded_assignments(powers, rem))

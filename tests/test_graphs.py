@@ -9,6 +9,7 @@ from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
                             _rebuild, cell_basis, enumerate_decorated_basis,
                             enumerate_stable_graphs, forgetful_pushforward,
                             gluing_pushforward, multiply_kappa, multiply_psi)
+from tautrel.intersect import integrate_strata
 
 
 def brute_force_keys(g, n, max_edges):
@@ -333,6 +334,34 @@ def test_forgetful_contraction():
     (dg, c), = out.terms.items()
     assert dg.graph.num_vertices == 1 and dg.graph.genera == (1,)
     assert not dg.graph.edges and c == 1
+
+
+def test_forgetful_pushforward_preserves_integrals_on_a_cell_basis():
+    # int over M_{g,n-1} of pi_* alpha = int over M_{g,n} of alpha, for
+    # every top-codim basis class of (2, 2); the string case lowers an edge
+    # psi on graphs whose two leg-free genus-1 vertices an automorphism
+    # swaps, with a kappa on one of them
+    basis, _ = cell_basis((2, 2, 5))
+    assert len(basis) == 3638
+    for dg in basis:
+        v = StrataVector.single(dg)
+        assert integrate_strata(forgetful_pushforward(v)) == \
+            integrate_strata(v), dg
+
+
+def test_forgetful_string_case_keeps_kappa_with_its_vertex():
+    # genus-2 vertex with leg 1 joined to two genus-1 vertices, psi on both
+    # genus-2 half-edges, kappa_1 on one genus-1 vertex: the string case
+    # lowers either psi, so the kappa ends up once beside the surviving psi
+    # and once away from it
+    graph = StableGraph([1, 1, 2], [[], [], [1]], [(0, 2), (1, 2)])
+    v = StrataVector.single(DecoratedGraph(
+        graph, edge_psi=[(0, 1), (0, 1)], kappa=[(), (1,), ()]))
+    bare = StableGraph([1, 1, 2], [[], [], []], [(0, 2), (1, 2)])
+    want = {DecoratedGraph(bare, edge_psi=[(0, 1), (0, 0)], kappa=kappa): F(1)
+            for kappa in ([(1,), (), ()], [(), (1,), ()])}
+    assert len(want) == 2
+    assert forgetful_pushforward(v).terms == want
 
 
 def test_dilaton_strata_identity():

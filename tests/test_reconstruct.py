@@ -423,7 +423,9 @@ def test_cached_contraction_plans_do_not_change_the_class():
 def test_graph_sum_series_restrict_to_smaller_bounds(expansion):
     """The edge bivector and the vertex k-sums formed at bound 3 hold those
     formed at bound 1, each on a fresh spec, values and truncations
-    included: the plan reads them below the bound they were formed at."""
+    included: the plan reads them below the bound they were formed at.  A
+    plan of bound b keeps the edge bivector to degree b - 1, the empty one
+    at bound 0."""
     frame = idempotent_frame(expansion())
     R = solve_flatness(frame, K=3)
     low = edge_series(CohFTSpec(frame, R), 1)
@@ -433,6 +435,12 @@ def test_graph_sum_series_restrict_to_smaller_bounds(expansion):
     assert {pq for pq in high if sum(pq) <= 1} == set(low)
     for pq, mat in low.items():
         assert mat.entries == high[pq].entries
+    spec = CohFTSpec(frame, R)
+    reconstruct.contraction_plan(spec, 0, 3, 0)
+    assert spec._edge_cache == (-1, {})
+    reconstruct.contraction_plan(spec, 0, 5, 2)
+    degree, B = spec._edge_cache
+    assert degree == 1 and set(B) == set(low)
     sizes = []
     for gv, nmark in [(0, 3), (0, 4), (1, 1), (1, 2), (2, 0)]:
         for color in range(frame.dim):
