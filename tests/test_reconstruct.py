@@ -736,6 +736,11 @@ def test_reconstruct_artifact_pinned(tmp_path):
     (["relations", "--chart", "a2", "--gn", "0,4;0,5;1,1;1,2;2,0",
       "--trunc", "12", "--z-order", "4"], "relations.json",
      "60f247e498b72cfe9502f8d0bfd4b7c98163770b6586a7f64e8ae1bf154de3ba"),
+    # dimension-3 insertion multisets, some mixing the two blocks
+    (["relations", "--chart", "a2xa1", "--param", "t1", "--gn",
+      "0,4;0,5;1,1;1,2;2,0", "--trunc", "12", "--z-order", "4"],
+     "relations.json",
+     "ebc743e3488ce349346fdfa5de362cddca02083cd94c3965dee799f47d83b467"),
     (["relations", "--chart", "a2xa1"], "relations.json",
      "b509cf4bd78dd926e6badca1c4d1ba5bec6ed1d45c4447c0d2cf7489a31ea3fe"),
     (["relations", "--chart", "a3"], "relations.json",
@@ -754,7 +759,7 @@ def test_reconstruct_artifact_pinned(tmp_path):
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
         "rmatrix-a3", "genus1-a3", "relations-a2-eight-cells",
-        "relations-a2xa1", "relations-a3", "frame-a2-tilted",
+        "relations-a2xa1-eight-cells", "relations-a2xa1", "relations-a3", "frame-a2-tilted",
         "rmatrix-a2-tilted", "reconstruct-a2-13-shapes",
         "reconstruct-a2-06-shapes"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
