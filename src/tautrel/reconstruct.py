@@ -30,8 +30,8 @@ from math import factorial
 
 from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
-                     enumerate_stable_graphs, forgetful_pushforward,
-                     multiply_psi)
+                     _canonical_labeling, enumerate_stable_graphs,
+                     forgetful_pushforward, multiply_psi)
 from .puiseux import PuiseuxSeries
 
 
@@ -119,6 +119,21 @@ def edge_series(spec, bound):
             if not resid.is_zero():
                 raise ChartError("edge bivector not divisible: "
                                  "broken symplectic condition at degree %d" % s)
+    # B(psi2, psi1) = B(psi1, psi2)^t, but an entry and its mirror come out
+    # of different products and may be known to different truncations: both
+    # become the one known to the higher truncation, so that a graph's terms
+    # do not depend on the orientation of its edges (``_graph_terms``)
+    for (p, q), mat in B.items():
+        mirror = B.get((q, p))
+        if mirror is None:
+            continue
+        for i, row in enumerate(mat.entries):
+            for j, x in enumerate(row):
+                y = mirror.entries[j][i]
+                if y.trunc > x.trunc:
+                    row[j] = y
+                else:
+                    mirror.entries[j][i] = x
     return B
 
 
@@ -204,7 +219,7 @@ def unit_insertions(frame):
         for mu in range(frame.dim)]
 
 
-def reconstruct_class(spec, g, n, insertions, codim_bound):
+def reconstruct_class(spec, g, n, insertions, codim_bound, orbits=None):
     """The reconstruction as a StrataVector with Puiseux-series coefficients.
 
     ``insertions`` is a list of normalized-coordinate vectors, one per
@@ -224,6 +239,14 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     known below the least truncation of its products, so products that
     cancel still bound it; one that cancels completely is left out of the
     class.
+
+    ``orbits``, if given, maps decorated graphs to orbit labels under a
+    group of leg permutations that fix the insertions (as
+    ``relations.leg_orbits`` forms them).  A permutation that fixes the
+    insertions takes each plan entry to one whose pairs are the same leg
+    factors times the same weight series, so within an orbit only the first
+    entry of the plan is evaluated, with its leg factors, and every other
+    entry gets its series, truncation included.
     """
     if len(insertions) != n:
         raise ValueError("expected %d insertions" % n)
@@ -241,8 +264,18 @@ def reconstruct_class(spec, g, n, insertions, codim_bound):
     class_data = [leg_series(spec, v) for v in distinct]
     memo = {(): PuiseuxSeries.const(1, spec.param)}
     factors = {}    # slot -> its leg factor
+    orbits = orbits or {}
+    firsts = {}     # orbit label -> the orbit's first entry
     out = StrataVector(g, n)
     for dg, slots in contraction_plan(spec, g, n, bound):
+        label = orbits.get(dg)
+        if label is not None:
+            first = firsts.setdefault(label, dg)
+            if first is not dg:
+                coeff = out.terms.get(first)
+                if coeff is not None:
+                    out.terms[dg] = coeff
+                continue
         pairs = []
         for slot, weight in slots:
             factor = factors.get(slot)
@@ -327,33 +360,52 @@ def _graph_terms(spec, graph, B, bound, shapes):
     The leg colors are those of the legs' vertices, in label order; the
     series is 1/|Aut| * prod edge bivector entries * prod vertex k-sums, and
     times the leg components of the colors it is a term of the class.  The
-    series depend only on the graph's shape: genera, marking count per
-    vertex, edges and |Aut|, in canonical vertex order.  ``shapes`` maps
-    each shape met in one plan build to its leg-free terms (extra codim,
-    coloring, edge psi, kappa, series), formed on its first graph
-    (``_shape_terms``); each graph of the shape adds its leg colors and one
-    DecoratedGraph per (edge psi, kappa).
+    series depend only on the graph's shape: its isomorphism class as a
+    graph with vertices labelled by (genus, marking count), and |Aut|.  The
+    shape is read in its canonical vertex order from
+    ``graphs._canonical_labeling``, given each vertex's marking count in
+    place of its legs, whose first map takes the graph's vertices to the
+    shape's.  ``shapes`` maps each shape met in one plan build to its
+    leg-free terms (extra codim, coloring, edge psi, kappa, series) in that
+    order, formed once (``_shape_terms``).  Each graph of the shape carries
+    a term's coloring, kappa and edge psi back through the vertex map, an
+    edge's psi pair flipped where the map reverses the edge, and adds its
+    leg colors and one DecoratedGraph per (edge psi, kappa).
     """
-    nmarks = tuple(len(graph.vertex_markings(v))
+    nmarks = tuple((len(graph.vertex_markings(v)),)
                    for v in range(graph.num_vertices))
-    shape = (graph.genera, nmarks, graph.edges, graph.aut_order())
+    genera, marks, edges, coset = _canonical_labeling(graph.genera, nmarks,
+                                                      graph.edges)
+    shape = (genera, tuple(m for (m,) in marks), edges, graph.aut_order())
     terms = shapes.get(shape)
     if terms is None:
         terms = shapes[shape] = _shape_terms(spec, shape, B, bound)
-    leg_vertex = [v for _, v in sorted(
+    to_shape = coset[0]
+    edge_map = []       # per graph edge: (shape edge, reversed by the map)
+    free = {}
+    for k, ends in enumerate(edges):
+        free.setdefault(ends, []).append(k)
+    for a, b in graph.edges:
+        a, b = to_shape[a], to_shape[b]
+        edge_map.append((free[min(a, b), max(a, b)].pop(), a > b))
+    leg_vertex = [to_shape[v] for _, v in sorted(
         (label, v) for v, legs in enumerate(graph.legs) for label in legs)]
     decorated = {}      # (edge psi, kappa) -> DecoratedGraph
     for extra, coloring, edge_psi, kappa, series in terms:
         dg = decorated.get((edge_psi, kappa))
         if dg is None:
             dg = decorated[edge_psi, kappa] = DecoratedGraph(
-                graph, None, edge_psi, kappa)
-        yield extra, tuple(coloring[v] for v in leg_vertex), dg, series
+                graph, None,
+                [edge_psi[k][::-1] if flip else edge_psi[k]
+                 for k, flip in edge_map],
+                [kappa[w] for w in to_shape])
+        yield extra, tuple(coloring[w] for w in leg_vertex), dg, series
 
 
 def _shape_terms(spec, shape, B, bound):
     """The leg-free terms of a graph shape (genera, marking counts, edges,
-    |Aut|) as a list of (extra codim, coloring, edge psi, kappa, series).
+    |Aut|, in the shape's vertex order) as a list of (extra codim, coloring,
+    edge psi, kappa, series).
 
     A term is listed when its extra codim, that of the edge psi and kappa
     decoration, is at most ``bound - E``.  A vertex k-sum term of extra

@@ -106,6 +106,12 @@ def extract_relations(spec, cells):
     fields, serially and in a fixed order.  All tuples of a (g, n) share one
     leg-independent graph sum (``reconstruct.contraction_plan``, cached on
     the spec), so each reconstruction only forms its own leg factors.
+
+    A multiset's tuple is sorted, so its equal insertions sit on adjacent
+    legs, and the transpositions (i, i + 1) of adjacent equal legs generate
+    the leg permutations that fix it.  Each reconstruction gets their orbits
+    (``leg_orbits``) and evaluates one coefficient per orbit: the class is
+    equivariant, so the others are copies.
     """
     rs = RelationSet(cells)
     units = unit_insertions(spec.frame)
@@ -117,7 +123,8 @@ def extract_relations(spec, cells):
         for combo in itertools.combinations_with_replacement(range(spec.dim),
                                                              n):
             insertions = [units[mu] for mu in combo]
-            cls = reconstruct_class(spec, g, n, insertions, dmax)
+            cls = reconstruct_class(spec, g, n, insertions, dmax,
+                                    leg_orbits(g, n, dmax, combo))
             for d in ds:
                 try:
                     vectors = list(polar_vectors(cls.codim_part(d)))
@@ -128,6 +135,48 @@ def extract_relations(spec, cells):
                 for vector in vectors:
                     rs.add((g, n, d), vector)
     return rs
+
+
+def leg_orbits(g, n, dmax, labels):
+    """The orbits, on the basis of every cell (g, n, d) with 1 <= d <= dmax
+    up to the dimension 3g - 3 + n, of the transpositions (i, i + 1) of the
+    adjacent legs whose insertion labels ``labels[i - 1]`` and ``labels[i]``
+    are equal: a dict from each decorated graph whose orbit has more than
+    one element to the orbit's least basis element (``_swap_orbits``)."""
+    return _swap_orbits(g, n, dmax, tuple(
+        i for i in range(1, n) if labels[i - 1] == labels[i]))
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_orbits(g, n, dmax, swaps):
+    """``leg_orbits`` of the transpositions (i, i + 1), i in ``swaps``.
+
+    The orbits are read from the closure's ``("swap", i)`` operator maps,
+    each a permutation of its cell's basis, which the closure then finds
+    memoized.  Memoized too: they do not depend on the chart.  Codim 0 holds
+    the smooth graph alone.
+    """
+    orbits = {}
+    for d in range(1, min(dmax, 3 * g - 3 + n) + 1):
+        cell = (g, n, d)
+        basis = cell_basis(cell)[0]
+        perms = [[k for (k,) in operator_map(cell, ("swap", i), cell)]
+                 for i in swaps]
+        least = [None] * len(basis)
+        for j in range(len(basis)):
+            if least[j] is not None:
+                continue
+            least[j] = j
+            orbit = [j]
+            for k in orbit:     # grows while it is walked
+                for perm in perms:
+                    if least[perm[k]] is None:
+                        least[perm[k]] = j
+                        orbit.append(perm[k])
+            if len(orbit) > 1:
+                for k in orbit:
+                    orbits[basis[k]] = basis[j]
+    return orbits
 
 
 def polar_vectors(vector):

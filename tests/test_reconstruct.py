@@ -22,6 +22,7 @@ from tautrel.reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift,
                                  edge_series, genus_one_correlator,
                                  leg_series, reconstruct_class,
                                  to_normalized_insertion, unit_insertions)
+from tautrel.relations import leg_orbits
 from tautrel.rmatrix import RMatrix, solve_flatness
 
 V = MP.var
@@ -454,21 +455,27 @@ def test_graph_sum_series_restrict_to_smaller_bounds(expansion):
 
 
 @pytest.mark.parametrize("expansion, probe, cells", [
-    # (1, 3, 2) has 16 graphs in 11 shapes, among them repeated shapes with
+    # (1, 3, 2) has 16 graphs in 8 shapes, among them repeated shapes with
     # |Aut| = 2, a double edge and a loop
     (lambda: a2_expansion(trunc=10), None,
-     [(0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
+     [(0, 5, 1), (0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
     # c = 1: the A1 color gives zero leg components
     (lambda: a2x_a1_expansion(1, trunc=8), None,
-     [(0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
+     [(0, 5, 1), (0, 5, 2), (1, 2, 2), (2, 0, 2), (1, 3, 2)]),
+    (lambda: a2x_a1_expansion(F(-2, 3), trunc=8), None,
+     [(0, 5, 1), (0, 5, 2), (1, 2, 2), (1, 3, 2)]),
     # (0, 5, 2) would take a3 about 5 s
     (lambda: a3_expansion(trunc=8), [0, 1, 0], [(1, 2, 2), (2, 0, 2)]),
-], ids=["a2", "a2xa1", "a3"])
+], ids=["a2", "a2xa1", "a2xa1-c-2/3", "a3"])
 def test_plan_matches_per_call_grouping(expansion, probe, cells):
     """For every insertion tuple of flat basis fields, the class contracted
     on the cached plan is the class summed afresh per call in leg order
-    (``_leg_order_class``), truncations included, on a cold spec and on a
-    warm one whose plan another tuple built."""
+    (``_leg_order_class``), truncations and strings included, on a cold spec
+    and on a warm one whose plan another tuple built.  So is the class
+    that extraction forms on the warm spec, one coefficient per orbit of
+    the transpositions of adjacent equal insertions (``leg_orbits``), and
+    the one of the unsorted tuple (0, 1, 0) on (1, 3, 2), whose repeated
+    insertions are not adjacent."""
     frame = idempotent_frame(expansion(), probe=probe)
     R = solve_flatness(frame, K=3)
     units = unit_insertions(frame)
@@ -479,6 +486,8 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
         combos = list(itertools.combinations_with_replacement(
             range(frame.dim), n))
         reconstruct_class(warm, g, n, [units[mu] for mu in combos[-1]], d)
+        if (g, n) == (1, 3):
+            combos.append((0, 1, 0))
         for combo in combos:
             insertions = [units[mu] for mu in combo]
             want = _leg_order_class(oracle_spec, g, n,
@@ -486,8 +495,49 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
             for spec in (CohFTSpec(frame, R), warm):
                 got = reconstruct_class(spec, g, n, insertions, d)
                 _assert_same_class(got, want)
-            sizes.append(len(want.terms))
-    assert max(sizes) > 0
+            orbits = leg_orbits(g, n, d, combo)
+            _assert_same_class(
+                reconstruct_class(warm, g, n, insertions, d, orbits), want)
+            sizes.append((len(want.terms), len(set(orbits.values()))))
+    assert max(sizes)[0] > 0 and max(size[1] for size in sizes) > 0
+
+
+@pytest.mark.parametrize("expansion, combos", [
+    (lambda: a2_expansion(trunc=10), [(0, 0, 0, 0, 0, 1), (0, 0, 0, 1, 1, 1)]),
+    (lambda: a2x_a1_expansion(1, trunc=8),
+     [(0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 2, 2)]),
+], ids=["a2", "a2xa1"])
+def test_isomorphic_shapes_share_their_terms(monkeypatch, expansion, combos):
+    """A plan build forms the terms once per isomorphism class of leg-free
+    shape and |Aut|: 3 on (0, 5, 2), whose graphs have 6 vertex orders of
+    them, 5 on (0, 6, 2), with 13, and 8 on (1, 3, 2), with 11.  On (0, 6,
+    2), where the graphs of a shape reach it through vertex maps that
+    reverse edges, the class is still the class summed afresh in leg order,
+    on a cold spec and on a warm one."""
+    frame = idempotent_frame(expansion())
+    R = solve_flatness(frame, K=3)
+    builds = Counter()
+    shape_terms = reconstruct._shape_terms
+
+    def counted(spec, shape, B, bound):
+        builds[len(spec._plan_cache)] += 1
+        return shape_terms(spec, shape, B, bound)
+
+    monkeypatch.setattr(reconstruct, "_shape_terms", counted)
+    spec = CohFTSpec(frame, R)
+    for g, n, d in [(0, 5, 2), (0, 6, 2), (1, 3, 2)]:
+        reconstruct.contraction_plan(spec, g, n, d)
+    assert [builds[k] for k in range(3)] == [3, 5, 8]
+    units = unit_insertions(frame)
+    warm = CohFTSpec(frame, R)
+    reconstruct_class(warm, 0, 6, [units[-1]] * 6, 2)
+    for combo in combos:
+        insertions = [units[mu] for mu in combo]
+        want = _leg_order_class(spec, 0, 6, [(v, 0) for v in insertions], 2)
+        assert want.terms
+        for sp in (CohFTSpec(frame, R), warm):
+            _assert_same_class(reconstruct_class(sp, 0, 6, insertions, 2),
+                               want)
 
 
 def test_second_tuple_reads_the_plan_alone(monkeypatch):
@@ -606,6 +656,7 @@ def _assert_same_class(a, b):
     assert a.terms.keys() == b.terms.keys()
     for dg, c in a.terms.items():
         assert c == b.terms[dg] and c.trunc == b.terms[dg].trunc
+        assert str(c) == str(b.terms[dg])
 
 
 def test_shared_leg_products_match_leg_order(monkeypatch):

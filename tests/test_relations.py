@@ -10,7 +10,8 @@ from tautrel.frobenius import idempotent_frame, integer_row, rref
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
                             cell_basis, forgetful_pushforward,
                             gluing_pushforward, multiply_kappa, multiply_psi)
-from tautrel.intersect import integrate_against_monomial, smooth_monomial_basis
+from tautrel.intersect import (integrate_against_monomial, pairing_matrix,
+                              smooth_monomial_basis)
 from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
@@ -542,6 +543,54 @@ def test_closure_maps_match_graph_operations():
     assert glued == {((0, 4, 1), (0, 5, 2)), ((0, 4, 1), (1, 2, 2)),
                      ((1, 1, 1), (1, 2, 2)), ((1, 1, 1), (2, 0, 2)),
                      ((1, 2, 1), (2, 0, 2))}
+
+
+@pytest.mark.parametrize("cell", [(0, 5, 1), (0, 5, 2), (1, 2, 2),
+                                  (1, 3, 2)],
+                         ids=["0-5-1", "0-5-2", "1-2-2", "1-3-2"])
+def test_swap_maps_are_permutations_with_the_braid_relations(cell):
+    """Extraction reads leg orbits from the ("swap", i) maps, so each must
+    permute the cell's basis with coefficient 1, and the maps must satisfy
+    s_i^2 = 1, s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1) and s_i s_j = s_j s_i
+    for |i - j| >= 2.  Each must also move the partial pairing as the swap
+    moves the psi-kappa monomials: <s_i a, m> = <a, s_i m>, which fails when
+    a half-edge psi stays behind as the vertices of the graph are
+    reordered."""
+    g, n, _ = cell
+    size = len(cell_basis(cell)[0])
+    _, monomials, pairing = pairing_matrix(*cell)
+    column = {m.key(): c for c, m in enumerate(monomials)}
+    swaps = {}
+    for i in range(1, n):
+        opmap = operator_map(cell, ("swap", i), cell)
+        assert all(list(row.values()) == [1] for row in opmap)
+        perm = tuple(k for (k,) in opmap)
+        assert sorted(perm) == list(range(size))
+        swaps[i] = perm
+        label = {i: i + 1, i + 1: i}
+        moved = [column[DecoratedGraph.smooth(
+            g, n, {label.get(l, l): e for l, e in m.leg_psi},
+            m.kappa[0]).key()] for m in monomials]
+        for j, k in enumerate(perm):
+            assert [pairing[k][c] for c in range(len(monomials))] == \
+                [pairing[j][c] for c in moved]
+
+    def word(*letters):
+        # the permutation s_a s_b ... of the columns, rightmost first
+        out = tuple(range(size))
+        for i in reversed(letters):
+            out = tuple(swaps[i][k] for k in out)
+        return out
+
+    identity = tuple(range(size))
+    assert any(perm != identity for perm in swaps.values())
+    for i in swaps:
+        assert word(i, i) == identity
+        if i + 1 in swaps:
+            assert word(i, i + 1, i) == word(i + 1, i, i + 1)
+        for j in swaps:
+            if abs(i - j) >= 2:
+                assert word(i, j) == word(j, i)
 
 
 def test_closed_artifact_bytes_independent_of_order():
