@@ -137,25 +137,20 @@ def extract_relations(spec, cells):
     return rs
 
 
+@functools.lru_cache(maxsize=None)
 def leg_orbits(g, n, dmax, labels):
     """The orbits, on the basis of every cell (g, n, d) with 1 <= d <= dmax
     up to the dimension 3g - 3 + n, of the transpositions (i, i + 1) of the
     adjacent legs whose insertion labels ``labels[i - 1]`` and ``labels[i]``
     are equal: a dict from each decorated graph whose orbit has more than
-    one element to the orbit's least basis element (``_swap_orbits``)."""
-    return _swap_orbits(g, n, dmax, tuple(
-        i for i in range(1, n) if labels[i - 1] == labels[i]))
-
-
-@functools.lru_cache(maxsize=None)
-def _swap_orbits(g, n, dmax, swaps):
-    """``leg_orbits`` of the transpositions (i, i + 1), i in ``swaps``.
+    one element to the orbit's least basis element.  Codim 0 holds the
+    smooth graph alone.
 
     The orbits are read from the closure's ``("swap", i)`` operator maps,
     each a permutation of its cell's basis, which the closure then finds
-    memoized.  Memoized too: they do not depend on the chart.  Codim 0 holds
-    the smooth graph alone.
+    memoized.  Memoized too: they do not depend on the chart.
     """
+    swaps = [i for i in range(1, n) if labels[i - 1] == labels[i]]
     orbits = {}
     for d in range(1, min(dmax, 3 * g - 3 + n) + 1):
         cell = (g, n, d)
