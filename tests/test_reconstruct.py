@@ -481,6 +481,7 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
     units = unit_insertions(frame)
     oracle_spec = CohFTSpec(frame, R)
     sizes = []
+    shared = 0      # graphs in orbits of more than one element
     for g, n, d in cells:
         warm = CohFTSpec(frame, R)
         combos = list(itertools.combinations_with_replacement(
@@ -498,8 +499,9 @@ def test_plan_matches_per_call_grouping(expansion, probe, cells):
             orbits = leg_orbits(g, n, d, combo)
             _assert_same_class(
                 reconstruct_class(warm, g, n, insertions, d, orbits), want)
-            sizes.append((len(want.terms), len(set(orbits.values()))))
-    assert max(sizes)[0] > 0 and max(size[1] for size in sizes) > 0
+            sizes.append(len(want.terms))
+            shared += len(orbits)
+    assert max(sizes) > 0 and shared > 0
 
 
 @pytest.mark.parametrize("expansion, combos", [
@@ -516,18 +518,21 @@ def test_isomorphic_shapes_share_their_terms(monkeypatch, expansion, combos):
     on a cold spec and on a warm one."""
     frame = idempotent_frame(expansion())
     R = solve_flatness(frame, K=3)
-    builds = Counter()
+    builds = []
     shape_terms = reconstruct._shape_terms
 
     def counted(spec, shape, B, bound):
-        builds[len(spec._plan_cache)] += 1
+        builds.append(shape)
         return shape_terms(spec, shape, B, bound)
 
     monkeypatch.setattr(reconstruct, "_shape_terms", counted)
     spec = CohFTSpec(frame, R)
+    counts = []
     for g, n, d in [(0, 5, 2), (0, 6, 2), (1, 3, 2)]:
+        builds.clear()
         reconstruct.contraction_plan(spec, g, n, d)
-    assert [builds[k] for k in range(3)] == [3, 5, 8]
+        counts.append(len(builds))
+    assert counts == [3, 5, 8]
     units = unit_insertions(frame)
     warm = CohFTSpec(frame, R)
     reconstruct_class(warm, 0, 6, [units[-1]] * 6, 2)
@@ -810,8 +815,8 @@ def test_reconstruct_artifact_pinned(tmp_path):
 ], ids=["frame-a2", "frame-a2xa1", "rmatrix-a2", "rmatrix-family",
         "genus1-a2xa1", "reconstruct-a2xa1-repeated", "frame-a3",
         "rmatrix-a3", "genus1-a3", "relations-a2-eight-cells",
-        "relations-a2xa1-eight-cells", "relations-a2xa1", "relations-a3", "frame-a2-tilted",
-        "rmatrix-a2-tilted", "reconstruct-a2-13-shapes",
+        "relations-a2xa1-eight-cells", "relations-a2xa1", "relations-a3",
+        "frame-a2-tilted", "rmatrix-a2-tilted", "reconstruct-a2-13-shapes",
         "reconstruct-a2-06-shapes"])
 def test_cli_artifact_pinned(tmp_path, argv, name, digest):
     # sha256 of the artifact with the echoed output directory removed
