@@ -160,7 +160,7 @@ def _canonical_labeling(genera, legs, edges):
 class DecoratedGraph:
     """Stable graph with psi-exponents on legs/half-edges and vertex kappas."""
 
-    __slots__ = ("graph", "leg_psi", "edge_psi", "kappa", "_key")
+    __slots__ = ("graph", "leg_psi", "edge_psi", "kappa", "_key", "_hash")
 
     def __init__(self, graph, leg_psi=None, edge_psi=None, kappa=None):
         # the coset of the canonical graph's own labeling is its Aut
@@ -176,6 +176,7 @@ class DecoratedGraph:
         self.leg_psi = tuple(sorted((l, e) for l, e in leg_psi.items() if e))
         self.edge_psi, self.kappa = decoration
         self._key = (graph.key(), self.leg_psi, self.edge_psi, self.kappa)
+        self._hash = hash(self._key)
 
     def with_leg_psi(self, leg_psi):
         """This decorated graph with the leg psi exponents ``leg_psi`` in
@@ -205,7 +206,7 @@ class DecoratedGraph:
         return isinstance(other, DecoratedGraph) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return ("Stratum(%r, leg_psi=%s, edge_psi=%s, kappa=%s)"

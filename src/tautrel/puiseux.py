@@ -247,6 +247,14 @@ class PuiseuxSeries:
     def support(self):
         return [Fraction(k, self.ram) for k, _ in groupby(self.terms, _KEY)]
 
+    def polar_terms(self):
+        """The terms below exponent 0 as ``(exponent, monomial, numerator)``
+        triples in increasing exponent, with the one denominator ``den``:
+        ``(triples, den)``."""
+        stop = bisect_left(self.terms, (0,))
+        return ([(Fraction(k, self.ram), _MONOS[i], n)
+                 for k, i, n in self.terms[:stop]], self.den)
+
     def leading(self) -> MultiPoly:
         """The coefficient of the least exponent; the series must be nonzero."""
         return _poly(next(groupby(self.terms, _KEY))[1], self.den)

@@ -19,6 +19,7 @@ import functools
 import heapq
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .frobenius import integer_row, reduce_row, rref
 from .graphs import (DecoratedGraph, StrataVector, _rebuild, cell_basis,
@@ -125,15 +126,19 @@ def extract_relations(spec, cells):
             insertions = [units[mu] for mu in combo]
             cls = reconstruct_class(spec, g, n, insertions, dmax,
                                     leg_orbits(g, n, dmax, combo))
+            parts = {}
+            for dg, series in cls.terms.items():
+                parts.setdefault(dg.codim(), []).append((dg, series))
             for d in ds:
+                cell = (g, n, d)
                 try:
-                    vectors = list(polar_vectors(cls.codim_part(d)))
+                    rows = list(polar_vectors(cell, parts.get(d, ())))
                 except ValueError as exc:
                     raise ValueError("cell %s with trunc %s: %s"
-                                     % ((g, n, d), spec.frame.expansion.trunc,
+                                     % (cell, spec.frame.expansion.trunc,
                                         exc)) from None
-                for vector in vectors:
-                    rs.add((g, n, d), vector)
+                for row in rows:
+                    rs.add(cell, row)
     return rs
 
 
@@ -174,27 +179,36 @@ def leg_orbits(g, n, dmax, labels):
     return orbits
 
 
-def polar_vectors(vector):
-    """Rational strata vectors from the negative-exponent coefficients.
+def polar_vectors(cell, terms):
+    """Integer relation rows from the negative-exponent coefficients.
 
-    Yields one StrataVector over Q per (exponent, background monomial), in
-    increasing exponent.  Raises if a series cannot certify its polar part.
+    ``terms`` are the (decorated graph, series) pairs of a class in
+    ``cell``.  Yields one ``{column: int}`` row in the cell's basis per
+    (exponent, background monomial), in increasing exponent: each series'
+    integer numerators below exponent 0, over its one ``den``, brought over
+    the lcm of the row's denominators.  Raises ValueError if a series
+    cannot certify its polar part or a graph with one lies outside the
+    cell's basis.
     """
+    _, index = cell_basis(cell)
     slots = {}
-    for dg, series in vector.terms.items():
+    for dg, series in terms:
         if series.trunc <= 0:
             raise ValueError(
                 "truncation %s cannot certify polar coefficients" % series.trunc)
-        for e in series.support():
-            if e >= 0:
-                break
-            for mono, coeff in series.coefficient(e).terms.items():
-                slots.setdefault((e, mono), {})[dg] = coeff
-    for _, terms in sorted(slots.items(),
-                           key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        vec = StrataVector(vector.g, vector.n)
-        vec.terms = dict(terms)
-        yield vec
+        polar, den = series.polar_terms()
+        if not polar:
+            continue
+        col = index.get(dg.key())
+        if col is None:
+            raise ValueError("relation in cell %s has a graph outside the "
+                             "cell's basis: %r" % (cell, dg))
+        for e, mono, num in polar:
+            slots.setdefault((e, mono), []).append((col, num, den))
+    for _, entries in sorted(slots.items(),
+                             key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        m = lcm(*[den for _, _, den in entries])
+        yield {col: num * (m // den) for col, num, den in entries}
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +230,43 @@ def relabel_legs(vector, perm):
 def close_relations(rs):
     """Smallest stable system containing rs, within its cells.
 
-    Priority closure on basis coordinates, starting from an empty
-    RelationSet.  The frontier is a heap of integer rows keyed by (bit length
-    of the largest entry, number of entries, insertion order), seeded with
-    the rows of ``rs``.  The smallest row goes to ``add`` first, and only a
-    row that ``add`` accepts has its images pushed, one per operation, each a
-    column map from its cell's basis to the target cell's basis
-    (``operator_map``).  A rejected row lies in the span of the rows accepted
-    before it, so its images lie in the span of theirs.  The closed span, and
-    with it the RREF, does not depend on the order; taking small rows first
-    keeps the large integers of extracted rows out of the back-substitution
-    of every later row.
+    Two priority closures (``_close``), each on basis coordinates and
+    starting from an empty RelationSet.  The first closes the rows of
+    ``rs`` under the adjacent leg transpositions ``("swap", i)`` alone.
+    These generate the leg relabelings, so it gives the span of every
+    relabeling of the seeds: the smallest span that contains them and is
+    stable under S_n.  The second closes that span under every other
+    operation of ``closure_operations``, with no swaps: psi_j for every
+    leg j, kappa_a, forgetting the last leg, and grafting into every listed
+    graph at every vertex of the cell's type.  Each of these families
+    commutes with the leg relabelings up to a permutation of its members
+    (relabeling takes psi_j to psi_sigma(j), the forgetful map of the
+    last leg to its own conjugate, a graft into a graph to a graft into
+    the relabeled graph of the relabeled row), so it takes an S_n-stable
+    span to an S_n-stable span, and so does every step of the second
+    closure.  Its result is therefore stable under the swaps as well: the
+    same smallest stable system as one closure under every operation, and
+    with it the same RREF, which depends only on the span.  For the same
+    reason a row is grafted with its legs as they are: every relabeling
+    lies in its cell's span, and grafting is linear.
+    """
+    return _close(_close(rs, True), False)
 
-    Adjacent leg transpositions generate the full relabeling action on spans,
-    so only those are applied.  For the same reason a row is grafted with its
-    legs as they are: every relabeling lies in its cell's closed span, and
-    grafting is linear, so grafting the relabelings adds nothing the identity
-    grafts of the span's rows do not already give.
+
+def _close(rs, swaps):
+    """The priority closure of the rows of ``rs`` under the swaps of
+    ``closure_operations`` (``swaps`` True) or under its other operations.
+
+    The frontier is a heap of integer rows keyed by (bit length of the
+    largest entry, number of entries, insertion order), seeded with the
+    rows of ``rs``.  The smallest row goes to ``add`` first, and only a row
+    that ``add`` accepts has its images pushed, one per operation, each a
+    column map from its cell's basis to the target cell's basis
+    (``operator_map``).  A rejected row lies in the span of the rows
+    accepted before it, so its images lie in the span of theirs.  The
+    closed span, and with it the RREF, does not depend on the order;
+    taking small rows first keeps the large integers of extracted rows out
+    of the back-substitution of every later row.
     """
     cells = rs.cells
     out = RelationSet(cells)
@@ -253,7 +287,8 @@ def close_relations(rs):
             continue
         if cell not in maps:
             maps[cell] = [(target, operator_map(cell, op, target))
-                          for op, target in closure_operations(cell, cells)]
+                          for op, target in closure_operations(cell, cells)
+                          if (op[0] == "swap") == swaps]
         for target, opmap in maps[cell]:
             image = _apply_map(opmap, row)
             if image:

@@ -5,14 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from tautrel.charts import a2_expansion, a2x_a1_expansion
+from tautrel.charts import a2_expansion, a2x_a1_expansion, a3_expansion
 from tautrel.frobenius import idempotent_frame, integer_row, rref
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
                             cell_basis, forgetful_pushforward,
                             gluing_pushforward, multiply_kappa, multiply_psi)
 from tautrel.intersect import (integrate_against_monomial, pairing_matrix,
                               smooth_monomial_basis)
-from tautrel.puiseux import SeriesMatrix, PuiseuxSeries as PS
+from tautrel.multipoly import MultiPoly as MP
+from tautrel.puiseux import INF, SeriesMatrix, PuiseuxSeries as PS
+from tautrel import relations
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
                                closure_operations, compare_spans,
@@ -210,12 +212,12 @@ def test_cancelled_products_keep_their_truncation():
     coeff = PS.sum_of_products(pairs, "t")
     assert str(coeff) == "t^-1 + O(t^0)"
     with pytest.raises(ValueError, match="cannot certify polar coefficients"):
-        list(polar_vectors(StrataVector(1, 1, {psi: coeff})))
+        list(polar_vectors((1, 1, 1), {psi: coeff}.items()))
     # summed pair by pair into a StrataVector, the cancelled partial sum is
     # dropped with its truncation and t^-1 + O(t^5) would certify
     pairwise = StrataVector(1, 1, [(psi, a * b) for a, b in pairs])
     assert str(pairwise.terms[psi]) == "t^-1 + O(t^5)"
-    assert len(list(polar_vectors(pairwise))) == 1
+    assert len(list(polar_vectors((1, 1, 1), pairwise.terms.items()))) == 1
 
 
 def test_extraction_empty_on_zero_dimensional_moduli():
@@ -298,6 +300,129 @@ def driver_a2():
     relations and their closure, shared by the tests that use them."""
     rs = extract_relations(a2_spec(K=4, trunc=12), CELLS8 + SOURCES)
     return rs, close_relations(rs)
+
+
+# the charts of the CLI runs and the paper's A3 chart, each with its cells
+CHARTS = {
+    "a2": (lambda: a2_expansion(trunc=12), None, 4, CELLS8),
+    "a2xa1-c1": (lambda: a2x_a1_expansion(1, trunc=12), None, 4, CELLS8),
+    "a2xa1-c-2/3": (lambda: a2x_a1_expansion(F(-2, 3), trunc=12), None, 4,
+                    CELLS8),
+    "a3": (lambda: a3_expansion(trunc=10), [0, 1, 0], 3,
+           [(1, 1, 1), (0, 4, 1)]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def chart_spec(name):
+    """The spec of ``CHARTS[name]`` and its cells, shared by the tests."""
+    expansion, probe, K, cells = CHARTS[name]
+    frame = idempotent_frame(expansion(), probe=probe)
+    return CohFTSpec(frame, solve_flatness(frame, K=K)), cells
+
+
+def _rational_polar_vectors(vector):
+    """The polar rows in their earlier form, kept as an oracle: one rational
+    StrataVector per (exponent, background monomial), in increasing
+    exponent, read through ``support`` and ``coefficient``."""
+    slots = {}
+    for dg, series in vector.terms.items():
+        if series.trunc <= 0:
+            raise ValueError(
+                "truncation %s cannot certify polar coefficients" % series.trunc)
+        for e in series.support():
+            if e >= 0:
+                break
+            for mono, coeff in series.coefficient(e).terms.items():
+                slots.setdefault((e, mono), {})[dg] = coeff
+    for _, terms in sorted(slots.items(),
+                           key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        vec = StrataVector(vector.g, vector.n)
+        vec.terms = dict(terms)
+        yield vec
+
+
+def _assert_polar_rows_match_oracle(cell, terms, spans):
+    """Each integer row of ``polar_vectors`` is a positive multiple of the
+    oracle's row of its slot; both are reduced into ``spans[cell]``, a
+    pair of pivot maps, which must stay equal."""
+    rows = list(polar_vectors(cell, terms))
+    vector = StrataVector(cell[0], cell[1])
+    vector.terms = dict(terms)
+    oracle = [integer_row(to_row(cell, vec))
+              for vec in _rational_polar_vectors(vector)]
+    assert len(rows) == len(oracle)
+    for row, ref in zip(rows, oracle):
+        assert row.keys() == ref.keys()
+        ratio = F(row[min(ref)], ref[min(ref)])
+        assert ratio > 0
+        assert all(row[c] == ratio * ref[c] for c in ref), (row, ref)
+    ours, theirs = spans.setdefault(cell, ({}, {}))
+    rref([dict(row) for row in rows], ours)
+    rref(oracle, theirs)
+    assert ours == theirs
+
+
+def _random_polar_class(rng, cell):
+    """(decorated graph, series) pairs on part of the basis of ``cell``:
+    ram 1, 2 or 3, rational coefficients with denominators up to 35 over
+    monomials with @i and @r symbols, finite or infinite truncations."""
+    monos = [MP.const(1), MP.var("@i"), MP.var("@r2", 5), MP.var("x"),
+             MP.monomial(1, [("@i", 1), ("@r3", 7)]),
+             MP.monomial(1, [("x", 1), ("@r2", 6)])]
+    basis = cell_basis(cell)[0]
+    terms = []
+    for dg in rng.sample(basis, min(len(basis), 8)):
+        ram = rng.choice((1, 2, 3))
+        coeffs = {}
+        for k in rng.sample(range(-3 * ram, 2 * ram), 4):
+            coeffs[k] = sum((F(rng.choice((-7, -3, -1, 1, 2, 5, 9)),
+                               rng.randint(1, 35)) * mono
+                             for mono in rng.sample(monos, rng.randint(1, 3))),
+                            MP.const(0))
+        trunc = INF if rng.random() < 0.2 else F(rng.randint(1, 3 * ram), ram)
+        terms.append((dg, PS("t", coeffs, ram, trunc)))
+    return terms
+
+
+def test_polar_rows_match_rational_oracle_on_random_classes():
+    rng = random.Random(3535)
+    spans = {}
+    for cell in [(1, 1, 1), (0, 5, 2), (1, 2, 2)]:
+        for _ in range(15):
+            _assert_polar_rows_match_oracle(
+                cell, _random_polar_class(rng, cell), spans)
+    # every series of a class is checked, and a polar graph must lie in the
+    # cell's basis
+    psi = DecoratedGraph.smooth(1, 1, {1: 1})
+    with pytest.raises(ValueError, match="cannot certify polar coefficients"):
+        list(polar_vectors((1, 1, 1), [(psi, PS("t", {1: 1}, 1, trunc=0))]))
+    psi2 = DecoratedGraph.smooth(1, 1, {1: 2})
+    with pytest.raises(ValueError, match="outside the cell's basis"):
+        list(polar_vectors((1, 1, 1), [(psi2, PS("t", {-1: 1}, 1, trunc=1))]))
+
+
+def test_polar_rows_match_rational_oracle_on_chart_classes(monkeypatch):
+    # every class that extraction meets on a2, a2xa1 (c = 1) and a3
+    seen = []
+    rows_of = relations.polar_vectors
+
+    def recording(cell, terms):
+        terms = list(terms)
+        seen.append((cell, terms))
+        return rows_of(cell, terms)
+
+    monkeypatch.setattr(relations, "polar_vectors", recording)
+    for name in ("a2", "a2xa1-c1", "a3"):
+        spec, cells = chart_spec(name)
+        seen.clear()
+        rs = extract_relations(spec, cells)
+        assert seen
+        spans = {}
+        for cell, terms in seen:
+            _assert_polar_rows_match_oracle(cell, terms, spans)
+        for cell in cells:
+            assert rs.pivots[cell] == spans.get(cell, ({}, {}))[1], (name, cell)
 
 
 def test_a3_chart_relations_match_a2():
@@ -694,3 +819,9 @@ def test_priority_closure_matches_worklist_oracle():
         assert same.pivots[cell] == rs.pivots[cell]
     assert close_relations(mixed).pivots == closed.pivots
     assert _worklist_closure(mixed).pivots == closed.pivots
+    # the swap closure first and the other operations after it against the
+    # one-phase oracle on A2xA1 (c = 1 and c = -2/3) and A3
+    for name in ("a2xa1-c1", "a2xa1-c-2/3", "a3"):
+        spec, cells = chart_spec(name)
+        rs = extract_relations(spec, cells)
+        assert close_relations(rs).pivots == _worklist_closure(rs).pivots, name
