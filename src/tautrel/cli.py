@@ -216,12 +216,22 @@ def cmd_family(config):
     return EXIT_OK
 
 
+def _check_z_order(config, top):
+    """The R-matrix to z^z_order reaches codim z_order, so the config's
+    z-order must be at least ``top``, the largest codim reconstructed."""
+    if config["z_order"] < top:
+        raise ParseError("z-order must be at least %d, the largest codim "
+                         "reconstructed (min(codim, 3g - 3 + n) over --gn), "
+                         "got %s" % (top, config["z_order"]))
+
+
 def cmd_reconstruct(config):
-    exp = _make_expansion(config)
     gn = config.get("gn") or [[1, 1]]
     if len(gn) != 1:
         raise ParseError("reconstruct takes one --gn pair, got %d" % len(gn))
     g, n = gn[0]
+    _check_z_order(config, min(config["codim"], 3 * g - 3 + n))
+    exp = _make_expansion(config)
     flat = config.get("insertion") or [0] * n
     if len(flat) != n:
         raise ParseError("need %d insertion indices" % n)
@@ -240,8 +250,9 @@ def cmd_reconstruct(config):
 def _relations_for(config, *charts):
     """The closed relations of the config expanded at each chart, on the
     cells (g, n, d) of the config's grid with 1 <= d <= min(codim, 3g - 3 +
-    n).  A (g, n) pair with 3g - 3 + n = 0 has no such cell and is an input
-    error, found before any chart is expanded."""
+    n).  A (g, n) pair with 3g - 3 + n = 0 has no such cell, and a z-order
+    below the largest such d cannot reconstruct it; both are input errors,
+    found before any chart is expanded."""
     cells = []
     for g, n in config.get("gn") or [[1, 1], [0, 4]]:
         dim = 3 * g - 3 + n
@@ -249,6 +260,7 @@ def _relations_for(config, *charts):
             raise ParseError("(g, n) = (%d, %d) has no cell of codim at "
                              "least 1" % (g, n))
         cells += [(g, n, d) for d in range(1, min(config["codim"], dim) + 1)]
+    _check_z_order(config, max(d for _, _, d in cells))
     expansions = [_make_expansion(dict(config, chart=c)) for c in charts]
     return [close_relations(extract_relations(spec, cells))
             for spec in _specs(config, *expansions)]

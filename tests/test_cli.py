@@ -368,6 +368,17 @@ def test_verify_hand_written_document(tmp_path):
     (["verify"], "verify needs 'relations_file'"),
     (["reconstruct", "--chart", "a2", "--gn", "1,2", "--insertion", "0"],
      "need 2 insertion indices"),
+    # the z-order must reach min(codim, 3g - 3 + n) over --gn; a chart file
+    # without a metric shows that it is checked before a chart is expanded
+    (["reconstruct", "--chart", "a2", "--gn", "0,5", "--codim", "2",
+      "--z-order", "1", "--insertion", "0,1,1,1,1"],
+     "z-order must be at least 2, the largest codim reconstructed"),
+    (["relations", "--chart", _a2_chart_doc(metric=None),
+      "--gn", "1,1;0,5", "--z-order", "1"],
+     "z-order must be at least 2, the largest codim reconstructed"),
+    (["compare", "--chart", "a2", "--chart2", _a2_chart_doc(metric=None),
+      "--param", "t1", "--gn", "1,1;0,6", "--codim", "3", "--z-order", "2"],
+     "z-order must be at least 3, the largest codim reconstructed"),
 ], ids=["unstable-gn", "relations-gn-no-cell", "compare-gn-no-cell",
         "codim-0", "codim-negative", "z-order-0",
         "z-order-negative", "cover-degree-0", "cover-degree-negative",
@@ -401,7 +412,8 @@ def test_verify_hand_written_document(tmp_path):
         "config-expansion-zero-exponent-denominator",
         "config-expansion-non-monomial-denominator", "frame-no-chart",
         "compare-missing-chart2", "verify-missing-file",
-        "reconstruct-short-insertion"])
+        "reconstruct-short-insertion", "reconstruct-z-order-below-codim",
+        "relations-z-order-below-codim", "compare-z-order-below-codim"])
 def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
                                message):
     # a document in ``args`` is written to a file outside the output directory
@@ -415,6 +427,15 @@ def test_bad_input_exit_code_2(tmp_path_factory, tmp_path, capsys, args,
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
     assert not list(tmp_path.iterdir())
+
+
+def test_z_order_reaches_the_largest_reconstructed_codim(tmp_path):
+    # (1, 1) has dimension 1, so codim 3 reconstructs codim 1 only
+    assert run(["reconstruct", "--chart", "a2", "--param", "t1", "--gn", "1,1",
+                "--codim", "3", "--z-order", "1", "--out", str(tmp_path)]) == 0
+    assert run(["relations", "--chart", "a2", "--param", "t1", "--gn",
+                "1,1;0,4", "--codim", "3", "--z-order", "1",
+                "--out", str(tmp_path)]) == 0
 
 
 def test_duplicate_gn_entries_give_one_cell(tmp_path, capsys):
