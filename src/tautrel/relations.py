@@ -10,7 +10,8 @@ under psi/kappa-multiplication generates them.
 
 Closure follows the stability definition: psi/kappa multiplication, leg
 relabeling, forgetful pushforward, and grafting into stable graphs of larger
-type, iterated to a fixed point within the configured bounds.
+type, iterated to a fixed point within the configured bounds: the leg
+relabelings first, then the other operations (``close_relations``).
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ def extract_relations(spec, cells):
     the leg permutations that fix it.  Each reconstruction gets their orbits
     (``leg_orbits``) and evaluates one coefficient per orbit: the class is
     equivariant, so the others are copies.
+
+    The class's terms are grouped by codim in one pass, and each cell's
+    group goes to ``polar_vectors``, whose integer rows are added as they
+    are: no rational vector is built between the series and the span.
     """
     rs = RelationSet(cells)
     units = unit_insertions(spec.frame)
@@ -239,12 +244,12 @@ def close_relations(rs):
     operation of ``closure_operations``, with no swaps: psi_j for every
     leg j, kappa_a, forgetting the last leg, and grafting into every listed
     graph at every vertex of the cell's type.  Each of these families
-    commutes with the leg relabelings up to a permutation of its members
-    (relabeling takes psi_j to psi_sigma(j), the forgetful map of the
-    last leg to its own conjugate, a graft into a graph to a graft into
-    the relabeled graph of the relabeled row), so it takes an S_n-stable
-    span to an S_n-stable span, and so does every step of the second
-    closure.  Its result is therefore stable under the swaps as well: the
+    commutes with the leg relabelings up to a permutation of its members:
+    a relabeling takes psi_j to psi_sigma(j); a relabeling of legs 1 to
+    n - 1 commutes with forgetting leg n; and a relabeled graft is a graft
+    of a relabeled row into the isomorphic listed graph.  So each family
+    takes an S_n-stable span to an S_n-stable span, and so does every step
+    of the second closure.  Its result is therefore stable under the swaps as well: the
     same smallest stable system as one closure under every operation, and
     with it the same RREF, which depends only on the span.  For the same
     reason a row is grafted with its legs as they are: every relabeling
