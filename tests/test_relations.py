@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tautrel import relations
 from tautrel.charts import a2_expansion, a2x_a1_expansion, a3_expansion
 from tautrel.frobenius import idempotent_frame, integer_row, rref
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
@@ -14,7 +15,6 @@ from tautrel.intersect import (integrate_against_monomial, pairing_matrix,
                               smooth_monomial_basis)
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import INF, SeriesMatrix, PuiseuxSeries as PS
-from tautrel import relations
 from tautrel.reconstruct import CohFTSpec
 from tautrel.relations import (RelationSet, close_relations,
                                closure_operations, compare_spans,
