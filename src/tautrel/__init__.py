@@ -12,7 +12,7 @@ from .graphs import (DecoratedGraph, StableGraph, StrataVector,
                      multiply_psi)
 from .intersect import (integrate_against_monomial, integrate_strata,
                         kappa_psi_integral, pairing_matrix, psi_integral)
-from .reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift, edge_series,
+from .reconstruct import (CohFTSpec, dilaton_leaf, edge_series,
                           genus_one_correlator, leg_series, reconstruct_class,
                           to_normalized_insertion)
 from .relations import (RelationSet, close_relations, compare_spans,

@@ -416,7 +416,3 @@ def main(argv=None):
             ValueError) as exc:
         print("computation error: %s" % exc, file=sys.stderr)
         return EXIT_COMPUTE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -798,13 +798,13 @@ class Psi0Frame:
             cols.append(self.frame.eps[i])
         return SeriesMatrix([[cols[j][mu] for j in range(n)] for mu in range(n)])
 
-    def lemma32_ac(self, trunc=None):
-        """The series a, c with Psi'-upper block = eta1^(-1/2) [[a, tc], [c, a]].
+    def lemma32_ac(self):
+        """The series a, c with Psi'-upper block = eta1^(-1/2) [[a, tc], [c, a]],
+        to the truncation of the frame.
 
         The branch of sqrt(eta1) is normalized so that a starts at 1.
         """
-        frame = self.frame
-        trunc = trunc if trunc is not None else frame.eps[0][0].trunc
+        trunc = self.frame.eps[0][0].trunc
         B = self.basis_matrix()
         ptp = B.inverse(trunc=trunc) * self.psi_tilde
         sq = self.eta1.sqrt(trunc=trunc)

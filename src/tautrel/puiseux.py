@@ -14,10 +14,8 @@ numerators, gcd(den, numerators) == gcd(ram, indices) == 1), so equal series
 have equal tuples.  ``tq`` is the truncation as an integer pair, or None when
 exact.  Products of ids are memoized with their integral relation factor, so
 arithmetic never touches a ``Fraction`` coefficient, and the product kernel
-compares truncations as integers and stops each walk at the cap.  Against a
-map per grid index and a truncation pass per call, this took ``a3-extract2``
-``solve_s`` from 0.119 s to 0.086 s (``BENCH_28.json``).  ``coeffs`` is the
-derived view ``{k: MultiPoly}``.
+compares truncations as integers and stops each walk at the cap.  ``coeffs``
+is the derived view ``{k: MultiPoly}``.
 
 The text form, used by golden tests, lists ``coeff*param^(p/q)`` terms sorted
 by exponent and ends with ``+ O(param^T)`` when the truncation is finite.
@@ -193,14 +191,14 @@ class PuiseuxSeries:
         return PuiseuxSeries(param, {0: _as_poly(value)}, 1, trunc)
 
     @staticmethod
-    def unit(param, exponent=1, coeff=1, trunc=INF):
+    def unit(param, exponent=1, coeff=1):
         exponent = Fraction(exponent)
         return PuiseuxSeries(param, {exponent.numerator: _as_poly(coeff)},
-                             exponent.denominator, trunc)
+                             exponent.denominator)
 
     @staticmethod
-    def from_poly(poly, param, trunc=INF):
-        """Split a MultiPoly into a series in ``param``."""
+    def from_poly(poly, param):
+        """Split a MultiPoly into an exact series in ``param``."""
         poly = _as_poly(poly)
         ram = lcm(*[e.denominator for mono in poly.terms
                     for sym, e in mono if sym == param])
@@ -215,10 +213,7 @@ class PuiseuxSeries:
                     rest.append((sym, e))
             # the rest of a reduced monomial is reduced
             terms.append((int(exp * ram), _intern(tuple(rest)), coeff))
-        trunc = _as_trunc(trunc)
-        kcap = _kcap(trunc, ram)
-        return _series(param, ram, trunc,
-                       *_cleared(sorted(t for t in terms if t[0] < kcap)))
+        return _series(param, ram, INF, *_cleared(sorted(terms)))
 
     # -- queries -------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from math import factorial
 from .frobenius import ChartError
 from .graphs import (DecoratedGraph, StrataVector, _bounded_assignments,
                      _canonical_labeling, enumerate_stable_graphs,
-                     forgetful_pushforward, multiply_psi)
+                     forgetful_pushforward)
 from .puiseux import PuiseuxSeries
 
 
@@ -205,11 +205,9 @@ def vertex_contributions(spec, gv, nmark, color, budget):
 
 
 def to_normalized_insertion(frame, flat_vector):
-    """Convert a flat vector (rationals or series) into normalized coords."""
-    param = frame.param
-    vec = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
-           for c in flat_vector]
-    return frame.to_normalized(vec)
+    """Convert a flat vector of rationals into normalized coords."""
+    return frame.to_normalized([PuiseuxSeries.const(c, frame.param)
+                                for c in flat_vector])
 
 
 def unit_insertions(frame):
@@ -225,7 +223,7 @@ def reconstruct_class(spec, g, n, insertions, codim_bound, orbits=None):
     ``insertions`` is a list of normalized-coordinate vectors, one per
     marking; see ``to_normalized_insertion``.  A psi class on a leg is not an
     insertion: multiply the class by it with ``graphs.multiply_psi``, as
-    ``dilaton_shift`` does.  The class is multilinear in the insertions:
+    the closure does.  The class is multilinear in the insertions:
     everything that does not depend on them is formed once per spec
     (``contraction_plan``), and only the leg factors are formed here.
 
@@ -308,7 +306,13 @@ def contraction_plan(spec, g, n, bound):
     the largest bound asked for (``spec._edge_cache`` holds (degree, B)): a
     graph with E >= 1 edges reads its entries only to degree ``bound - E``,
     and these do not depend on the degree it was formed to.  A bound-0
-    plan has only edgeless graphs and gets the empty B."""
+    plan has only edgeless graphs and gets the empty B.
+
+    Raises ValueError when ``bound`` exceeds the order K of the R-matrix:
+    the class would lack the terms that need A(psi) above psi^K."""
+    if bound > spec.R.K:
+        raise ValueError("a class to codim %d needs the R-matrix to z^%d, "
+                         "got z^%d" % (bound, bound, spec.R.K))
     key = (g, n, bound)
     plan = spec._plan_cache.get(key)
     if plan is None:
@@ -454,33 +458,6 @@ def _shape_terms(spec, shape, B, bound):
 
 
 # ---------------------------------------------------------------------------
-# dilaton shift
-
-
-def dilaton_shift(spec, g, n, insertions, codim_bound, v_flat, v_degree):
-    """The shifted class: extra psi*v legs summed with 1/k!, pushed forward.
-
-    ``v_flat`` is a flat vector with MultiPoly/series entries (typically
-    formal symbols); the k-sum is truncated at ``v_degree`` extra legs.  The
-    (g, n+k) class of the insertions and k copies of v is reconstructed to
-    codim ``min(codim_bound, 3g-3+n)``, the bound of the result; each extra
-    leg then takes its psi from ``graphs.multiply_psi``, which raises the
-    codim by k, and the k forgetful pushforwards lower it by k again.
-    """
-    v = to_normalized_insertion(spec.frame, v_flat)
-    bound = min(codim_bound, 3 * g - 3 + n)
-    total = reconstruct_class(spec, g, n, insertions, bound)
-    for k in range(1, v_degree + 1):
-        cls = reconstruct_class(spec, g, n + k, insertions + [v] * k, bound)
-        for label in range(n + 1, n + k + 1):
-            cls = multiply_psi(cls, label)
-        for _ in range(k):
-            cls = forgetful_pushforward(cls)
-        total = total + cls.scale(Fraction(1, factorial(k)))
-    return total
-
-
-# ---------------------------------------------------------------------------
 # genus one
 
 
@@ -498,8 +475,7 @@ def genus_one_correlator(spec, flat_field):
     frame = spec.frame
     exp = frame.expansion
     param = frame.param
-    X = [c if isinstance(c, PuiseuxSeries) else PuiseuxSeries.const(c, param)
-         for c in flat_field]
+    X = [PuiseuxSeries.const(c, param) for c in flat_field]
     du = frame.einv.apply(X)
     pairs = []
     for i in range(frame.dim):

@@ -30,18 +30,25 @@ from .intersect import pairing_matrix
 from .reconstruct import reconstruct_class, unit_insertions
 
 
+def _column(cell, index, dg):
+    """The column of ``dg`` in ``index``, the basis index of ``cell``;
+    raises ValueError on a graph outside that basis."""
+    col = index.get(dg.key())
+    if col is None:
+        raise ValueError("relation in cell %s has a graph outside the "
+                         "cell's basis: %r" % (cell, dg))
+    return col
+
+
 def to_row(cell, vector):
     """The rational ``{column: Fraction}`` row of a StrataVector in the
     basis of ``cell``; raises ValueError on a graph outside that basis."""
     _, index = cell_basis(cell)
     row = {}
     for dg, c in vector.terms.items():
-        i = index.get(dg.key())
-        if i is None:
-            raise ValueError("relation in cell %s has a graph outside the "
-                             "cell's basis: %r" % (cell, dg))
+        col = _column(cell, index, dg)
         if c:
-            row[i] = Fraction(c)
+            row[col] = Fraction(c)
     return row
 
 
@@ -204,10 +211,7 @@ def polar_vectors(cell, terms):
         polar, den = series.polar_terms()
         if not polar:
             continue
-        col = index.get(dg.key())
-        if col is None:
-            raise ValueError("relation in cell %s has a graph outside the "
-                             "cell's basis: %r" % (cell, dg))
+        col = _column(cell, index, dg)
         for e, mono, num in polar:
             slots.setdefault((e, mono), []).append((col, num, den))
     for _, entries in sorted(slots.items(),

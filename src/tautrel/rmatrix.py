@@ -227,8 +227,9 @@ def ode_series_solution(a, b, c, var, center, n_terms):
     return PuiseuxSeries(var, coeffs, 1, Fraction(n_terms + 1))
 
 
-def rational_solution(a, b, c, var="t"):
-    """Polynomial solution of a y' + b y + c = 0, or None with a certificate.
+def rational_solution(a, b, c):
+    """Polynomial solution y(t) of a y' + b y + c = 0, or None with a
+    certificate.
 
     For the family equations the indicial exponents at every root of ``a``
     are non-integral, so any solution meromorphic near the roots is in fact
@@ -236,7 +237,7 @@ def rational_solution(a, b, c, var="t"):
     meromorphic solution exists.  The solve pivots from the bottom, so the
     coefficients it leaves free, and sets to 0, are the top ones.
     """
-    ca, cb, cc = (_coeffs_in(poly, var) for poly in (a, b, c))
+    ca, cb, cc = (_coeffs_in(poly, "t") for poly in (a, b, c))
     da, db, dc = (max(poly, default=0) for poly in (ca, cb, cc))
     # leading balance: coefficient of t^(d + max(da-1, db))
     top = max(da - 1, db)
@@ -253,7 +254,7 @@ def rational_solution(a, b, c, var="t"):
     powers = sorted({i + d - 1 for i in ca for d in ds if d}
                     | {i + d for i in cb for d in ds} | set(cc))
     y = _solve_ode(ca, cb, cc, ds, powers)
-    return None if y is None else MultiPoly({((var, d),): v for d, v in y.items()})
+    return None if y is None else MultiPoly({(("t", d),): v for d, v in y.items()})
 
 
 def solve_2d_family(f):

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ from tautrel.charts import (a2_chart, a2_expansion, a2_tilted_expansion,
 from tautrel.cli import BUILTIN_CHARTS, COMMANDS, _make_expansion, main
 from tautrel.frobenius import idempotent_frame
 from tautrel.serialize import chart_to_json, dump_chart
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -45,21 +50,18 @@ def test_frame_report_a3(tmp_path):
             "s1": "(1/4)*zeta3^3 - (1/4)*zeta3*phi^2",
             "s2": "(-3/8)*zeta3^2 - (1/8)*phi^2",
         }},
-        "out": None,
+        "out": str(tmp_path),
     }
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        config["out"] = tmp
-        cfg_path = os.path.join(tmp, "config.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(config, fh)
-        code = run(["frame", "--config", cfg_path])
-        assert code == 0
-        data = json.loads(open(os.path.join(tmp, "frame.json")).read())
-        assert data["m"] == "1/2"
-        assert "1/4*zeta3*phi^3" in data["u1_minus_u2"]
-        # u1 - u2 = 1/4 zeta3 phi^3 has order 3/2 along t_D
-        assert data["order_u1_minus_u2"] == "3/2"
+    cfg_path = tmp_path / "config.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    assert run(["frame", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "frame.json") as fh:
+        data = json.load(fh)
+    assert data["m"] == "1/2"
+    assert "1/4*zeta3*phi^3" in data["u1_minus_u2"]
+    # u1 - u2 = 1/4 zeta3 phi^3 has order 3/2 along t_D
+    assert data["order_u1_minus_u2"] == "3/2"
 
 
 # the library helper of each builtin chart
@@ -540,6 +542,31 @@ def test_relations_command_deterministic(tmp_path):
     first = (tmp_path / "relations.json").read_bytes()
     assert run(args) == 0
     assert first == (tmp_path / "relations.json").read_bytes()
+
+
+def _module_run(args):
+    """``python -m tautrel`` with ``args``, the package's sources on the
+    path as they are for the tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "tautrel"] + args, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_module_entry_point(tmp_path):
+    args = ["relations", "--chart", "a2", "--gn", "1,1", "--codim", "1",
+            "--out", str(tmp_path)]
+    result = _module_run(args)
+    assert result.returncode == 0, result.stderr
+    path = tmp_path / "relations.json"
+    by_module = path.read_bytes()
+    path.unlink()
+    assert run(args) == 0
+    assert path.read_bytes() == by_module
+    result = _module_run(["relations", "--no-such-flag"])
+    assert result.returncode == 2
+    assert "--no-such-flag" in result.stderr
 
 
 # a flags-only run of each subcommand; verify reads the relations run's file

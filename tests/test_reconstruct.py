@@ -18,7 +18,7 @@ from tautrel.intersect import integrate_strata
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import PuiseuxSeries as PS, SeriesMatrix
 from tautrel import reconstruct
-from tautrel.reconstruct import (CohFTSpec, dilaton_leaf, dilaton_shift,
+from tautrel.reconstruct import (CohFTSpec, dilaton_leaf,
                                  edge_series, genus_one_correlator,
                                  leg_series, reconstruct_class,
                                  to_normalized_insertion, unit_insertions)
@@ -262,35 +262,6 @@ def test_gluing_axiom_shadow_delta0():
     assert (delta_raw - total).is_zero()
 
 
-def test_dilaton_shift_zero_vector():
-    spec = family_spec(V("t"))
-    ins = [to_normalized_insertion(spec.frame, [0, 1])]
-    base = reconstruct_class(spec, 1, 1, ins, 1)
-    shifted = dilaton_shift(spec, 1, 1, ins, 1, [MP(), MP()], 2)
-    assert (shifted - base).is_zero() or all(
-        (shifted.terms.get(dg, PS.zero("t")) - c).is_zero()
-        for dg, c in base.terms.items())
-
-
-def test_dilaton_shift_formal_vector_resums():
-    # Omega^4 with formal v: the codim-0 part of (0,3) resums the unit
-    spec = family_spec(V("t"))
-    frame = spec.frame
-    ins = [to_normalized_insertion(frame, [0, 1])]
-    v_flat = [V("v0"), V("v1")]
-    shifted = dilaton_shift(spec, 1, 1, ins, 1, v_flat, 3)
-    # coefficient of v-degree 0 must be the unshifted class
-    base = reconstruct_class(spec, 1, 1, ins, 1)
-    for dg, c in base.terms.items():
-        got = shifted.terms.get(dg)
-        assert got is not None
-        diff = got - c
-        # drop all terms involving v0, v1
-        for key, poly in diff.coeffs.items():
-            for mono, coeff in poly.terms.items():
-                assert any(s in ("v0", "v1") for s, _ in mono)
-
-
 def test_specialized_shift_matches_target_theory():
     """The Delta-shift specialization: with v_i = Delta2^{-1/2} - Delta1^{-1/2}
     the shifted vertex data is the target theory's own: the shifted Delta^{1/2}
@@ -452,6 +423,29 @@ def test_graph_sum_series_restrict_to_smaller_bounds(expansion):
             assert low == {key: s for key, s in high.items() if key[0] <= 1}
             sizes.append(len(high) - len(low))
     assert max(sizes) > 0
+
+
+def test_class_needs_the_r_matrix_to_its_codim():
+    """A class to codim d reads A(psi) to psi^d, so the plan raises on an
+    R-matrix of lower order rather than return a class that lacks terms: the
+    (0,5) class of e1^5 to codim 2 on A2 has 127 codim-2 coefficients, with
+    the R-matrix to z^2 as to z^3.  The codim reconstructed is min(codim,
+    3g - 3 + n), so the (1,1) class asked to codim 2 runs with the R-matrix
+    to z^1."""
+    frame = idempotent_frame(a2_expansion(trunc=10))
+    e1 = unit_insertions(frame)[1]
+    low = CohFTSpec(frame, solve_flatness(frame, K=1))
+    with pytest.raises(ValueError, match=r"codim 2 needs the R-matrix to z\^2"):
+        reconstruct_class(low, 0, 5, [e1] * 5, 2)
+    with pytest.raises(ValueError):
+        reconstruct.contraction_plan(low, 1, 2, 2)
+    assert reconstruct_class(low, 1, 1, [e1], 2).terms
+    counts = []
+    for K in (2, 3):
+        spec = CohFTSpec(frame, solve_flatness(frame, K=K))
+        cls = reconstruct_class(spec, 0, 5, [e1] * 5, 2)
+        counts.append(len(cls.codim_part(2).terms))
+    assert counts == [127, 127]
 
 
 @pytest.mark.parametrize("expansion, probe, cells", [
@@ -664,7 +658,7 @@ def _assert_same_class(a, b):
         assert str(c) == str(b.terms[dg])
 
 
-def test_shared_leg_products_match_leg_order(monkeypatch):
+def test_shared_leg_products_match_leg_order():
     """Leg factors shared through their sorted (class, psi, color) prefixes
     give the class of the label-order products, truncations included.  A leg
     (v, w) of the oracle carries psi^w: the class of the plain vectors,
@@ -699,15 +693,6 @@ def test_shared_leg_products_match_leg_order(monkeypatch):
         _assert_same_class(got, _leg_order_class(sp, g, n, legs, codim))
         sizes.append(len(got.terms))
     assert min(sizes) > 0
-    # the dilaton shift repeats one insertion k times
-    ins = [m02]
-    shifted = dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2)
-    monkeypatch.setattr(
-        reconstruct, "reconstruct_class",
-        lambda sp, g, n, vectors, codim: _leg_order_class(
-            sp, g, n, [(v, 0) for v in vectors], codim))
-    _assert_same_class(shifted, dilaton_shift(spec, 1, 1, ins, 1, [1, 0, 1], 2))
-    assert shifted.terms
 
 
 def _entry_key(entry):
