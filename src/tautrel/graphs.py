@@ -193,12 +193,6 @@ class DecoratedGraph:
         total += sum(sum(k) for k in self.kappa)
         return total
 
-    def leg_exponent(self, label):
-        for l, e in self.leg_psi:
-            if l == label:
-                return e
-        return 0
-
     def key(self):
         return self._key
 
@@ -469,8 +463,7 @@ def multiply_psi(vector, leg_label, power=1):
             continue
         leg_psi = dict(dg.leg_psi)
         leg_psi[leg_label] = leg_psi.get(leg_label, 0) + power
-        pairs.append((DecoratedGraph(dg.graph, leg_psi, dg.edge_psi, dg.kappa),
-                      c))
+        pairs.append((dg.with_leg_psi(leg_psi), c))  # the same decoration
     return StrataVector(vector.g, vector.n, pairs)
 
 
@@ -513,55 +506,33 @@ def gluing_pushforward(graph, vertex_vectors):
 
 
 def _flatten(graph, inner):
-    """One decorated graph per vertex -> a single decorated graph."""
-    genera = []
-    legs = []
-    kappa = []
-    vmap = {}  # (outer vertex, inner vertex) -> new index
-    for v in range(graph.num_vertices):
-        for w in range(inner[v].graph.num_vertices):
-            vmap[(v, w)] = len(genera)
-            genera.append(inner[v].graph.genera[w])
-            legs.append([])
-            kappa.append(list(inner[v].kappa[w]))
-    # inner marking l of vertex v -> (new vertex index, psi exponent)
-    marking_info = {}
-    for v in range(graph.num_vertices):
-        dg = inner[v]
-        for w, ls in enumerate(dg.graph.legs):
-            for l in ls:
-                marking_info[(v, l)] = (vmap[(v, w)], dg.leg_exponent(l))
-    edges = []
-    edge_psi = []
-    for v in range(graph.num_vertices):
-        dg = inner[v]
-        # inner edges are canonical (a <= b) and vmap increases in w
-        for (a, b), (xa, xb) in zip(dg.graph.edges, dg.edge_psi):
-            edges.append((vmap[(v, a)], vmap[(v, b)]))
-            edge_psi.append((xa, xb))
-    # outer legs and edges attach through the ordered vertex markings
-    leg_psi = {}
-    for v in range(graph.num_vertices):
-        for local_label, mk in enumerate(graph.vertex_markings(v), start=1):
-            nv_, psi = marking_info[(v, local_label)]
-            if mk[0] == "leg":
-                legs[nv_].append(mk[1])
-                if psi:
-                    leg_psi[mk[1]] = psi
-    for idx, (a, b) in enumerate(graph.edges):
-        side_info = []
-        for side, v in enumerate((a, b)):
-            local_label = next(i for i, mk in
-                               enumerate(graph.vertex_markings(v), start=1)
-                               if mk == ("edge", idx, side))
-            side_info.append(marking_info[(v, local_label)])
-        (va, xa), (vb, xb) = side_info
-        if va <= vb:
-            edges.append((va, vb))
-            edge_psi.append((xa, xb))
-        else:
-            edges.append((vb, va))
-            edge_psi.append((xb, xa))
+    """One decorated graph per vertex -> a single decorated graph.  Vertex
+    w of ``inner[v]`` becomes ``base + w``; a table of the new vertex of each
+    inner leg attaches the markings of outer vertex v, in order."""
+    genera, legs, kappa, edges, edge_psi = [], [], [], [], []
+    leg_psi, ends = {}, {}  # ends: (edge index, side) -> (new vertex, psi)
+    for v, dg in enumerate(inner):
+        base = len(genera)
+        genera.extend(dg.graph.genera)
+        legs.extend([] for _ in dg.graph.genera)
+        kappa.extend(list(k) for k in dg.kappa)
+        for (a, b), x in zip(dg.graph.edges, dg.edge_psi):
+            edges.append((base + a, base + b))
+            edge_psi.append(x)
+        vertex = {l: base + w for w, ls in enumerate(dg.graph.legs)
+                  for l in ls}
+        psi = dict(dg.leg_psi)
+        for local, mk in enumerate(graph.vertex_markings(v), start=1):
+            w, x = vertex[local], psi.get(local, 0)
+            if mk[0] == "edge":
+                ends[mk[1:]] = (w, x)
+            else:
+                legs[w].append(mk[1])
+                leg_psi[mk[1]] = x
+    for idx in range(len(graph.edges)):
+        (va, xa), (vb, xb) = ends[(idx, 0)], ends[(idx, 1)]
+        edges.append((va, vb))
+        edge_psi.append((xa, xb))
     return _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa)
 
 

@@ -6,7 +6,8 @@ Witten-Kontsevich theorem; the recursion is anchored at <tau_0^3>_0 = 1 and
 psi-correlators with extra markings by the signed set-partition formula, the
 inverse of the forgetful pushforward with convention kappa_a = pi_*(psi^(a+1)).
 
-The memo cache is a module-level dict.
+Two memos: the module-level dict ``_PSI_CACHE`` of psi-correlators, and an
+``lru_cache`` of psi-kappa integrals on (g, sorted psi, sorted kappas).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import prod
 
 from .graphs import (DecoratedGraph, StableGraph, StrataVector, _decorations,
-                     cell_basis, multiply_kappa, multiply_psi)
+                     cell_basis)
 
 _PSI_CACHE = {}
 
@@ -97,16 +99,20 @@ def kappa_psi_integral(g, psi_exponents, kappa_indices):
     pushforward: each block B of a partition of the kappa indices adds one
     marking tau_{1 + sum(B)} with weight (-1)^(|B| - 1).  (The forward
     pushforward carries (|B| - 1)! per block; the two are an exp/log pair,
-    which the round-trip tests check.)
+    which the round-trip tests check.)  Memoized on the sorted psi exponents
+    and kappas: the integral is symmetric in each.
     """
-    kappas = list(kappa_indices)
+    return _kappa_psi_integral(g, tuple(sorted(psi_exponents)),
+                               tuple(sorted(kappa_indices)))
+
+
+@functools.lru_cache(maxsize=None)
+def _kappa_psi_integral(g, psi_exponents, kappas):
     m = len(kappas)
     total = Fraction(0)
     for part in _set_partitions(m):
         coeff = Fraction((-1) ** (m - len(part)))
-        extra = []
-        for block in part:
-            extra.append(1 + sum(kappas[i] for i in block))
+        extra = [1 + sum(kappas[i] for i in block) for block in part]
         total += coeff * psi_integral(g, list(psi_exponents) + extra)
     return total
 
@@ -122,53 +128,60 @@ def _set_partitions(m):
         yield rest + [[m - 1]]
 
 
-def integrate_strata(vector):
-    """Exact integral of a top-codimension StrataVector.
+def _term_integral(dg, leg_psi=(), kappas=()):
+    """Integral of the basis element ``dg`` times the leg psi powers
+    ``leg_psi`` ((label, power) pairs) and ``kappas``: a raw gluing
+    pushforward, so the product of the per-vertex psi-kappa integrals (no
+    automorphism factor), summed over the spreads of the kappas."""
+    graph = dg.graph
+    psi = dict(dg.leg_psi)
+    for leg, e in leg_psi:
+        psi[leg] = psi.get(leg, 0) + e
+    exps = [[psi.get(l, 0) for l in ls] for ls in graph.legs]
+    for (a, b), (xa, xb) in zip(graph.edges, dg.edge_psi):
+        exps[a].append(xa)
+        exps[b].append(xb)
+    values = []
+    for spread in itertools.product(range(len(exps)), repeat=len(kappas)):
+        factors = [kappa_psi_integral(h, exps[v], dg.kappa[v] + tuple(
+            a for a, w in zip(kappas, spread) if w == v))
+            for v, h in enumerate(graph.genera)]
+        values.append(prod(factors[1:], start=factors[0]))
+    return sum(values[1:], values[0])   # a lone value takes no arithmetic
 
-    Each basis element is a raw gluing pushforward, so its integral is the
-    product of the per-vertex psi-kappa integrals (no automorphism factor).
-    """
+
+def integrate_strata(vector):
+    """Exact integral of a top-codimension StrataVector."""
     dim = 3 * vector.g - 3 + vector.n
-    total = None
+    terms = []
     for dg, coeff in vector.terms.items():
         if dg.codim() != dim:
             raise ValueError("non-top-codimension term: codim %d != %d"
                              % (dg.codim(), dim))
-        value = Fraction(1)
-        graph = dg.graph
-        for v in range(graph.num_vertices):
-            exps = []
-            for mk in graph.vertex_markings(v):
-                if mk[0] == "leg":
-                    exps.append(dg.leg_exponent(mk[1]))
-                else:
-                    exps.append(dg.edge_psi[mk[1]][mk[2]])
-            value *= kappa_psi_integral(graph.genera[v], exps, dg.kappa[v])
-        term = coeff * value
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
+        terms.append(coeff * _term_integral(dg))
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 
 def integrate_against_monomial(vector, monomial):
-    """Pair a StrataVector with a smooth psi-kappa monomial class.
+    """Pair a StrataVector with a smooth psi-kappa monomial class, a
+    smooth-vertex DecoratedGraph of the same (g, n).
 
-    ``monomial`` is a smooth-vertex DecoratedGraph; psi-powers multiply onto
-    the matching legs and each kappa distributes over vertices.  This is the
-    partial pairing: products with classes supported on boundary strata are
-    out of scope.
+    Each term is paired in one pass (``_term_integral``); a term whose codim
+    and the monomial's do not add up to the dimension pairs to zero.  This
+    is the partial pairing: products with classes supported on boundary
+    strata are out of scope.
     """
-    if monomial.graph.num_vertices != 1 or monomial.graph.edges:
+    graph = monomial.graph
+    if graph.num_vertices != 1 or graph.edges:
         raise ValueError("partial pairing pairs against smooth monomials only")
-    out = vector
-    for leg, e in monomial.leg_psi:
-        out = multiply_psi(out, leg, e)
-    for a in monomial.kappa[0]:
-        out = multiply_kappa(out, a)
-    dim = 3 * vector.g - 3 + vector.n
-    out = out.codim_part(dim)
-    return integrate_strata(out)
+    if (graph.genera[0], graph.num_legs()) != (vector.g, vector.n):
+        raise ValueError("cannot pair a (%d, %d) vector with a (%d, %d) "
+                         "monomial" % (vector.g, vector.n, graph.genera[0],
+                                       graph.num_legs()))
+    rest = 3 * vector.g - 3 + vector.n - monomial.codim()
+    terms = [coeff * _term_integral(dg, monomial.leg_psi, monomial.kappa[0])
+             for dg, coeff in vector.terms.items() if dg.codim() == rest]
+    return sum(terms[1:], terms[0]) if terms else Fraction(0)
 
 
 def smooth_monomial_basis(g, n, codim):

@@ -225,13 +225,15 @@ def polar_vectors(cell, terms):
 
 
 def relabel_legs(vector, perm):
-    """Apply a permutation of leg labels; perm maps old label -> new label."""
+    """Apply a permutation of leg labels; perm maps old label -> new label.
+    A graph whose vertices keep their leg sets keeps its least decoration."""
     pairs = []
     for dg, c in vector.terms.items():
         graph = dg.graph
-        legs = [tuple(perm[l] for l in ls) for ls in graph.legs]
-        pairs.append((_rebuild(graph.genera, legs, graph.edges,
-                               {perm[l]: e for l, e in dg.leg_psi},
+        legs = tuple(tuple(sorted(perm[l] for l in ls)) for ls in graph.legs)
+        leg_psi = {perm[l]: e for l, e in dg.leg_psi}
+        pairs.append((dg.with_leg_psi(leg_psi) if legs == graph.legs else
+                      _rebuild(graph.genera, legs, graph.edges, leg_psi,
                                dg.edge_psi, [list(k) for k in dg.kappa]), c))
     return StrataVector(vector.g, vector.n, pairs)
 
@@ -337,40 +339,43 @@ def closure_operations(cell, cells):
 def operator_map(source, op, target):
     """The closure operation ``op`` as a column map: entry j is the integer
     row, in the target cell's basis, of the operation applied to source basis
-    element j.  Memoized: it does not depend on the chart, so every closure
-    of a run shares it."""
-    return tuple(
-        _integral_row(target, _graph_operation(op, StrataVector.single(dg)))
-        for dg in cell_basis(source)[0])
+    element j with the coefficient ``int`` 1; any other coefficient type
+    raises ValueError.  Memoized: it does not depend on the chart, so every
+    closure of a run shares it."""
+    _, index = cell_basis(target)
+    operation = _graph_operation(op, source[1])
+    out = []
+    for dg in cell_basis(source)[0]:
+        row = {}
+        for image, c in operation(StrataVector.single(dg, 1)).terms.items():
+            if type(c) is not int:
+                raise ValueError("closure operation has a non-integral "
+                                 "coefficient %s" % c)
+            row[_column(target, index, image)] = c
+        out.append(row)
+    return tuple(out)
 
 
-def _graph_operation(op, vec):
-    kind = op[0]
+def _graph_operation(op, n):
+    """The graph operation of ``op`` on StrataVectors with n legs, as a
+    function, with its fixed data (permutation, fundamental classes) formed."""
+    kind, *args = op
     if kind == "swap":
-        i = op[1]
-        perm = {k: k for k in range(1, vec.n + 1)}
-        perm[i], perm[i + 1] = i + 1, i
-        return relabel_legs(vec, perm)
+        perm = {k: k for k in range(1, n + 1)}
+        perm[args[0]], perm[args[0] + 1] = args[0] + 1, args[0]
+        return lambda vec: relabel_legs(vec, perm)
     if kind == "psi":
-        return multiply_psi(vec, op[1])
+        return lambda vec: multiply_psi(vec, *args)
     if kind == "kappa":
-        return multiply_kappa(vec, op[1])
+        return lambda vec: multiply_kappa(vec, *args)
     if kind == "forget":
-        return forgetful_pushforward(vec)
-    _, graph, v = op
-    return gluing_pushforward(graph, [
-        vec if w == v else StrataVector.single(DecoratedGraph.smooth(
-            graph.genera[w], len(graph.vertex_markings(w))))
-        for w in range(graph.num_vertices)])
-
-
-def _integral_row(cell, vector):
-    row = to_row(cell, vector)
-    for c in row.values():
-        if c.denominator != 1:
-            raise ValueError("closure operation has a non-integral "
-                             "coefficient %s" % c)
-    return {i: c.numerator for i, c in row.items()}
+        return forgetful_pushforward
+    graph, v = args
+    local = [StrataVector.single(DecoratedGraph.smooth(
+        graph.genera[w], len(graph.vertex_markings(w))), 1)
+        for w in range(graph.num_vertices)]
+    return lambda vec: gluing_pushforward(graph,
+                                          local[:v] + [vec] + local[v + 1:])
 
 
 def _apply_map(opmap, row):
@@ -434,11 +439,22 @@ def verify_vector(vector, codim):
 def _pairings(cell, row):
     """The nonzero (monomial, value) pairings of a ``{column: value}`` row
     of ``cell``, through the cell's partial-pairing matrix."""
+    out = []
+    for mono, den, column in _integer_pairing(cell):
+        val = sum(column[i] * c for i, c in row.items())
+        if val:
+            out.append((mono, Fraction(val, den)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _integer_pairing(cell):
+    """Each partial-pairing column of ``cell`` as (monomial, denominator,
+    integer numerators over it): an integer row pairs in integers."""
     _, cols, matrix = pairing_matrix(*cell)
-    terms = [(matrix[i], c) for i, c in row.items()]
     out = []
     for j, mono in enumerate(cols):
-        val = sum(pairings[j] * c for pairings, c in terms)
-        if val != 0:
-            out.append((mono, val))
+        den = lcm(*[r[j].denominator for r in matrix])
+        out.append((mono, den, [r[j].numerator * (den // r[j].denominator)
+                                for r in matrix]))
     return out

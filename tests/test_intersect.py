@@ -1,14 +1,17 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from tautrel.graphs import (DecoratedGraph, StableGraph, StrataVector,
-                            cell_basis, forgetful_pushforward)
-from tautrel.intersect import (_PSI_CACHE, integrate_against_monomial,
-                               integrate_strata, kappa_psi_integral,
-                               pairing_matrix, psi_integral,
-                               smooth_monomial_basis)
+                            cell_basis, forgetful_pushforward,
+                            multiply_kappa, multiply_psi)
+from tautrel.intersect import (_PSI_CACHE, _kappa_psi_integral,
+                               integrate_against_monomial, integrate_strata,
+                               kappa_psi_integral, pairing_matrix,
+                               psi_integral, smooth_monomial_basis)
+from tautrel.relations import verify_vector
 
 
 GOLDEN = [
@@ -79,7 +82,8 @@ def test_kappa_forgetful_roundtrip_exact():
         total = F(0)
         for dg, c in v.terms.items():
             total += c * kappa_psi_integral(
-                g, [dg.leg_exponent(l) for l in range(1, n + 1)], dg.kappa[0])
+                g, [dict(dg.leg_psi).get(l, 0) for l in range(1, n + 1)],
+                dg.kappa[0])
         assert total == psi_integral(
             g, tuple([0] * n + [a + 1 for a in kappas]))
 
@@ -149,3 +153,81 @@ def test_smooth_monomial_basis_is_the_smooth_part_of_the_cell_basis(g, n):
         filtered = tuple(dg for dg in cell_basis((g, n, codim))[0]
                          if dg.graph.num_vertices == 1 and not dg.graph.edges)
         assert smooth_monomial_basis(g, n, codim) == filtered
+
+
+def _chain_pairing(vector, monomial):
+    """The partial pairing as a chain of strata operations, kept as the
+    oracle of the one-pass pairing: multiply by the monomial's psi powers
+    and kappas, keep the top codimension, and integrate each term as the
+    product over its vertices, read from their markings."""
+    out = vector
+    for leg, e in monomial.leg_psi:
+        out = multiply_psi(out, leg, e)
+    for a in monomial.kappa[0]:
+        out = multiply_kappa(out, a)
+    total = F(0)
+    for dg, coeff in out.codim_part(3 * vector.g - 3 + vector.n).terms.items():
+        graph, value = dg.graph, F(1)
+        psi = dict(dg.leg_psi)
+        for v in range(graph.num_vertices):
+            exps = [psi.get(mk[1], 0) if mk[0] == "leg"
+                    else dg.edge_psi[mk[1]][mk[2]]
+                    for mk in graph.vertex_markings(v)]
+            value *= kappa_psi_integral(graph.genera[v], exps, dg.kappa[v])
+        total += coeff * value
+    return total
+
+
+@pytest.mark.parametrize("cell", [
+    (0, 4, 1), (0, 5, 1), (0, 5, 2), (1, 1, 1), (1, 2, 1), (1, 2, 2),
+    (2, 0, 1), (2, 0, 2), (1, 3, 1), (1, 3, 2), (2, 1, 1), (2, 1, 2),
+    (3, 0, 2)], ids=lambda cell: "%d-%d-%d" % cell)
+def test_pairing_matrix_matches_the_chain(cell):
+    rows, cols, matrix = pairing_matrix(*cell)
+    assert matrix == tuple(
+        tuple(_chain_pairing(StrataVector.single(r), c) for c in cols)
+        for r in rows)
+    assert all(type(x) is F for row in matrix for x in row)
+
+
+def test_pairing_of_mixed_codim_vectors_matches_the_chain():
+    # a random rational (0, 5) vector over codims 0 to 2 against every
+    # monomial: only the terms of complementary codim pair, and the
+    # pairing check of its codim-1 part reads the same numbers
+    rng = random.Random(11)
+    vec = StrataVector(0, 5, {dg: F(rng.randint(-5, 5), rng.randint(1, 5))
+                              for d in range(3)
+                              for dg in cell_basis((0, 5, d))[0]})
+    for d in range(3):
+        for m in smooth_monomial_basis(0, 5, d):
+            assert integrate_against_monomial(vec, m) == \
+                _chain_pairing(vec, m), m
+    codim1 = vec.codim_part(1)
+    expected = [(m, _chain_pairing(codim1, m))
+                for m in smooth_monomial_basis(0, 5, 1)]
+    assert len(expected) == 6 and all(v for _, v in expected)
+    assert verify_vector(codim1, 1) == expected
+
+
+def test_pairing_refuses_a_monomial_of_another_type():
+    psi1 = StrataVector.single(DecoratedGraph.smooth(1, 1, leg_psi={1: 1}))
+    with pytest.raises(ValueError, match=r"cannot pair a \(1, 1\) vector "
+                       r"with a \(0, 4\) monomial"):
+        integrate_against_monomial(psi1, DecoratedGraph.smooth(0, 4))
+    with pytest.raises(ValueError, match="smooth monomials only"):
+        integrate_against_monomial(psi1, DecoratedGraph(
+            StableGraph([0], [[1]], [(0, 0)])))
+
+
+@pytest.mark.parametrize("g, psi, kappas", [
+    (2, (2, 0), (1, 2)), (1, (1, 0, 0), (1, 1)), (2, (), (1, 2)),
+    (0, (1, 0, 0, 0, 0, 0), (1, 1)), (1, (0, 0, 1, 0), (1, 2))])
+def test_kappa_psi_integral_is_symmetric(g, psi, kappas):
+    # every ordering of the psi exponents and of the kappas gives the value
+    # of the unmemoized formula on that ordering
+    value = kappa_psi_integral(g, list(psi), list(kappas))
+    assert value
+    for p in set(itertools.permutations(psi)):
+        for k in set(itertools.permutations(kappas)):
+            assert _kappa_psi_integral.__wrapped__(g, p, k) == value
+            assert kappa_psi_integral(g, list(p), list(k)) == value

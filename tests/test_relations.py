@@ -9,10 +9,9 @@ from tautrel import relations
 from tautrel.charts import a2_expansion, a2x_a1_expansion, a3_expansion
 from tautrel.frobenius import idempotent_frame, integer_row, rref
 from tautrel.graphs import (DecoratedGraph, StrataVector, _canonical_labeling,
-                            cell_basis, forgetful_pushforward,
+                            _rebuild, cell_basis, forgetful_pushforward,
                             gluing_pushforward, multiply_kappa, multiply_psi)
-from tautrel.intersect import (integrate_against_monomial, pairing_matrix,
-                              smooth_monomial_basis)
+from tautrel.intersect import pairing_matrix
 from tautrel.multipoly import MultiPoly as MP
 from tautrel.puiseux import INF, SeriesMatrix, PuiseuxSeries as PS
 from tautrel.reconstruct import CohFTSpec
@@ -74,14 +73,6 @@ def test_corrupted_vector_flagged():
     # the fundamental-class 'relation' is flagged too
     fake = StrataVector.single(DecoratedGraph.smooth(1, 1, kappa=(1,)))
     assert verify_vector(fake, 1)
-    # the pairing matrix gives what multiplying by each monomial gives
-    rng = random.Random(11)
-    vec = StrataVector(0, 5, {dg: F(rng.randint(-5, 5), rng.randint(1, 5))
-                              for dg in cell_basis((0, 5, 1))[0]})
-    expected = [(m, integrate_against_monomial(vec, m))
-                for m in smooth_monomial_basis(0, 5, 1)]
-    assert len(expected) == 6 and all(v for _, v in expected)
-    assert verify_vector(vec, 1) == expected
 
 
 def test_basis_rows_and_duplicate_cells():
@@ -633,6 +624,140 @@ def reference_operation(op, vec):
         else:
             local.append(StrataVector.single(DecoratedGraph.smooth(gw, nw)))
     return gluing_pushforward(graph, local)
+
+
+def _vector_relabel(vec, perm):
+    """Leg relabeling as ``relabel_legs`` did it before it kept the
+    decoration of a graph whose vertices keep their leg sets: one
+    ``_rebuild`` per term."""
+    return StrataVector(vec.g, vec.n, [
+        (_rebuild(dg.graph.genera,
+                  [[perm[l] for l in ls] for ls in dg.graph.legs],
+                  dg.graph.edges, {perm[l]: e for l, e in dg.leg_psi},
+                  dg.edge_psi, [list(k) for k in dg.kappa]), c)
+        for dg, c in vec.terms.items()])
+
+
+def _vector_flatten(graph, inner):
+    """A graft of one decorated graph per vertex of ``graph``, as
+    ``graphs._flatten`` formed it before its marking tables: the new
+    vertices indexed by (outer vertex, inner vertex), and each outer
+    half-edge found by a search of its vertex's markings."""
+    genera, legs, kappa, vmap = [], [], [], {}
+    for v in range(graph.num_vertices):
+        for w in range(inner[v].graph.num_vertices):
+            vmap[(v, w)] = len(genera)
+            genera.append(inner[v].graph.genera[w])
+            legs.append([])
+            kappa.append(list(inner[v].kappa[w]))
+    marking_info = {}
+    for v, dg in enumerate(inner):
+        for w, ls in enumerate(dg.graph.legs):
+            for l in ls:
+                marking_info[(v, l)] = (vmap[(v, w)],
+                                        dict(dg.leg_psi).get(l, 0))
+    edges, edge_psi = [], []
+    for v, dg in enumerate(inner):
+        for (a, b), x in zip(dg.graph.edges, dg.edge_psi):
+            edges.append((vmap[(v, a)], vmap[(v, b)]))
+            edge_psi.append(x)
+    leg_psi = {}
+    for v in range(graph.num_vertices):
+        for local, mk in enumerate(graph.vertex_markings(v), start=1):
+            w, psi = marking_info[(v, local)]
+            if mk[0] == "leg":
+                legs[w].append(mk[1])
+                if psi:
+                    leg_psi[mk[1]] = psi
+    for idx, (a, b) in enumerate(graph.edges):
+        side_info = []
+        for side, v in enumerate((a, b)):
+            local = next(i for i, mk in
+                         enumerate(graph.vertex_markings(v), start=1)
+                         if mk == ("edge", idx, side))
+            side_info.append(marking_info[(v, local)])
+        (va, xa), (vb, xb) = side_info
+        if va <= vb:
+            edges.append((va, vb))
+            edge_psi.append((xa, xb))
+        else:
+            edges.append((vb, va))
+            edge_psi.append((xb, xa))
+    return _rebuild(genera, legs, edges, leg_psi, edge_psi, kappa)
+
+
+def _vector_operation(op, vec):
+    """The graph operation of ``op`` as the closure formed it before its
+    maps were read straight into integers: ``_vector_relabel``, psi by a
+    fresh ``DecoratedGraph`` (a full minimization of its decoration), and
+    ``_vector_flatten`` for a graft."""
+    kind = op[0]
+    if kind == "swap":
+        perm = {k: k for k in range(1, vec.n + 1)}
+        perm[op[1]], perm[op[1] + 1] = op[1] + 1, op[1]
+        return _vector_relabel(vec, perm)
+    if kind == "psi":
+        dim = 3 * vec.g - 3 + vec.n
+        pairs = []
+        for dg, c in vec.terms.items():
+            leg_psi = dict(dg.leg_psi)
+            leg_psi[op[1]] = leg_psi.get(op[1], 0) + 1
+            if dg.codim() < dim:
+                pairs.append((DecoratedGraph(dg.graph, leg_psi, dg.edge_psi,
+                                             dg.kappa), c))
+        return StrataVector(vec.g, vec.n, pairs)
+    if kind in ("kappa", "forget"):
+        return reference_operation(op, vec)
+    _, graph, v = op
+    (dg, c), = vec.terms.items()
+    inner = [dg if w == v else DecoratedGraph.smooth(
+        graph.genera[w], len(graph.vertex_markings(w)))
+        for w in range(graph.num_vertices)]
+    return StrataVector(graph.genus(), graph.num_legs(),
+                        [(_vector_flatten(graph, inner), c)])
+
+
+def _vector_operator_map(source, op, target):
+    """The column map as the closure built it before: ``_vector_operation``
+    on ``StrataVector.single`` of each basis element (a ``Fraction``
+    coefficient), ``to_row``, and a check that every entry is integral."""
+    out = []
+    for dg in cell_basis(source)[0]:
+        row = to_row(target, _vector_operation(op, StrataVector.single(dg)))
+        assert all(c.denominator == 1 for c in row.values()), (source, op)
+        out.append({i: c.numerator for i, c in row.items()})
+    return tuple(out)
+
+
+def test_operator_maps_match_the_vector_construction():
+    """Every operator map equals the one built through a ``StrataVector``
+    and a ``Fraction`` row, entry for entry, with ``int`` values.  The
+    maps among the eight cells and (1,3,1..2) and (2,1,1..2) hold every
+    map of the eight cells, and the extra cells add the swaps of (1,3),
+    grafts into (1,3,2) and (2,1,2), and forgetful maps to (1,2,1) and
+    (2,0,1)."""
+    cells = CELLS8 + [(1, 3, 1), (1, 3, 2), (2, 1, 1), (2, 1, 2)]
+    kinds = set()
+    for source in cells:
+        for op, target in closure_operations(source, cells):
+            kinds.add(op[0])
+            opmap = operator_map(source, op, target)
+            assert opmap == _vector_operator_map(source, op, target), \
+                (source, op, target)
+            assert all(type(x) is int for row in opmap for x in row.values())
+    assert kinds == {"swap", "psi", "kappa", "forget", "glue"}
+
+
+@pytest.mark.parametrize("coeff", [F(1, 2), F(2)], ids=["1/2", "2"])
+def test_operator_map_refuses_a_non_integral_coefficient(monkeypatch, coeff):
+    # a map holds ints only: a Fraction, even a whole one, is refused
+    def scaled(vec):
+        return StrataVector(vec.g, vec.n, {dg: coeff for dg in vec.terms})
+
+    monkeypatch.setattr(relations, "_graph_operation", lambda op, n: scaled)
+    with pytest.raises(ValueError, match="non-integral coefficient %s"
+                       % coeff):
+        operator_map.__wrapped__((0, 4, 1), ("swap", 1), (0, 4, 1))
 
 
 def test_closure_maps_match_graph_operations():

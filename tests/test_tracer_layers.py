@@ -1,12 +1,20 @@
-"""The benchmark's traced layers name functions that exist in tautrel.
+"""The benchmark's traced layers name functions that exist in tautrel, and
+a traced run of each gated workload calls every layer predicted for it.
 
 The tracer finds each layer by module and attribute path when a traced run
-starts, so a renamed function would otherwise show up only there.
+starts, so a renamed function would otherwise show up only there; a layer
+that a change bypasses shows up only when a traced run ends.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -31,3 +39,17 @@ def test_every_traced_layer_resolves():
                 layer, modname, path)
             target = getattr(target, part)
         assert callable(target), layer
+
+
+@pytest.mark.parametrize("workload", ["a3-extract2", "cli-compare8"])
+def test_traced_worker_hits_every_predicted_layer(workload, tmp_path):
+    # the worker raises when a layer predicted to carry work on the
+    # workload was never called, and checks the workload's output exactly
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload",
+         workload, "--seed", "1", "--work", str(tmp_path), "--trace"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr[-2000:]
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert report["ok"], report["problems"]
